@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +22,6 @@ from . import conditions, generators, halfplane, regularization
 from .errors import ApInterpError, InputError, NumericError
 from .variety import Variety, load_variety, save_variety, separation_profile
 from .weights import BeurlingWeight, OmegaProfile
-
-
-@dataclass
-class RunConfig:
-    weight: BeurlingWeight
-    variety: Variety
-    radii: list[float]
-    thresholds: tuple[float, float]
-    out: str | None
-    fmt: str
-    eps: float = 0.1
-    beta: float = 1.0
 
 
 def _parse_weight(text: str) -> BeurlingWeight:
@@ -103,30 +90,25 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"report holds a non-finite number: {exc}") from exc
 
 
 def cmd_check(args) -> int:
-    cfg = RunConfig(
-        weight=_parse_weight(args.weight),
-        variety=_load_input(args),
-        radii=[],
-        thresholds=_parse_thresholds(args.thresholds),
-        out=args.out,
-        fmt=args.format,
-        eps=args.eps,
-        beta=args.beta,
-    )
-    cfg.radii = _parse_radii(args, cfg.variety.window_radius)
-    w, v = cfg.weight, cfg.variety
+    w = _parse_weight(args.weight)
+    v = _load_input(args)
+    thresholds = _parse_thresholds(args.thresholds)
+    radii = _parse_radii(args, v.window_radius)
     split = conditions.split_regions(v, w)
-    report = conditions.run_condition_report(v, w, cfg.radii, cfg.thresholds)
+    report = conditions.run_condition_report(v, w, radii, thresholds)
     sep = separation_profile(v, w).to_dict() if len(v) >= 2 else None
     upper = halfplane.HalfPlaneVariety.from_variety(v)
     lower = halfplane.HalfPlaneVariety.from_variety(v, conjugate_lower=True)
-    bu_upper = (halfplane.blaschke_sum_report(upper, w, cfg.radii, cfg.thresholds).to_dict()
+    bu_upper = (halfplane.blaschke_sum_report(upper, w, radii, thresholds).to_dict()
                 if len(upper) else None)
-    bu_lower = (halfplane.blaschke_sum_report(lower, w, cfg.radii, cfg.thresholds).to_dict()
+    bu_lower = (halfplane.blaschke_sum_report(lower, w, radii, thresholds).to_dict()
                 if len(lower) else None)
     payload = {
         "weight": w.to_dict(),
@@ -138,13 +120,13 @@ def cmd_check(args) -> int:
         "blaschke_lower": bu_lower,
         **report.to_dict(),
     }
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         lines = ["radius,condition_a,condition_b"]
         for r, ca, cb in zip(report.radii, report.constants_a, report.constants_b):
             lines.append(f"{r!r},{ca!r},{cb!r}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_json_dump(payload), cfg.out)
+        _emit(_json_dump(payload), args.out)
     return 0
 
 
@@ -225,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--radii", help="comma separated truncation radii")
     p_check.add_argument("--thresholds", help="slope thresholds, e.g. 0.05,0.2")
     p_check.add_argument("--format", choices=("json", "csv"), default="json")
-    p_check.add_argument("--eps", type=float, default=0.1)
-    p_check.add_argument("--beta", type=float, default=1.0)
     p_check.set_defaults(fn=cmd_check)
 
     p_prof = sub.add_parser("profile-balayage",

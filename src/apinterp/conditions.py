@@ -12,13 +12,12 @@ schedule of truncation radii and the growth trend of the per-radius
 constants is classified from a log-log slope fit.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .numutil import golden_section_max, neumaier_sum
+from .numutil import golden_section_max, poisson_sums, truncated_log_sums
 from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
 
@@ -27,8 +26,6 @@ DIVERGENT = "divergence-evidence"
 INCONCLUSIVE = "inconclusive"
 
 DEFAULT_THRESHOLDS = (0.05, 0.2)
-
-_CHUNK = 64  # rows per block in the pairwise kernels, keeps temporaries small
 
 
 @dataclass
@@ -77,45 +74,6 @@ def _validate_radii(radii, window: float) -> np.ndarray:
     return radii
 
 
-def integrated_counts_at_points(v: Variety, w: BeurlingWeight,
-                                centers: np.ndarray, radii_at: np.ndarray,
-                                include_center: bool = False) -> np.ndarray:
-    """Integrated count at each center with its own radius, chunked.
-
-    Vectorized equivalent of integrated_count over many centers; the center
-    multiplicity term is optional because the per-point condition constant
-    is conventionally taken without it (see condition_a_constants).  Centers
-    with a non-positive radius get value 0 (empty disk).
-
-    Relies on the variety's canonical order: points sorted by |lambda|, so
-    only the annulus | |lambda| - |center| | <= radius needs scanning.
-    """
-    abs_all = np.abs(v.lam)
-    out = np.empty(centers.size)
-    for lo in range(0, centers.size, _CHUNK):
-        hi = min(lo + _CHUNK, centers.size)
-        block = centers[lo:hi, None]
-        r = np.maximum(radii_at[lo:hi, None], 0.0)
-        abs_block = np.abs(centers[lo:hi])
-        a = int(np.searchsorted(abs_all, np.min(abs_block - r[:, 0]), side="left"))
-        b = int(np.searchsorted(abs_all, np.max(abs_block + r[:, 0]), side="right"))
-        lam_win = v.lam[a:b][None, :]
-        mult_win = v.mult[a:b][None, :]
-        d = np.abs(lam_win - block)
-        inside = (d > 0) & (d <= r)
-        logs = np.zeros_like(d)
-        np.log(d, out=logs, where=inside)
-        log_r = np.log(np.where(r > 0, r, 1.0))
-        contrib = np.where(inside, mult_win * (log_r - logs), 0.0)
-        vals = contrib.sum(axis=1)
-        if include_center:
-            n0 = np.where(d == 0, mult_win, 0).sum(axis=1)
-            vals = vals + np.where(radii_at[lo:hi] > 0,
-                                   n0 * log_r[:, 0], 0.0)
-        out[lo:hi] = vals
-    return out
-
-
 @dataclass
 class ConditionSweep:
     radii: list[float]
@@ -149,7 +107,7 @@ def condition_a_constants(v: Variety, w: BeurlingWeight, radii,
                               [None] * radii.size)
     p_c = w.p(centers)
     floor_hits = int(np.sum(p_c < p_min))
-    n_vals = integrated_counts_at_points(v, w, centers, p_c, include_center)
+    n_vals = truncated_log_sums(v.lam, v.mult, centers, p_c, include_center)
     ratios = n_vals / np.maximum(p_c, p_min)
     abs_centers = np.abs(centers)
     constants, witnesses = [], []
@@ -166,15 +124,10 @@ def condition_a_constants(v: Variety, w: BeurlingWeight, radii,
 
 
 def balayage_value(v_exterior: Variety, x: float) -> float:
-    """Exact sum of mult * |Im lambda| / |x - lambda|^2 at a real abscissa."""
-    if not len(v_exterior):
-        return 0.0
-    im = v_exterior.lam.imag
-    if np.any(im == 0):
+    """Sum of mult * |Im lambda| / |x - lambda|^2 at a real abscissa."""
+    if np.any(v_exterior.lam.imag == 0):
         raise InvariantViolation("exterior variety contains a real point")
-    re = v_exterior.lam.real
-    terms = v_exterior.mult * np.abs(im) / ((x - re) ** 2 + im * im)
-    return neumaier_sum(terms)
+    return float(poisson_sums(v_exterior.lam, v_exterior.mult, [x])[0])
 
 
 @dataclass
@@ -183,15 +136,6 @@ class ScanSpec:
     xmax: float | None = None
     samples: int = 512
     refine_tol: float = 1e-6
-
-
-def _balayage_array(re, im2, mim, xs) -> np.ndarray:
-    out = np.empty(xs.size)
-    for lo in range(0, xs.size, _CHUNK):
-        hi = min(lo + _CHUNK, xs.size)
-        d2 = (xs[lo:hi, None] - re[None, :]) ** 2 + im2[None, :]
-        out[lo:hi] = (mim[None, :] / d2).sum(axis=1)
-    return out
 
 
 def balayage_sup(v_exterior: Variety, scan: ScanSpec | None = None) -> tuple[float, float]:
@@ -206,17 +150,14 @@ def balayage_sup(v_exterior: Variety, scan: ScanSpec | None = None) -> tuple[flo
     if not len(v_exterior):
         return 0.0, 0.0
     scan = scan or ScanSpec()
-    im = v_exterior.lam.imag
-    if np.any(im == 0):
+    lam, mult = v_exterior.lam, v_exterior.mult
+    if np.any(lam.imag == 0):
         raise InvariantViolation("exterior variety contains a real point")
-    re = v_exterior.lam.real
-    im2 = im * im
-    mim = v_exterior.mult * np.abs(im)
     xmin = scan.xmin if scan.xmin is not None else -v_exterior.window_radius
     xmax = scan.xmax if scan.xmax is not None else v_exterior.window_radius
     grid = np.linspace(xmin, xmax, max(2, scan.samples))
-    cands = np.unique(np.concatenate([re, grid]))
-    vals = _balayage_array(re, im2, mim, cands)
+    cands = np.unique(np.concatenate([lam.real, grid]))
+    vals = poisson_sums(lam, mult, cands)
     k = int(np.argmax(vals))
     best_x, best_v = float(cands[k]), float(vals[k])
     left = cands[k - 1] if k > 0 else cands[k] - 1.0
@@ -224,7 +165,7 @@ def balayage_sup(v_exterior: Variety, scan: ScanSpec | None = None) -> tuple[flo
     span = max(best_x - left, right - best_x, 1e-9)
 
     def phi(x):
-        return float((mim / ((x - re) ** 2 + im2)).sum())
+        return float(poisson_sums(lam, mult, [x])[0])
 
     rx, rv = golden_section_max(phi, best_x - span, best_x + span,
                                 tol=scan.refine_tol)
@@ -261,8 +202,7 @@ def balayage_profile(v_exterior: Variety, scan: ScanSpec | None = None) -> Balay
     if not len(v_exterior):
         return BalayageProfile(list(xs), [0.0] * xs.size, 0.0, 0.0, 0.0, 0.0)
     im = v_exterior.lam.imag
-    re = v_exterior.lam.real
-    values = _balayage_array(re, im * im, v_exterior.mult * np.abs(im), xs)
+    values = poisson_sums(v_exterior.lam, v_exterior.mult, xs)
     x_star, sup = balayage_sup(v_exterior, scan)
     slope_bound = float((0.6495 * v_exterior.mult / (im * im)).sum())
     spacing = (xmax - xmin) / (xs.size - 1)
@@ -297,7 +237,7 @@ def condition_b_constants(v: Variety, w: BeurlingWeight, radii,
 @dataclass
 class TrendResult:
     verdict: str
-    exponent: float
+    exponent: float | None  # None when fewer than two constants are positive
     n_fit: int
 
     def to_dict(self) -> dict:
@@ -312,7 +252,9 @@ def classify_trend(radii, constants,
     Fitted over the upper half of the schedule; slope below thresholds[0]
     reads as bounded-evidence, above thresholds[1] as divergence-evidence,
     otherwise inconclusive.  Non-positive constants are excluded from the
-    fit; an all-zero series is bounded-evidence with exponent 0.
+    fit; an all-zero series is bounded-evidence with exponent 0, and fewer
+    than two positive constants in the fitted half give inconclusive with
+    exponent None.
     """
     radii = np.asarray(list(radii), dtype=float)
     constants = np.asarray(list(constants), dtype=float)
@@ -328,7 +270,7 @@ def classify_trend(radii, constants,
     c_fit = constants[half:]
     pos = c_fit > 0
     if pos.sum() < 2:
-        return TrendResult(INCONCLUSIVE, math.nan, int(pos.sum()))
+        return TrendResult(INCONCLUSIVE, None, int(pos.sum()))
     slope = float(np.polyfit(np.log(r_fit[pos]), np.log(c_fit[pos]), 1)[0])
     if slope < lo:
         verdict = BOUNDED

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the spec-key check."""
+
+import inspect
 
 
 class ApInterpError(Exception):
@@ -27,3 +29,15 @@ class InvariantViolation(ApInterpError):
 
 class InputError(ApInterpError, ValueError):
     """A configuration or data file could not be understood."""
+
+
+def check_spec_keys(what: str, params: dict, build) -> None:
+    """Raise InputError unless params are keyword arguments of build and
+    name every argument build requires."""
+    accepted = inspect.signature(build).parameters
+    for key in params:
+        if key not in accepted:
+            raise InputError(f"{what}: unknown key {key!r}")
+    for name, param in accepted.items():
+        if param.default is inspect.Parameter.empty and name not in params:
+            raise InputError(f"{what}: missing key {name!r}")

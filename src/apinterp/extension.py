@@ -21,7 +21,7 @@ import numpy as np
 
 from .conditions import DEFAULT_THRESHOLDS, TrendResult, classify_trend, _validate_radii
 from .errors import DomainError, InputError, InvariantViolation
-from .numutil import close_pairs
+from .numutil import close_pairs, truncated_log_sums
 from .variety import P_MIN, Variety, integrated_count, separation_profile
 from .weights import BeurlingWeight, estimate_disk_constant
 
@@ -412,13 +412,13 @@ def annulus_counting_report(v: Variety, w: BeurlingWeight, radii,
     c_prime = c_eps * c_eps + 1.0
     abs_lam = np.abs(v.lam)
     p_lam = w.p(v.lam)
-    by_radius = []
     domination = 0.0
     thetas = np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False)
     ratios = np.full(len(v), 0.0)
-    for i, lam in enumerate(v.lam):
-        if abs_lam[i] > radii[-1]:
-            continue
+    inner = np.nonzero(abs_lam <= radii[-1])[0]
+    excl = truncated_log_sums(v.lam, v.mult, v.lam[inner], c_prime * p_lam[inner])
+    for i, n_excl in zip(inner, excl):
+        lam = v.lam[i]
         ring = math.sqrt(1.5) * sep.radii[i]
         worst = 0.0
         for theta in thetas:
@@ -427,25 +427,14 @@ def annulus_counting_report(v: Variety, w: BeurlingWeight, radii,
             val = integrated_count(v, z, c_eps * pz) / max(pz, P_MIN)
             worst = max(worst, val)
         ratios[i] = worst
-        rhs = p_lam[i] + integrated_counts_excl(v, complex(lam), c_prime * p_lam[i])
+        rhs = p_lam[i] + n_excl
         if rhs > 0:
             domination = max(domination, worst * max(p_lam[i], P_MIN) / rhs)
     constants = []
     for r in radii:
         keep = abs_lam <= r
         constants.append(float(np.max(ratios[keep])) if keep.any() else 0.0)
-        by_radius.append(constants[-1])
     return AnnulusCountingReport(list(map(float, radii)), constants,
                                  classify_trend(radii, constants, thresholds),
                                  c_eps, c_prime, domination)
 
-
-def integrated_counts_excl(v: Variety, z: complex, r: float) -> float:
-    """Integrated count at z with the center's own multiplicity term dropped."""
-    if r <= 0:
-        return 0.0
-    d = np.abs(v.lam - z)
-    mask = (d > 0) & (d <= r)
-    if not mask.any():
-        return 0.0
-    return float(np.sum(v.mult[mask] * (math.log(r) - np.log(d[mask]))))

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InputError, check_spec_keys
 from .variety import Variety
 
 INTEGER_LATTICE = "integer_lattice"
@@ -27,12 +27,15 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
+        check_spec_keys(f"family {self.family!r}", self.params, _BUILDERS[self.family])
 
     def to_dict(self) -> dict:
         return {"family": self.family, **self.params}
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "FamilySpec":
+        if not isinstance(cfg, dict):
+            raise InputError("family spec must be a JSON object")
         cfg = dict(cfg)
         family = cfg.pop("family", None)
         return cls(family, cfg)
@@ -41,15 +44,7 @@ class FamilySpec:
 def generate(spec: FamilySpec) -> Variety:
     """Deterministic construction; the same spec (and seed) gives the same
     variety bit for bit."""
-    fn = {
-        INTEGER_LATTICE: _integer_lattice,
-        HORIZONTAL_LINE: _horizontal_line,
-        DYADIC_ANGLE: _dyadic_angle,
-        PERTURBED_LATTICE: _perturbed_lattice,
-        STRIP_RANDOM: _strip_random,
-        GEOMETRIC_RAY: _geometric_ray,
-    }[spec.family]
-    return fn(**spec.params)
+    return _BUILDERS[spec.family](**spec.params)
 
 
 def _integer_lattice(mult: int = 1, window: float = 100.0) -> Variety:
@@ -114,6 +109,16 @@ def _geometric_ray(ratio: float = 0.5, count: int = 20) -> Variety:
     pts = [(complex(k * ratio ** k, 0.0), 1) for k in range(1, count + 1)]
     window = 2.0 * max(p[0].real for p in pts)
     return Variety(pts, window_radius=window)
+
+
+_BUILDERS = {
+    INTEGER_LATTICE: _integer_lattice,
+    HORIZONTAL_LINE: _horizontal_line,
+    DYADIC_ANGLE: _dyadic_angle,
+    PERTURBED_LATTICE: _perturbed_lattice,
+    STRIP_RANDOM: _strip_random,
+    GEOMETRIC_RAY: _geometric_ray,
+}
 
 
 def expected_profile(spec: FamilySpec) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conditions import DEFAULT_THRESHOLDS, TrendResult, classify_trend, _validate_radii
 from .errors import DomainError
-from .numutil import neumaier_sum
+from .numutil import log_rho_sums
 from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
 
@@ -27,19 +27,13 @@ from .weights import BeurlingWeight
 LOG_ZERO = float("-inf")
 
 
-class HalfPlaneVariety:
-    """Weighted points with strictly positive imaginary parts."""
+class HalfPlaneVariety(Variety):
+    """A variety whose points all satisfy Im lambda > 0."""
 
     def __init__(self, points, window_radius: float | None = None):
-        inner = Variety(points, window_radius)
-        if inner.lam.size and np.any(inner.lam.imag <= 0):
+        super().__init__(points, window_radius)
+        if np.any(self.lam.imag <= 0):
             raise DomainError("all points must satisfy Im lambda > 0")
-        self.lam = inner.lam
-        self.mult = inner.mult
-        self.window_radius = inner.window_radius
-
-    def __len__(self) -> int:
-        return int(self.lam.size)
 
     @classmethod
     def from_variety(cls, v: Variety, conjugate_lower: bool = False) -> "HalfPlaneVariety":
@@ -55,11 +49,6 @@ class HalfPlaneVariety:
             keep = v.lam.imag > 0
             lam = v.lam[keep]
         return cls(zip(lam, v.mult[keep]), v.window_radius)
-
-    def restrict(self, radius: float) -> "HalfPlaneVariety":
-        keep = np.abs(self.lam) <= radius
-        return HalfPlaneVariety(zip(self.lam[keep], self.mult[keep]),
-                                self.window_radius)
 
 
 def pseudo_distance(z: complex, w: complex) -> float:
@@ -103,10 +92,6 @@ class HypDisk:
         return abs(complex(w) - self.euclidean_center) <= self.euclidean_radius
 
 
-def _rho_array(hv: HalfPlaneVariety, z: complex) -> np.ndarray:
-    return np.abs(z - hv.lam) / np.abs(z - np.conj(hv.lam))
-
-
 def log_blaschke_abs(hv: HalfPlaneVariety, z: complex):
     """log|B(z)| = sum mult * log rho(z, lambda) <= 0.
 
@@ -116,12 +101,9 @@ def log_blaschke_abs(hv: HalfPlaneVariety, z: complex):
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("log_blaschke_abs requires Im z > 0")
-    if not len(hv):
-        return 0.0
-    rho = _rho_array(hv, z)
-    if np.any(rho == 0.0):
+    if np.any(hv.lam == z):
         return LOG_ZERO
-    return neumaier_sum(hv.mult * np.log(rho))
+    return -float(log_rho_sums(hv.lam, hv.mult, [z])[0])
 
 
 def blaschke_sum(hv: HalfPlaneVariety, lam: complex) -> float:
@@ -131,15 +113,9 @@ def blaschke_sum(hv: HalfPlaneVariety, lam: complex) -> float:
     Equals -log of the Blaschke modulus with lambda's own factor removed.
     """
     lam = complex(lam)
-    idx = np.nonzero(hv.lam == lam)[0]
-    if idx.size == 0:
+    if not np.any(hv.lam == lam):
         raise DomainError("lambda is not a point of the configuration")
-    others = np.ones(len(hv), dtype=bool)
-    others[idx[0]] = False
-    if not others.any():
-        return 0.0
-    rho = np.abs(lam - hv.lam[others]) / np.abs(lam - np.conj(hv.lam[others]))
-    return neumaier_sum(hv.mult[others] * -np.log(rho))
+    return float(log_rho_sums(hv.lam, hv.mult, [lam])[0])
 
 
 def count_in_hyp_disk(hv: HalfPlaneVariety, z: complex, t: float) -> int:
@@ -149,9 +125,7 @@ def count_in_hyp_disk(hv: HalfPlaneVariety, z: complex, t: float) -> int:
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("center must lie in the upper half-plane")
-    if not len(hv):
-        return 0
-    rho = _rho_array(hv, z)
+    rho = np.abs(z - hv.lam) / np.abs(z - np.conj(hv.lam))
     return int(hv.mult[rho <= t].sum())
 
 
@@ -185,20 +159,6 @@ class SweepReport:
         }
 
 
-def _exclusion_sums(lam: np.ndarray, mult: np.ndarray, chunk: int = 64) -> np.ndarray:
-    """S(lambda_i) for every point at once, chunked over rows."""
-    out = np.empty(lam.size)
-    for lo in range(0, lam.size, chunk):
-        hi = min(lo + chunk, lam.size)
-        block = lam[lo:hi, None]
-        num = np.abs(block - lam[None, :])
-        den = np.abs(block - np.conj(lam)[None, :])
-        ratio = np.ones_like(num)
-        np.divide(num, den, out=ratio, where=num > 0)
-        out[lo:hi] = (mult[None, :] * -np.log(ratio)).sum(axis=1)
-    return out
-
-
 def blaschke_sum_report(hv: HalfPlaneVariety, w: BeurlingWeight, radii,
                         thresholds: tuple[float, float] = DEFAULT_THRESHOLDS) -> SweepReport:
     """Per-radius worst S(lambda)/p(lambda) over |lambda| <= R, trend-classified.
@@ -216,7 +176,7 @@ def blaschke_sum_report(hv: HalfPlaneVariety, w: BeurlingWeight, radii,
             constants.append(0.0)
             witnesses.append(None)
             continue
-        ratios = _exclusion_sums(lam, mult) / np.maximum(w.p(lam), P_MIN)
+        ratios = log_rho_sums(lam, mult, lam) / np.maximum(w.p(lam), P_MIN)
         k = int(np.argmax(ratios))
         constants.append(float(max(ratios[k], 0.0)))
         witnesses.append(complex(lam[k]) if ratios[k] > 0 else None)

@@ -1,4 +1,5 @@
-"""Small numeric helpers: compensated sums, 1-D search, quadrature wrapper."""
+"""Small numeric helpers: the dense pairwise kernels, 1-D search, quadrature
+wrapper and close-pair search."""
 
 import math
 
@@ -8,25 +9,6 @@ from scipy.integrate import quad
 from .errors import NumericError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def neumaier_sum(values) -> float:
-    """Compensated (Kahan-Babuska) sum in fixed iteration order.
-
-    Used wherever terms span many orders of magnitude, so results are
-    reproducible to roughly 1 ulp independent of how callers batch work.
-    """
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        v = float(v)
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
 
 
 def golden_section_max(f, a: float, b: float, tol: float = 1e-6, max_iter: int = 200):
@@ -110,3 +92,102 @@ def close_pairs(lam: np.ndarray, cutoff: float):
                 d = abs(lam[i] - lam[j])
                 if d < cutoff:
                     yield i, j, d
+
+
+# The dense pairwise kernels.  Each value is one numpy pairwise sum over its
+# own terms in canonical point order, so it is the same bits whether it is
+# computed alone or in a batch, and its error is at most about
+# eps * log2(n) * sum |terms|.
+
+#: Centers per block: bounds the (block x points) temporaries; no value
+#: depends on it.
+_ROWS = 64
+
+#: Relative widening of the modulus window in truncated_log_sums, so that
+#: rounding in |lambda|, |c| and |lambda - c| never drops an in-disk point.
+_WINDOW_SLACK = 8 * np.finfo(float).eps
+
+
+def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-row sums of a ragged array stored row after row; empty rows give 0."""
+    out = np.zeros(counts.size)
+    full = counts > 0
+    if full.any():
+        out[full] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[full])
+    return out
+
+
+def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
+                       include_center: bool = False) -> np.ndarray:
+    """Integrated count at each center with its own radius.
+
+    Value i is the sum over 0 < |lambda - c_i| <= r_i of
+    mult * log(r_i / |lambda - c_i|), plus mult(c_i) * log r_i when
+    include_center is set; a center with a non-positive radius gets 0.
+    lam must be sorted by modulus (the canonical Variety order), so a block
+    of centers scans only the annulus of moduli its disks can reach, and
+    logs are taken of in-disk distances only.
+    """
+    centers = np.asarray(centers, dtype=complex)
+    radii = np.maximum(np.asarray(radii, dtype=float), 0.0)
+    abs_lam = np.abs(lam)
+    out = np.empty(centers.size)
+    for lo in range(0, centers.size, _ROWS):
+        c, r = centers[lo:lo + _ROWS], radii[lo:lo + _ROWS]
+        abs_c = np.abs(c)
+        slack = _WINDOW_SLACK * np.max(abs_c + r)
+        a = int(np.searchsorted(abs_lam, np.min(abs_c - r) - slack, side="left"))
+        b = int(np.searchsorted(abs_lam, np.max(abs_c + r) + slack, side="right"))
+        d = np.abs(lam[a:b] - c[:, None])
+        inside = (d > 0) & (d <= r[:, None])
+        counts = inside.sum(axis=1)
+        log_r = np.log(np.where(r > 0, r, 1.0))
+        terms = np.broadcast_to(mult[a:b], d.shape)[inside] * (
+            np.repeat(log_r, counts) - np.log(d[inside]))
+        vals = _row_sums(terms, counts)
+        if include_center:
+            vals += np.where(d == 0, mult[a:b], 0).sum(axis=1) * log_r
+        out[lo:lo + _ROWS] = vals
+    return out
+
+
+def log_rho_sums(lam: np.ndarray, mult: np.ndarray, centers) -> np.ndarray:
+    """Blaschke exclusion sum at each center of the upper half-plane.
+
+    Value i is the sum over lambda != c_i of mult * log(1/rho(c_i, lambda)),
+    rho(c, lambda) = |c - lambda| / |c - conj lambda|.  Since
+    |c - conj lambda|^2 = |c - lambda|^2 + 4 Im c Im lambda, each term is
+    (1/2) log1p(4 Im c Im lambda / |c - lambda|^2), with no cancellation when
+    rho is near 1.  A point at c_i contributes an exact 0 in its slot, so
+    rows stay dense (a ragged gather made the full sweep much slower) and
+    still give the same bits batched or alone.
+    """
+    centers = np.asarray(centers, dtype=complex)
+    out = np.empty(centers.size)
+    for lo in range(0, centers.size, _ROWS):
+        c = centers[lo:lo + _ROWS, None]
+        dx = c.real - lam.real
+        q = c.imag - lam.imag
+        q *= q
+        q += dx * dx
+        t = np.divide((4.0 * c.imag) * lam.imag, q, out=np.zeros_like(q), where=q > 0)
+        np.log1p(t, out=t)
+        t *= mult
+        out[lo:lo + _ROWS] = t.sum(axis=1)
+    return 0.5 * out
+
+
+def poisson_sums(lam: np.ndarray, mult: np.ndarray, xs) -> np.ndarray:
+    """Poisson balayage at each real abscissa x: the sum of
+    mult * |Im lambda| / |x - lambda|^2.  No point may be real."""
+    xs = np.asarray(xs, dtype=float)
+    weight = mult * np.abs(lam.imag)
+    im2 = lam.imag * lam.imag
+    out = np.empty(xs.size)
+    for lo in range(0, xs.size, _ROWS):
+        d = xs[lo:lo + _ROWS, None] - lam.real
+        d *= d
+        d += im2
+        np.divide(weight, d, out=d)
+        out[lo:lo + _ROWS] = d.sum(axis=1)
+    return out

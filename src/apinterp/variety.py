@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, InvariantViolation
-from .numutil import close_pairs, neumaier_sum
+from .numutil import close_pairs, truncated_log_sums
 from .weights import BeurlingWeight
 
 P_MIN = 1.0  # floor used when dividing by p(lambda) near the origin
@@ -35,7 +35,7 @@ class Variety:
 
     Construction merges coincident coordinates into a single point with
     summed multiplicity and sorts points by (|lambda|, arg lambda) so that
-    iteration order, and therefore every compensated sum, is deterministic.
+    iteration order, and therefore every kernel sum, is deterministic.
     """
 
     def __init__(self, points, window_radius: float | None = None):
@@ -86,7 +86,7 @@ class Variety:
 
     def restrict(self, radius: float) -> "Variety":
         keep = np.abs(self.lam) <= radius
-        return Variety(zip(self.lam[keep], self.mult[keep]), self.window_radius)
+        return type(self)(zip(self.lam[keep], self.mult[keep]), self.window_radius)
 
     def scale_mult(self, k: int) -> "Variety":
         return Variety(zip(self.lam, self.mult * int(k)), self.window_radius)
@@ -180,17 +180,7 @@ def integrated_count(v: Variety, z: complex, r: float) -> float:
     """
     if not r > 0:
         raise DomainError("radius must be positive")
-    if not len(v):
-        return 0.0
-    d = np.abs(v.lam - z)
-    center = int(v.mult[d == 0].sum())
-    mask = (d > 0) & (d <= r)
-    log_r = math.log(r)
-    terms = v.mult[mask] * (log_r - np.log(d[mask]))
-    total = neumaier_sum(terms)
-    if center:
-        total += center * log_r
-    return total
+    return float(truncated_log_sums(v.lam, v.mult, [z], [r], include_center=True)[0])
 
 
 def integrated_count_oracle(v: Variety, z: complex, r: float, steps: int = 20000) -> float:

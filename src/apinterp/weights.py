@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError, TabulatedRangeError
+from .errors import (DomainError, InputError, NumericError, TabulatedRangeError,
+                     check_spec_keys)
 from .numutil import adaptive_quad
 
 LOG_SHIFT = "log_shift"
@@ -120,16 +121,16 @@ class OmegaProfile:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "OmegaProfile":
-        family = cfg.get("family")
-        if family == LOG_SHIFT:
-            return cls.log_shift(cfg.get("a", 1.0))
-        if family == LOG_SQUARE:
-            return cls.log_square()
-        if family == POWER:
-            return cls.power(cfg["gamma"])
-        if family == TABULATED:
-            return cls.tabulated(cfg["knots"])
-        raise DomainError(f"unknown omega family {family!r}")
+        if not isinstance(cfg, dict):
+            raise InputError("weight spec must be a JSON object")
+        params = dict(cfg)
+        family = params.pop("family", None)
+        build = {LOG_SHIFT: cls.log_shift, LOG_SQUARE: cls.log_square,
+                 POWER: cls.power, TABULATED: cls.tabulated}.get(family)
+        if build is None:
+            raise DomainError(f"unknown omega family {family!r}")
+        check_spec_keys(f"omega family {family!r}", params, build)
+        return build(**params)
 
 
 def omega_eval(profile: OmegaProfile, t):

@@ -160,3 +160,38 @@ def test_user_radii_validation(tmp_path):
                 "--radii", "2,4,8,64"]) == 1
     assert run(["check", "--weight", weight, "--family", fam,
                 "--radii", "4,8,16,32", "--out", str(tmp_path / "ok.json")]) == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_check_report_is_strict_json(capsys):
+    assert run(["check", "--weight", '{"family":"log_shift","a":1.0}',
+                "--family", '{"family":"geometric_ray","count":3}']) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["condition_a"]["verdict"] == "inconclusive"
+    assert payload["condition_a"]["exponent"] is None
+
+
+WEIGHT = '{"family":"log_shift","a":1.0}'
+FAMILY = '{"family":"integer_lattice","window":16}'
+
+
+@pytest.mark.parametrize("args, key", [
+    (["check", "--weight", WEIGHT, "--family", '{"family":"integer_lattice","bogus":1}'],
+     "'bogus'"),
+    (["generate", "--family", '{"family":"integer_lattice","bogus":1}'], "'bogus'"),
+    (["generate", "--family", '[1, 2]'], "JSON object"),
+    (["check", "--weight", '{"family":"power"}', "--family", FAMILY], "'gamma'"),
+    (["check", "--weight", '{"family":"log_shift","b":2}', "--family", FAMILY], "'b'"),
+    (["check", "--weight", '{"family":"log_square","a":1}', "--family", FAMILY], "'a'"),
+    (["profile-balayage", "--weight", '{"family":"tabulated"}', "--family", FAMILY,
+      "--xmin", "-1", "--xmax", "1"], "'knots'"),
+])
+def test_malformed_specs_exit_1_with_one_line(args, key, capsys):
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]

@@ -214,3 +214,15 @@ def test_from_variety_conjugation_reduction():
     low = ap.HalfPlaneVariety.from_variety(v, conjugate_lower=True)
     assert [complex(z) for z in up.lam] == [1 + 2j]
     assert [complex(z) for z in low.lam] == [3 + 4j]
+
+
+def test_halfplane_variety_is_a_validated_variety():
+    hv = ap.HalfPlaneVariety([(1 + 2j, 1), (1 + 2j, 2), (30 + 1j, 1)], window_radius=100)
+    assert isinstance(hv, ap.Variety)
+    assert hv.total_mult == 4 and hv.merged_count == 1
+    inner = hv.restrict(10)
+    assert type(inner) is ap.HalfPlaneVariety
+    assert [complex(z) for z in inner.lam] == [1 + 2j] and inner.window_radius == 100
+    conj = hv.conjugate()
+    assert type(conj) is ap.Variety
+    assert np.all(conj.lam.imag < 0)
