@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .numutil import golden_section_max, poisson_sums, truncated_log_sums
+from .numutil import (golden_section_max, poisson_prefix_sums, poisson_sums,
+                      truncated_log_sums)
 from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
 
@@ -123,11 +124,16 @@ def condition_a_constants(v: Variety, w: BeurlingWeight, radii,
     return ConditionSweep(list(radii), constants, witnesses, floor_hits)
 
 
-def balayage_value(v_exterior: Variety, x: float) -> float:
-    """Sum of mult * |Im lambda| / |x - lambda|^2 at a real abscissa."""
+def _exterior_arrays(v_exterior: Variety):
     if np.any(v_exterior.lam.imag == 0):
         raise InvariantViolation("exterior variety contains a real point")
-    return float(poisson_sums(v_exterior.lam, v_exterior.mult, [x])[0])
+    return v_exterior.lam, v_exterior.mult
+
+
+def balayage_value(v_exterior: Variety, x: float) -> float:
+    """Sum of mult * |Im lambda| / |x - lambda|^2 at a real abscissa."""
+    lam, mult = _exterior_arrays(v_exterior)
+    return float(poisson_sums(lam, mult, [x])[0])
 
 
 @dataclass
@@ -136,6 +142,31 @@ class ScanSpec:
     xmax: float | None = None
     samples: int = 512
     refine_tol: float = 1e-6
+
+
+def _scan_grid(scan: ScanSpec, window_radius: float) -> np.ndarray:
+    """The uniform scan grid, over the whole window unless bounds are set."""
+    xmin = scan.xmin if scan.xmin is not None else -window_radius
+    xmax = scan.xmax if scan.xmax is not None else window_radius
+    return np.linspace(xmin, xmax, max(2, scan.samples))
+
+
+def _refine(lam, mult, cands, vals, tol: float) -> tuple[float, float]:
+    """Golden-section refinement of the best candidate between its
+    neighbours; the result is never below the best candidate value."""
+    k = int(np.argmax(vals))
+    best_x, best_v = float(cands[k]), float(vals[k])
+    left = cands[k - 1] if k > 0 else cands[k] - 1.0
+    right = cands[k + 1] if k + 1 < cands.size else cands[k] + 1.0
+    span = max(best_x - left, right - best_x, 1e-9)
+
+    def phi(x):
+        return float(poisson_sums(lam, mult, [x])[0])
+
+    rx, rv = golden_section_max(phi, best_x - span, best_x + span, tol=tol)
+    if rv > best_v:
+        return float(rx), float(rv)
+    return best_x, best_v
 
 
 def balayage_sup(v_exterior: Variety, scan: ScanSpec | None = None) -> tuple[float, float]:
@@ -150,28 +181,10 @@ def balayage_sup(v_exterior: Variety, scan: ScanSpec | None = None) -> tuple[flo
     if not len(v_exterior):
         return 0.0, 0.0
     scan = scan or ScanSpec()
-    lam, mult = v_exterior.lam, v_exterior.mult
-    if np.any(lam.imag == 0):
-        raise InvariantViolation("exterior variety contains a real point")
-    xmin = scan.xmin if scan.xmin is not None else -v_exterior.window_radius
-    xmax = scan.xmax if scan.xmax is not None else v_exterior.window_radius
-    grid = np.linspace(xmin, xmax, max(2, scan.samples))
+    lam, mult = _exterior_arrays(v_exterior)
+    grid = _scan_grid(scan, v_exterior.window_radius)
     cands = np.unique(np.concatenate([lam.real, grid]))
-    vals = poisson_sums(lam, mult, cands)
-    k = int(np.argmax(vals))
-    best_x, best_v = float(cands[k]), float(vals[k])
-    left = cands[k - 1] if k > 0 else cands[k] - 1.0
-    right = cands[k + 1] if k + 1 < cands.size else cands[k] + 1.0
-    span = max(best_x - left, right - best_x, 1e-9)
-
-    def phi(x):
-        return float(poisson_sums(lam, mult, [x])[0])
-
-    rx, rv = golden_section_max(phi, best_x - span, best_x + span,
-                                tol=scan.refine_tol)
-    if rv > best_v:
-        return float(rx), float(rv)
-    return best_x, best_v
+    return _refine(lam, mult, cands, poisson_sums(lam, mult, cands), scan.refine_tol)
 
 
 @dataclass
@@ -191,21 +204,23 @@ class BalayageProfile:
 def balayage_profile(v_exterior: Variety, scan: ScanSpec | None = None) -> BalayageProfile:
     """Sampled balayage map plus the refined supremum row.
 
-    slope_bound is sup |Phi'| <= 0.6495 * sum mult / Im^2 (peak derivative of
-    each kernel), and max_miss = slope_bound * grid spacing / 2 estimates how
-    far the grid maximum can sit below the true supremum between samples.
+    One pass evaluates the balayage_sup candidates (real parts and the
+    grid); the sampled values are read from it.  slope_bound is
+    sup |Phi'| <= 0.6495 * sum mult / Im^2 (peak derivative of each kernel),
+    and max_miss = slope_bound * grid spacing / 2 estimates how far the grid
+    maximum can sit below the true supremum between samples.
     """
     scan = scan or ScanSpec()
-    xmin = scan.xmin if scan.xmin is not None else -v_exterior.window_radius
-    xmax = scan.xmax if scan.xmax is not None else v_exterior.window_radius
-    xs = np.linspace(xmin, xmax, max(2, scan.samples))
+    xs = _scan_grid(scan, v_exterior.window_radius)
     if not len(v_exterior):
         return BalayageProfile(list(xs), [0.0] * xs.size, 0.0, 0.0, 0.0, 0.0)
-    im = v_exterior.lam.imag
-    values = poisson_sums(v_exterior.lam, v_exterior.mult, xs)
-    x_star, sup = balayage_sup(v_exterior, scan)
-    slope_bound = float((0.6495 * v_exterior.mult / (im * im)).sum())
-    spacing = (xmax - xmin) / (xs.size - 1)
+    lam, mult = _exterior_arrays(v_exterior)
+    cands = np.unique(np.concatenate([lam.real, xs]))
+    vals = poisson_sums(lam, mult, cands)
+    values = vals[np.searchsorted(cands, xs)]
+    x_star, sup = _refine(lam, mult, cands, vals, scan.refine_tol)
+    slope_bound = float((0.6495 * mult / (lam.imag * lam.imag)).sum())
+    spacing = (xs[-1] - xs[0]) / (xs.size - 1)
     return BalayageProfile(list(map(float, xs)), list(map(float, values)),
                            x_star, sup, slope_bound, slope_bound * spacing / 2)
 
@@ -215,22 +230,34 @@ def condition_b_constants(v: Variety, w: BeurlingWeight, radii,
     """Per-radius balayage supremum over strip-exterior points with |lambda| <= R.
 
     Exterior membership uses the strict inequality |Im lambda| > omega(|lambda|).
+    Each radius gives balayage_sup of its own exterior points, bit for bit,
+    while each term is evaluated once, on the candidates of the largest
+    radius, and every radius reads its own candidates' prefix sums.
     """
     radii = _validate_radii(radii, v.window_radius)
     if not len(v):
         return ConditionSweep(list(radii), [0.0] * radii.size,
                               [None] * radii.size)
-    omega_abs = w.omega(np.abs(v.lam))
-    ext = np.abs(v.lam.imag) > omega_abs
-    lam_ext = v.lam[ext]
-    mult_ext = v.mult[ext]
+    scan = scan or ScanSpec()
+    ext = np.abs(v.lam.imag) > w.omega(np.abs(v.lam))
+    # canonical order is sorted by |lambda|: the points within R are a prefix
+    ends = np.searchsorted(np.abs(v.lam[ext]), radii, side="right")
+    lam, mult = v.lam[ext][:ends[-1]], v.mult[ext][:ends[-1]]
+    grid = _scan_grid(scan, v.window_radius)
+    cands = np.unique(np.concatenate([lam.real, grid]))
+    sums = poisson_prefix_sums(lam, mult, cands, ends)
     constants, witnesses = [], []
-    for r in radii:
-        keep = np.abs(lam_ext) <= r
-        sub = Variety(zip(lam_ext[keep], mult_ext[keep]), v.window_radius)
-        x_star, sup = balayage_sup(sub, scan)
+    for n, row_sums in zip(ends, sums):
+        if n == 0:
+            constants.append(0.0)
+            witnesses.append(None)
+            continue
+        own = np.unique(np.concatenate([lam[:n].real, grid]))
+        x_star, sup = _refine(lam[:n], mult[:n], own,
+                              row_sums[np.searchsorted(cands, own)],
+                              scan.refine_tol)
         constants.append(float(sup))
-        witnesses.append(float(x_star) if len(sub) else None)
+        witnesses.append(float(x_star))
     return ConditionSweep(list(radii), constants, witnesses)
 
 

@@ -1,6 +1,8 @@
 """Exception taxonomy shared by all modules, and the spec-key check."""
 
 import inspect
+import math
+import numbers
 
 
 class ApInterpError(Exception):
@@ -32,12 +34,21 @@ class InputError(ApInterpError, ValueError):
 
 
 def check_spec_keys(what: str, params: dict, build) -> None:
-    """Raise InputError unless params are keyword arguments of build and
-    name every argument build requires."""
+    """Raise InputError unless params are keyword arguments of build, name
+    every argument build requires, and give an integer where build annotates
+    int and a finite number where it annotates float."""
     accepted = inspect.signature(build).parameters
-    for key in params:
+    for key, value in params.items():
         if key not in accepted:
             raise InputError(f"{what}: unknown key {key!r}")
+        kind = accepted[key].annotation
+        if kind in (int, float) and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+            raise InputError(f"{what}: key {key!r} must be a number, not {value!r}")
+        if kind is int and not isinstance(value, numbers.Integral):
+            raise InputError(f"{what}: key {key!r} must be an integer, not {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise InputError(f"{what}: key {key!r} must be finite, not {value!r}")
     for name, param in accepted.items():
         if param.default is inspect.Parameter.empty and name not in params:
             raise InputError(f"{what}: missing key {name!r}")

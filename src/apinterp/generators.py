@@ -82,6 +82,8 @@ def _perturbed_lattice(amplitude: float = 0.25, seed: int = 0,
                        half_count: int = 100) -> Variety:
     if not 0 <= amplitude < 0.5:
         raise DomainError("amplitude must lie in [0, 1/2)")
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     ks = np.arange(-half_count, half_count + 1)
     jitter = amplitude * (rng.uniform(-1, 1, ks.size)
@@ -92,6 +94,8 @@ def _perturbed_lattice(amplitude: float = 0.25, seed: int = 0,
 
 def _strip_random(count: int = 200, strip_height: float = 1.0, seed: int = 0,
                   half_width: float = 100.0) -> Variety:
+    if count < 0 or seed < 0:
+        raise DomainError("count and seed must be non-negative")
     rng = np.random.default_rng(seed)
     re = rng.uniform(-half_width, half_width, count)
     im = rng.uniform(-strip_height, strip_height, count)

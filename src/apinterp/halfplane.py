@@ -18,7 +18,7 @@ import numpy as np
 
 from .conditions import DEFAULT_THRESHOLDS, TrendResult, classify_trend, _validate_radii
 from .errors import DomainError
-from .numutil import log_rho_sums
+from .numutil import log_rho_prefix_sums, log_rho_sums
 from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
 
@@ -168,18 +168,18 @@ def blaschke_sum_report(hv: HalfPlaneVariety, w: BeurlingWeight, radii,
     """
     radii = _validate_radii(radii, hv.window_radius)
     constants, witnesses = [], []
-    abs_lam = np.abs(hv.lam)
-    for r in radii:
-        keep = abs_lam <= r
-        lam, mult = hv.lam[keep], hv.mult[keep]
-        if lam.size == 0:
+    # canonical order is sorted by |lambda|: the points within R are a prefix
+    ends = np.searchsorted(np.abs(hv.lam), radii, side="right")
+    p = np.maximum(w.p(hv.lam[:ends[-1]]), P_MIN)
+    for n, sums in zip(ends, log_rho_prefix_sums(hv.lam, hv.mult, ends)):
+        if n == 0:
             constants.append(0.0)
             witnesses.append(None)
             continue
-        ratios = log_rho_sums(lam, mult, lam) / np.maximum(w.p(lam), P_MIN)
+        ratios = sums / p[:n]
         k = int(np.argmax(ratios))
         constants.append(float(max(ratios[k], 0.0)))
-        witnesses.append(complex(lam[k]) if ratios[k] > 0 else None)
+        witnesses.append(complex(hv.lam[k]) if ratios[k] > 0 else None)
     return SweepReport(list(map(float, radii)), constants, witnesses,
                        classify_trend(radii, constants, thresholds))
 

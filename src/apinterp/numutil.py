@@ -151,6 +151,48 @@ def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
     return out
 
 
+def _prefix_row_sums(terms, row_ends, col_ends) -> list:
+    """Row sums of a term matrix over nested prefixes, one block of rows at a
+    time.
+
+    terms(lo, hi, n) returns the (hi - lo) x n terms of rows lo:hi against
+    columns :n.  Entry k of the result holds, for each row i < row_ends[k],
+    the sum of its first col_ends[k] terms.  Each block of terms is built
+    once, against the widest prefix any entry needs, and every entry sums its
+    own column prefix of it; a row sum depends only on its own terms, so each
+    entry is the same bits as a call with that one prefix.
+    """
+    row_ends = [int(e) for e in row_ends]
+    col_ends = [int(e) for e in col_ends]
+    out = [np.zeros(e) for e in row_ends]
+    n_rows = max(row_ends, default=0)
+    for lo in range(0, n_rows, _ROWS):
+        live = [k for k, e in enumerate(row_ends) if e > lo]
+        t = terms(lo, min(lo + _ROWS, n_rows), max(col_ends[k] for k in live))
+        for k in live:
+            out[k][lo:lo + _ROWS] = t[:row_ends[k] - lo, :col_ends[k]].sum(axis=1)
+    return out
+
+
+def _log_rho(lam, mult, centers, row_ends, col_ends) -> list:
+    """Exclusion sums of centers[:row_ends[k]] against lam[:col_ends[k]]."""
+    centers = np.asarray(centers, dtype=complex)
+
+    def terms(lo, hi, n):
+        c = centers[lo:hi, None]
+        pts = lam[:n]
+        dx = c.real - pts.real
+        q = c.imag - pts.imag
+        q *= q
+        q += dx * dx
+        t = np.divide((4.0 * c.imag) * pts.imag, q, out=np.zeros_like(q), where=q > 0)
+        np.log1p(t, out=t)
+        t *= mult[:n]
+        return t
+
+    return [0.5 * s for s in _prefix_row_sums(terms, row_ends, col_ends)]
+
+
 def log_rho_sums(lam: np.ndarray, mult: np.ndarray, centers) -> np.ndarray:
     """Blaschke exclusion sum at each center of the upper half-plane.
 
@@ -162,32 +204,39 @@ def log_rho_sums(lam: np.ndarray, mult: np.ndarray, centers) -> np.ndarray:
     rows stay dense (a ragged gather made the full sweep much slower) and
     still give the same bits batched or alone.
     """
-    centers = np.asarray(centers, dtype=complex)
-    out = np.empty(centers.size)
-    for lo in range(0, centers.size, _ROWS):
-        c = centers[lo:lo + _ROWS, None]
-        dx = c.real - lam.real
-        q = c.imag - lam.imag
-        q *= q
-        q += dx * dx
-        t = np.divide((4.0 * c.imag) * lam.imag, q, out=np.zeros_like(q), where=q > 0)
-        np.log1p(t, out=t)
-        t *= mult
-        out[lo:lo + _ROWS] = t.sum(axis=1)
-    return 0.5 * out
+    return _log_rho(lam, mult, centers, [np.size(centers)], [lam.size])[0]
+
+
+def log_rho_prefix_sums(lam: np.ndarray, mult: np.ndarray, ends) -> list:
+    """Exclusion sums within nested prefixes of the points themselves.
+
+    Entry k equals log_rho_sums(lam[:e], mult[:e], lam[:e]) for e = ends[k],
+    bit for bit, while each term is evaluated once for all entries.
+    """
+    return _log_rho(lam, mult, lam, ends, ends)
 
 
 def poisson_sums(lam: np.ndarray, mult: np.ndarray, xs) -> np.ndarray:
     """Poisson balayage at each real abscissa x: the sum of
     mult * |Im lambda| / |x - lambda|^2.  No point may be real."""
+    return poisson_prefix_sums(lam, mult, xs, [lam.size])[0]
+
+
+def poisson_prefix_sums(lam: np.ndarray, mult: np.ndarray, xs, ends) -> list:
+    """Balayage of nested prefixes of the points at every abscissa.
+
+    Entry k equals poisson_sums(lam[:e], mult[:e], xs) for e = ends[k], bit
+    for bit, while each term is evaluated once for all entries.
+    """
     xs = np.asarray(xs, dtype=float)
     weight = mult * np.abs(lam.imag)
     im2 = lam.imag * lam.imag
-    out = np.empty(xs.size)
-    for lo in range(0, xs.size, _ROWS):
-        d = xs[lo:lo + _ROWS, None] - lam.real
+
+    def terms(lo, hi, n):
+        d = xs[lo:hi, None] - lam.real[:n]
         d *= d
-        d += im2
-        np.divide(weight, d, out=d)
-        out[lo:lo + _ROWS] = d.sum(axis=1)
-    return out
+        d += im2[:n]
+        np.divide(weight[:n], d, out=d)
+        return d
+
+    return _prefix_row_sums(terms, [xs.size] * len(ends), ends)

@@ -64,6 +64,9 @@ class OmegaProfile:
                 raise DomainError("tabulated values must be non-decreasing")
             if any(w < 0 for w in ws):
                 raise DomainError("tabulated values must be non-negative")
+            # __call__ interpolates on these; built once, not per call
+            object.__setattr__(self, "_knot_t", np.array(ts))
+            object.__setattr__(self, "_knot_w", np.array(ws))
 
     @classmethod
     def log_shift(cls, a: float = 1.0) -> "OmegaProfile":
@@ -79,8 +82,11 @@ class OmegaProfile:
 
     @classmethod
     def tabulated(cls, knots) -> "OmegaProfile":
-        return cls(family=TABULATED,
-                   knots=tuple((float(t), float(w)) for t, w in knots))
+        try:
+            pairs = tuple((float(t), float(w)) for t, w in knots)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"tabulated knots must be (t, omega) number pairs: {exc}") from exc
+        return cls(family=TABULATED, knots=pairs)
 
     @property
     def t_max(self) -> float:
@@ -100,12 +106,11 @@ class OmegaProfile:
         elif self.family == POWER:
             out = arr ** self.gamma
         else:
-            ts = np.array([k[0] for k in self.knots])
-            ws = np.array([k[1] for k in self.knots])
+            ts = self._knot_t
             if np.any(arr < ts[0]) or np.any(arr > ts[-1]):
                 raise TabulatedRangeError(
                     f"argument outside tabulated range [{ts[0]}, {ts[-1]}]")
-            out = np.interp(arr, ts, ws)
+            out = np.interp(arr, ts, self._knot_w)
         if np.ndim(t) == 0:
             return float(out)
         return out

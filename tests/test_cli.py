@@ -188,6 +188,10 @@ FAMILY = '{"family":"integer_lattice","window":16}'
     (["check", "--weight", '{"family":"log_square","a":1}', "--family", FAMILY], "'a'"),
     (["profile-balayage", "--weight", '{"family":"tabulated"}', "--family", FAMILY,
       "--xmin", "-1", "--xmax", "1"], "'knots'"),
+    (["generate", "--family", '{"family":"integer_lattice","window":"x"}'], "'window'"),
+    (["check", "--weight", '{"family":"power","gamma":"x"}', "--family", FAMILY], "'gamma'"),
+    (["check", "--weight", '{"family":"tabulated","knots":[[0,"a"],[9,1]]}',
+      "--family", FAMILY], "knots"),
 ])
 def test_malformed_specs_exit_1_with_one_line(args, key, capsys):
     assert run(args) == 1

@@ -3,17 +3,21 @@
 Each kernel value is checked against a plain-Python math.fsum direct sum
 within the pairwise-summation bound, and every value computed in a batch
 must equal the same value computed alone, bit for bit, including through
-the public scalar and sweep functions.
+the public scalar and sweep functions and the nested-prefix forms the
+sweeps use.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apinterp as ap
-from apinterp.numutil import log_rho_sums, poisson_sums, truncated_log_sums
+from apinterp import numutil
+from apinterp.numutil import (log_rho_prefix_sums, log_rho_sums, poisson_prefix_sums,
+                              poisson_sums, truncated_log_sums)
 
 EPS = np.finfo(float).eps
 
@@ -141,6 +145,55 @@ def test_poisson_sums_match_direct_sum(cfg):
         assert value == ap.balayage_value(v, x)
 
 
+@settings(max_examples=80, deadline=None)
+@given(disk_configs(), st.data())
+def test_prefix_sums_equal_single_prefix_kernels(cfg, data):
+    v, _, _ = cfg
+    abs_lam = np.abs(v.lam)
+    # An end at a point's modulus takes every point tied with it (quarter-grid
+    # points such as 5 and 3+4i share moduli); 0 and repeats are drawn too.
+    tied = np.searchsorted(abs_lam, abs_lam, side="right").tolist()
+    ends = data.draw(st.lists(st.sampled_from(tied + [0]), min_size=1, max_size=8))
+    lam = v.lam.real + 1j * (np.abs(v.lam.imag) + 0.25)  # same order, Im > 0
+    off = data.draw(st.lists(st.floats(-20.0, 20.0), max_size=6))
+    xs = np.concatenate([lam.real, off])
+    # Blocks of 4 rows, so ends fall inside, on and past block edges.
+    with mock.patch.object(numutil, "_ROWS", 4):
+        rho = log_rho_prefix_sums(lam, v.mult, ends)
+        pois = poisson_prefix_sums(lam, v.mult, xs, ends)
+    for e, got_rho, got_pois in zip(ends, rho, pois):
+        alone = log_rho_sums(lam[:e], v.mult[:e], lam[:e])
+        assert got_rho.tobytes() == alone.tobytes()
+        alone = poisson_sums(lam[:e], v.mult[:e], xs)
+        assert got_pois.tobytes() == alone.tobytes()
+
+
+def test_condition_b_sweep_equals_per_radius_balayage_sup(log_shift):
+    # Exterior points in both half-planes with ties at |z| = 5, inside a
+    # random strip.  The first radius holds no exterior point; the second ends
+    # at a point whose off-grid real part is the maximizer; the third and
+    # fourth hold the same points.
+    strip = ap.generate(ap.FamilySpec("strip_random", {
+        "count": 1500, "strip_height": 30.0, "half_width": 60.0, "seed": 4}))
+    peak = complex(0.5, 0.8)
+    ties = [(complex(3, 4), 1), (complex(4, -3), 2), (complex(0, 5), 1),
+            (complex(-3, -4), 3)]
+    v = ap.Variety(list(zip(strip.lam, strip.mult)) + ties + [(peak, 2)],
+                   window_radius=140.0)
+    radii = [0.5, abs(peak), 5.0, 5.0 + 1e-9, 12.0, 30.0, 69.0]
+    scan = ap.ScanSpec(samples=281)  # integer grid: some abscissae are real parts
+    sweep = ap.condition_b_constants(v, log_shift, radii, scan)
+    ext = ap.split_regions(v, log_shift).exterior()
+    counts = [len(ext.restrict(r)) for r in radii]
+    assert counts[0] == 0 and counts[2] == counts[3] and counts[-1] > 64
+    assert sweep.witnesses[1] == peak.real
+    for r, c, x in zip(radii, sweep.constants, sweep.witnesses):
+        sub = ext.restrict(r)
+        x_ref, c_ref = ap.balayage_sup(sub, scan)
+        assert c == c_ref
+        assert x == (x_ref if len(sub) else None)
+
+
 def test_condition_a_sweep_equals_single_center_values(log_shift):
     v = ap.generate(ap.FamilySpec("strip_random", {"count": 3000, "strip_height": 5.0,
                                                    "half_width": 50.0}))
@@ -164,19 +217,27 @@ def test_condition_a_sweep_equals_single_center_values(log_shift):
 def test_blaschke_sweep_equals_single_center_values(log_shift):
     v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 8}))
     hv = ap.HalfPlaneVariety.from_variety(v)
-    rep = ap.blaschke_sum_report(hv, log_shift, ap.default_radii(hv.window_radius))
-    checked = 0
-    for r, c, z in zip(rep.radii, rep.constants, rep.witnesses):
-        if z is None:
-            continue
-        assert c == ap.blaschke_sum(hv.restrict(r), z) / max(log_shift.p(z), 1.0)
-        checked += 1
-    assert checked == len(rep.radii)
+    # Radii through point moduli take the mirror point (-x, y) tied with
+    # (x, y); the first radius holds no point.
+    abs_lam = np.abs(hv.lam)
+    default = ap.default_radii(hv.window_radius)
+    radii = [1.0, abs_lam[0], abs_lam[60], *default[4:6], abs_lam[200], *default[6:]]
+    assert all(np.sum(abs_lam == r) == 2 for r in radii[1:3])
+    rep = ap.blaschke_sum_report(hv, log_shift, radii)
+    assert rep.witnesses[0] is None and rep.constants[0] == 0.0
+    for r, c, z in zip(rep.radii[1:], rep.constants[1:], rep.witnesses[1:]):
+        sub = hv.restrict(r)
+        assert c == ap.blaschke_sum(sub, z) / max(log_shift.p(z), 1.0)
+        ratios = log_rho_sums(sub.lam, sub.mult, sub.lam) / np.maximum(log_shift.p(sub.lam), 1.0)
+        assert c == ratios.max()
 
 
 def test_balayage_profile_equals_single_abscissa_values(log_shift):
     v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 8}))
     ext = ap.split_regions(v, log_shift).exterior()
-    prof = ap.balayage_profile(ext, ap.ScanSpec(xmin=-300.0, xmax=300.0, samples=301))
-    assert [ap.balayage_value(ext, x) for x in prof.xs] == prof.values
-    assert prof.sup == ap.balayage_value(ext, prof.x_star)
+    for samples in (301, 601):  # 601: the odd real parts are grid points too
+        scan = ap.ScanSpec(xmin=-300.0, xmax=300.0, samples=samples)
+        prof = ap.balayage_profile(ext, scan)
+        assert [poisson_sums(ext.lam, ext.mult, [x])[0] for x in prof.xs] == prof.values
+        assert (prof.x_star, prof.sup) == ap.balayage_sup(ext, scan)
+        assert prof.sup == ap.balayage_value(ext, prof.x_star)

@@ -33,6 +33,20 @@ def test_omega_rejects_bad_arguments():
         ap.OmegaProfile.tabulated([(0, 1), (5, 0.5)])  # decreasing values
 
 
+def test_tabulated_profile_interpolates_its_knots():
+    knots = [(0.0, 0.0), (0.5, 0.1), (3.0, 0.1), (10.0, 2.5), (40.0, 4.0)]
+    tab = ap.OmegaProfile.tabulated(knots)
+    ts, ws = np.array(knots).T
+    t = np.concatenate([ts, np.linspace(0.0, 40.0, 401)])
+    expected = np.interp(t, ts, ws)
+    # the knot arrays are built at construction: a call never reads the tuple
+    object.__setattr__(tab, "knots", None)
+    assert np.array_equal(tab(t), expected)
+    assert [tab(float(x)) for x in t] == expected.tolist()
+    with pytest.raises(TabulatedRangeError):
+        tab(np.array([1.0, 40.5]))
+
+
 def test_p_values(log_shift, log_square):
     assert ap.p_eval(log_shift, 3j) == pytest.approx(3 + math.log(4), abs=1e-12)
     assert ap.p_eval(log_shift, 0j) == 0.0
