@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 import apinterp as ap
-from apinterp import regularization as reg
 
 
 def main() -> None:
@@ -28,8 +27,8 @@ def main() -> None:
              "log_square": ap.OmegaProfile.log_square(),
              "power": ap.OmegaProfile.power(0.5)}[args.profile]
     w = ap.BeurlingWeight(omega)
-    part = ap.build_partition(w, args.extent)
-    rw = reg.RegularizedWeight(w, part, reg.RegQuadSpec())
+    rw = ap.regularize(w, args.extent)
+    part = rw.partition
     audit = part.audit()
     print(f"profile {args.profile}: {len(part)} intervals over "
           f"[-{part.t_outer:.1f}, {part.t_outer:.1f}]")

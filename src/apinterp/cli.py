@@ -53,12 +53,18 @@ def _load_input(args) -> Variety:
     raise InputError("an input variety is required (--input or --family)")
 
 
+def _require_finite(what: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{what} must be finite numbers")
+
+
 def _parse_radii(args, window: float) -> list[float]:
     if args.radii:
         try:
             radii = [float(tok) for tok in args.radii.split(",") if tok.strip()]
         except ValueError as exc:
             raise InputError(f"invalid radii list: {exc}") from exc
+        _require_finite("radii", *radii)
         if len(radii) < 4:
             raise InputError("at least 4 radii are needed for a trend fit")
         if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
@@ -76,6 +82,7 @@ def _parse_thresholds(arg: str | None) -> tuple[float, float]:
         lo, hi = (float(t) for t in arg.split(","))
     except ValueError as exc:
         raise InputError(f"invalid thresholds: {exc}") from exc
+    _require_finite("thresholds", lo, hi)
     if not 0 <= lo < hi:
         raise InputError("thresholds must satisfy 0 <= low < high")
     return lo, hi
@@ -135,6 +142,7 @@ def cmd_profile_balayage(args) -> int:
     v = _load_input(args)
     if args.samples < 2:
         raise InputError("need at least 2 samples")
+    _require_finite("xmin and xmax", args.xmin, args.xmax)
     if not args.xmin < args.xmax:
         raise InputError("xmin must be below xmax")
     split = conditions.split_regions(v, w)
@@ -150,6 +158,7 @@ def cmd_profile_balayage(args) -> int:
 
 def cmd_regularize(args) -> int:
     w = _parse_weight(args.weight)
+    _require_finite("grid bounds", args.xmin, args.xmax, args.ymin, args.ymax)
     if not (args.xmin < args.xmax and args.ymin < args.ymax):
         raise InputError("grid bounds must be increasing")
     if args.nx < 1 or args.ny < 1:

@@ -213,7 +213,7 @@ def balayage_profile(v_exterior: Variety, scan: ScanSpec | None = None) -> Balay
     scan = scan or ScanSpec()
     xs = _scan_grid(scan, v_exterior.window_radius)
     if not len(v_exterior):
-        return BalayageProfile(list(xs), [0.0] * xs.size, 0.0, 0.0, 0.0, 0.0)
+        return BalayageProfile(list(map(float, xs)), [0.0] * xs.size, 0.0, 0.0, 0.0, 0.0)
     lam, mult = _exterior_arrays(v_exterior)
     cands = np.unique(np.concatenate([lam.real, xs]))
     vals = poisson_sums(lam, mult, cands)

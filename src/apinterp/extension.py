@@ -197,9 +197,13 @@ class SeparationRadii:
 _CUTOFF = CutoffSpec()
 
 
-def _locate(data: InterpolationData, radii: SeparationRadii, z: complex):
+def _check_same_configuration(data: InterpolationData, radii: SeparationRadii) -> None:
     if data.lam.shape != radii.lam.shape or np.any(data.lam != radii.lam):
         raise DomainError("data and radii describe different configurations")
+
+
+def _locate(data: InterpolationData, radii: SeparationRadii, z: complex):
+    _check_same_configuration(data, radii)
     if not data.lam.size:
         return None
     d = np.abs(z - data.lam)
@@ -218,19 +222,31 @@ def _jet_poly(row, dz: complex) -> complex:
     return acc
 
 
+def _interpolant_at(data: InterpolationData, radii: SeparationRadii, i: int,
+                    z: complex, cutoff: CutoffSpec) -> complex:
+    """F(z) for z in the disk D(lambda_i, 2 delta_i) owned by point i."""
+    dz = z - complex(data.lam[i])
+    u = abs(dz) ** 2 / radii.radii[i] ** 2
+    x = cutoff.value(u)
+    return 0j if x == 0.0 else _jet_poly(data.values[i], dz) * x
+
+
+def _dbar_at(data: InterpolationData, radii: SeparationRadii, i: int,
+             z: complex, cutoff: CutoffSpec) -> complex:
+    """dbar F(z) for z in the disk D(lambda_i, 2 delta_i) owned by point i."""
+    delta2 = radii.radii[i] ** 2
+    dz = z - complex(data.lam[i])
+    u = abs(dz) ** 2 / delta2
+    xp = cutoff.derivative(u)
+    return 0j if xp == 0.0 else _jet_poly(data.values[i], dz) * xp * dz / delta2
+
+
 def smooth_interpolant(data: InterpolationData, radii: SeparationRadii,
                        z: complex, cutoff: CutoffSpec = _CUTOFF) -> complex:
     """F(z): the local jet polynomial times the cutoff; zero away from all disks."""
     z = complex(z)
     i = _locate(data, radii, z)
-    if i is None:
-        return 0j
-    dz = z - complex(data.lam[i])
-    u = abs(dz) ** 2 / radii.radii[i] ** 2
-    x = cutoff.value(u)
-    if x == 0.0:
-        return 0j
-    return _jet_poly(data.values[i], dz) * x
+    return 0j if i is None else _interpolant_at(data, radii, i, z, cutoff)
 
 
 def dbar_defect(data: InterpolationData, radii: SeparationRadii,
@@ -239,15 +255,7 @@ def dbar_defect(data: InterpolationData, radii: SeparationRadii,
     with u = |z - lambda|^2 / delta^2; supported on the transition annuli."""
     z = complex(z)
     i = _locate(data, radii, z)
-    if i is None:
-        return 0j
-    delta2 = radii.radii[i] ** 2
-    dz = z - complex(data.lam[i])
-    u = abs(dz) ** 2 / delta2
-    xp = cutoff.derivative(u)
-    if xp == 0.0:
-        return 0j
-    return _jet_poly(data.values[i], dz) * xp * dz / delta2
+    return 0j if i is None else _dbar_at(data, radii, i, z, cutoff)
 
 
 @dataclass
@@ -264,7 +272,10 @@ def dbar_growth_report(data: InterpolationData, radii: SeparationRadii,
                        w: BeurlingWeight, n_theta: int = 16,
                        n_rad: int = 5) -> DbarGrowthReport:
     """Fit K with |dbar F| <= exp(K p(z)) over annulus samples and report the
-    discretized weighted square integrals of F and dbar F at gamma = 2K + 2."""
+    discretized weighted square integrals of F and dbar F at gamma = 2K + 2.
+    Each sample lies in the (disjoint) disk of the point whose rings it
+    walks, within sqrt(1.95) delta, so F and dbar F are evaluated there."""
+    _check_same_configuration(data, radii)
     sup_log, log_sup, samples = -math.inf, -math.inf, 0
     ring_vals = []
     for i, lam in enumerate(data.lam):
@@ -273,7 +284,7 @@ def dbar_growth_report(data: InterpolationData, radii: SeparationRadii,
             rad = math.sqrt(frac) * delta
             for theta in np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False):
                 z = complex(lam) + rad * complex(math.cos(theta), math.sin(theta))
-                val = abs(dbar_defect(data, radii, z))
+                val = abs(_dbar_at(data, radii, i, z, _CUTOFF))
                 samples += 1
                 ring_vals.append((z, val, rad, delta))
                 if val > 0:
@@ -289,7 +300,7 @@ def dbar_growth_report(data: InterpolationData, radii: SeparationRadii,
             cell = math.pi * delta * delta * (1.9 / (2 * n_rad)) / n_theta
             for theta in np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False):
                 z = complex(lam) + rad * complex(math.cos(theta), math.sin(theta))
-                f = abs(smooth_interpolant(data, radii, z))
+                f = abs(_interpolant_at(data, radii, i, z, _CUTOFF))
                 if f:
                     int_f += f * f * math.exp(-gamma * w.p(z)) * cell
     int_dbar = 0.0

@@ -11,6 +11,8 @@ have mass omega_n.  Then
 
 where M(x) is the disk mean of log|z - .| over D(x, 10 omega_n) minus
 log|z - x|, which is non-negative and vanishes once |z - x| >= 10 omega_n.
+Each interval's integral is elementary and is evaluated in closed form;
+quadrature stays only in interval_mass_audit, as an independent route.
 Off the real axis the (distributional) Laplacian of p~ is 2 pi times the
 density of mu, which laplacian_audit checks against a five-point stencil.
 """
@@ -19,11 +21,16 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import ConstructionError, DomainError, NumericError
+import numpy as np
+
+from .errors import ConstructionError, DomainError
 from .numutil import adaptive_quad
 from .weights import BeurlingWeight
 
 SMEAR_FACTOR = 10.0  # disk radius = SMEAR_FACTOR * omega_n
+OMEGA_FLOOR = 1e-3   # the tiling starts where omega first reaches this
+FP_TOL = 1e-10       # relative tolerance of the center fixed-point iteration
+MAX_ITER = 200       # fixed-point steps before the center iteration stalls
 
 
 @dataclass(frozen=True)
@@ -49,18 +56,20 @@ class IntervalPartition:
         self.t_inner = t_inner
         self.t_outer = t_outer
         self._centers = [iv.center for iv in self.intervals]
+        self._left = np.array([iv.left for iv in self.intervals])
+        self._right = np.array([iv.right for iv in self.intervals])
+        self._omega = np.array([iv.omega for iv in self.intervals])
+        self.max_omega = float(self._omega.max()) if self.intervals else 0.0
 
     def __len__(self) -> int:
         return len(self.intervals)
 
-    @property
-    def max_omega(self) -> float:
-        return max(iv.omega for iv in self.intervals) if self.intervals else 0.0
-
-    def near(self, x: float, reach: float):
-        lo = bisect_left(self._centers, x - reach)
-        hi = bisect_right(self._centers, x + reach)
-        return self.intervals[lo:hi]
+    def near(self, x: float):
+        """(left, right, omega) of the intervals whose disks can reach x."""
+        reach = (SMEAR_FACTOR + 0.5) * self.max_omega
+        near = slice(bisect_left(self._centers, x - reach),
+                     bisect_right(self._centers, x + reach))
+        return self._left[near], self._right[near], self._omega[near]
 
     def positive_side(self):
         return [iv for iv in self.intervals if iv.center > 0]
@@ -75,12 +84,10 @@ class IntervalPartition:
         return PartitionAudit(max_gap, max_center)
 
 
-def build_partition(w: BeurlingWeight, t_extent: float,
-                    omega_floor: float = 1e-3, fp_tol: float = 1e-10,
-                    max_iter: int = 200) -> IntervalPartition:
+def build_partition(w: BeurlingWeight, t_extent: float) -> IntervalPartition:
     """March intervals over [t_inner, t_extent] and mirror them to t < 0.
 
-    The tiling starts at the smallest t0 >= 0 with omega(t0) >= omega_floor
+    The tiling starts at the smallest t0 >= 0 with omega(t0) >= OMEGA_FLOOR
     (below it the profile is too flat to carry an interval of its own
     length).  From a left endpoint t, the center solves x = t + omega(x)/2
     by fixed-point iteration and the interval [t, t + omega(x)] is emitted;
@@ -89,16 +96,16 @@ def build_partition(w: BeurlingWeight, t_extent: float,
     if not t_extent > 0:
         raise DomainError("t_extent must be positive")
     omega = w.omega
-    if omega(t_extent) < omega_floor:
-        raise ConstructionError("profile stays below omega_floor on the range")
+    if omega(t_extent) < OMEGA_FLOOR:
+        raise ConstructionError("profile stays below OMEGA_FLOOR on the range")
     # Smallest start point with omega >= floor, by bisection on monotone omega.
-    if omega(0.0) >= omega_floor:
+    if omega(0.0) >= OMEGA_FLOOR:
         t0 = 0.0
     else:
         lo, hi = 0.0, t_extent
         for _ in range(200):
             mid = (lo + hi) / 2
-            if omega(mid) >= omega_floor:
+            if omega(mid) >= OMEGA_FLOOR:
                 hi = mid
             else:
                 lo = mid
@@ -106,11 +113,11 @@ def build_partition(w: BeurlingWeight, t_extent: float,
     intervals = []
     t = t0
     while t < t_extent:
-        x = t + max(omega_floor, omega(t)) / 2
+        x = t + max(OMEGA_FLOOR, omega(t)) / 2
         converged = False
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             x_next = t + omega(x) / 2
-            if abs(x_next - x) <= fp_tol * max(1.0, abs(x)):
+            if abs(x_next - x) <= FP_TOL * max(1.0, abs(x)):
                 x = x_next
                 converged = True
                 break
@@ -129,27 +136,17 @@ def build_partition(w: BeurlingWeight, t_extent: float,
 
 
 @dataclass
-class RegQuadSpec:
-    epsabs_factor: float = 1e-8   # absolute tolerance per interval = factor * omega_n
-    epsrel: float = 1e-10
-    limit: int = 200
-
-
-@dataclass
 class RegularizedWeight:
     base: BeurlingWeight
     partition: IntervalPartition
-    quad: RegQuadSpec
 
     @property
     def reliable_half_width(self) -> float:
         return self.partition.t_outer - SMEAR_FACTOR * self.partition.max_omega
 
 
-def regularize(w: BeurlingWeight, t_extent: float,
-               quad: RegQuadSpec | None = None, **kwargs) -> RegularizedWeight:
-    return RegularizedWeight(w, build_partition(w, t_extent, **kwargs),
-                             quad or RegQuadSpec())
+def regularize(w: BeurlingWeight, t_extent: float) -> RegularizedWeight:
+    return RegularizedWeight(w, build_partition(w, t_extent))
 
 
 def circular_mean_log(z: complex, a: complex, radius: float) -> float:
@@ -169,7 +166,7 @@ def circular_mean_log(z: complex, a: complex, radius: float) -> float:
 
 def mean_log_gap(z: complex, x: float, radius: float) -> float:
     """circular_mean_log(z, x, radius) - log|z - x|; non-negative, zero
-    outside the disk, +inf at z = x (integrable; quadrature callers put a
+    outside the disk, +inf at z = x (integrable: a quadrature of it puts a
     breakpoint there instead of evaluating it)."""
     d = abs(complex(z) - x)
     if d >= radius:
@@ -179,55 +176,47 @@ def mean_log_gap(z: complex, x: float, radius: float) -> float:
     return math.log(radius) - 0.5 + d * d / (2 * radius * radius) - math.log(d)
 
 
-def _interval_correction(iv: Interval, zx: float, zy: float,
-                         quad: RegQuadSpec) -> float:
-    """Adaptive quadrature of the mean-log gap over one interval."""
-    radius = SMEAR_FACTOR * iv.omega
+def _chord_clip(left, right, omega, zx: float, zy: float):
+    """(R, a, b, keep): R = 10 omega, [a, b] the interval in u = x - Re z
+    clipped to the chord |u| <= sqrt(R^2 - y^2), keep = |y| < R and a < b."""
+    radius = SMEAR_FACTOR * omega
+    y = abs(zy)
+    half = np.sqrt(np.maximum(radius * radius - y * y, 0.0))
+    a = np.maximum(left - zx, -half)
+    b = np.minimum(right - zx, half)
+    return radius, a, b, (y < radius) & (a < b)
+
+
+def _interval_correction(left, right, omega, zx: float, zy: float) -> np.ndarray:
+    """Integral of mean_log_gap(z, x, 10 omega) over x in [left, right], per
+    interval: with u = x - Re z, y = Im z and R = 10 omega, the antiderivative
+    (log R - 1/2) u + (u^3/3 + y^2 u) / (2 R^2)
+    - (u log(u^2 + y^2) - 2u + 2|y| atan2(u, |y|)) / 2 over the chord clip.
+    Intervals with |y| >= R or an empty clip give exactly 0; u log(u^2) is 0
+    at u = 0.  log R is folded into log((u^2 + y^2) / R^2), the cubic is
+    factored by b - a and the arctangents are combined, so the absolute
+    error is a few eps * R: only a value small against that loses digits."""
+    radius, a, b, keep = _chord_clip(left, right, omega, zx, zy)
+    y = abs(zy)
     r2 = radius * radius
-    y2 = zy * zy
 
-    def integrand(x):
-        dx = zx - x
-        d2 = dx * dx + y2
-        if d2 >= r2:
-            return 0.0
-        d = math.sqrt(d2)
-        return math.log(radius) - 0.5 + d2 / (2 * r2) - math.log(d)
+    def u_log(u):  # u log((u^2 + y^2) / R^2); 0 at u = 0
+        q = (u * u + y * y) / r2
+        return u * np.log(np.where(q > 0, q, 1.0))
 
-    points = []
-    if y2 < r2:
-        half = math.sqrt(r2 - y2)
-        points.extend((zx - half, zx + half))
-    if zy == 0.0:
-        points.append(zx)
-    val, _ = adaptive_quad(integrand, iv.left, iv.right, points=points,
-                           epsabs=quad.epsabs_factor * iv.omega,
-                           epsrel=quad.epsrel, limit=quad.limit)
-    return val
+    val = ((b - a) * (0.5 + ((a * a + a * b + b * b) / 3 + y * y) / (2 * r2))
+           - 0.5 * (u_log(b) - u_log(a))
+           - y * np.arctan2((b - a) * y, y * y + a * b))
+    return np.where(keep, val, 0.0)
 
 
 def potential_correction(rw: RegularizedWeight, z: complex) -> float:
-    """r(z): sum of per-interval corrections over the intervals whose smeared
-    support contains z; intervals farther than 10 omega_n contribute exactly
-    zero and are skipped by index lookup."""
+    """r(z): sum of the per-interval corrections; intervals farther than
+    10 omega_n from z contribute exactly zero."""
     z = complex(z)
     if abs(z.real) > rw.reliable_half_width:
         raise DomainError("z lies outside the reliable region of the partition")
-    part = rw.partition
-    reach = (SMEAR_FACTOR + 0.5) * part.max_omega
-    total = 0.0
-    for iv in part.near(z.real, reach):
-        radius = SMEAR_FACTOR * iv.omega
-        gap = max(0.0, abs(z.real - iv.center) - iv.omega / 2)
-        if math.hypot(gap, z.imag) > radius:
-            continue
-        try:
-            total += _interval_correction(iv, z.real, z.imag, rw.quad)
-        except NumericError as exc:
-            raise NumericError(
-                f"correction quadrature failed on the interval centered at "
-                f"{iv.center} (length {iv.omega}): {exc}") from exc
-    return total
+    return float(_interval_correction(*rw.partition.near(z.real), z.real, z.imag).sum())
 
 
 def regularized_p(rw: RegularizedWeight, z: complex) -> float:
@@ -239,19 +228,8 @@ def measure_density(rw: RegularizedWeight, z: complex) -> float:
     """Area density of mu at z: sum over intervals of
     |{x in I_n : |z - x| <= 10 omega_n}| / (100 pi omega_n^2)."""
     z = complex(z)
-    part = rw.partition
-    reach = (SMEAR_FACTOR + 0.5) * part.max_omega
-    total = 0.0
-    for iv in part.near(z.real, reach):
-        radius = SMEAR_FACTOR * iv.omega
-        if abs(z.imag) >= radius:
-            continue
-        half = math.sqrt(radius * radius - z.imag * z.imag)
-        overlap = min(iv.right, z.real + half) - max(iv.left, z.real - half)
-        if overlap <= 0:
-            continue
-        total += overlap / (math.pi * radius * radius)
-    return total
+    radius, a, b, keep = _chord_clip(*rw.partition.near(z.real), z.real, z.imag)
+    return float(np.where(keep, (b - a) / (math.pi * radius * radius), 0.0).sum())
 
 
 @dataclass

@@ -154,7 +154,7 @@ def test_criterion_5_poisson_transform_bound():
 def test_criterion_6_regularization_audit():
     from apinterp import regularization as reg
     part = ap.build_partition(LOG_SHIFT, 300.0)
-    rw = reg.RegularizedWeight(LOG_SHIFT, part, reg.RegQuadSpec())
+    rw = reg.RegularizedWeight(LOG_SHIFT, part)
 
     xs = np.geomspace(2.0, 200.0, 200)
     fracs = (-1.9, -1.0, -0.3, 0.4, 1.5)
@@ -179,7 +179,7 @@ def test_criterion_6_regularization_audit():
 
     wc = ap.BeurlingWeight(ap.OmegaProfile.tabulated([(0.0, 1.0), (60.0, 1.0)]))
     cpart = ap.build_partition(wc, 30.0)
-    crw = reg.RegularizedWeight(wc, cpart, reg.RegQuadSpec(epsabs_factor=1e-12))
+    crw = reg.RegularizedWeight(wc, cpart)
     z = complex(cpart.positive_side()[15].center, 0.5)
     a1 = ap.laplacian_audit(crw, z, 0.05)
     a2 = ap.laplacian_audit(crw, z, 0.025)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,19 @@ def test_profile_balayage_empty_exterior(tmp_path):
     assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
 
+def test_profile_balayage_empty_exterior_rows_are_plain_floats(tmp_path):
+    out = tmp_path / "zeros.csv"
+    assert run(["profile-balayage", "--weight", '{"family":"log_shift","a":1.0}',
+                "--family", '{"family":"perturbed_lattice"}',
+                "--xmin", "-100", "--xmax", "100", "--samples", "5",
+                "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,value"
+    rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
+    assert [x for x, _ in rows[:-1]] == [-100.0, -50.0, 0.0, 50.0, 100.0]
+    assert all(val == 0.0 for _, val in rows)
+
+
 def test_regularize_grid(tmp_path):
     out = tmp_path / "grid.csv"
     assert run(["regularize", "--weight", '{"family":"log_shift","a":1.0}',
@@ -142,6 +156,36 @@ def test_regularize_grid(tmp_path):
         x, y, r, pt, p, ratio = (float(tok) for tok in row.split(","))
         assert r >= -1e-8
         assert pt == pytest.approx(abs(y) + r, abs=1e-12)
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, weight", [
+    ("log_shift", '{"family":"log_shift","a":1.0}'),
+    ("log_square", '{"family":"log_square"}'),
+])
+def test_regularize_matches_golden_grid(name, weight, tmp_path):
+    # golden grids were written by the quadrature-based correction; r and
+    # the two columns derived from it agree to 1e-12, the rest byte for byte
+    out = tmp_path / "grid.csv"
+    assert run(["regularize", "--weight", weight, "--xmin", "5", "--xmax", "30",
+                "--ymin", "-1", "--ymax", "45", "--nx", "6", "--ny", "3",
+                "--out", str(out)]) == 0
+    got = out.read_text().splitlines()
+    want = (GOLDEN / f"regularize_{name}.csv").read_text().splitlines()
+    assert got[0] == want[0] == "x,y,r,p_tilde,p,ratio"
+    assert len(got) == len(want) == 1 + 18
+    zeros = 0
+    for row, ref in zip(got[1:], want[1:]):
+        x, y, r, pt, p, ratio = row.split(",")
+        x0, y0, r0, pt0, p0, ratio0 = ref.split(",")
+        assert (x, y, p) == (x0, y0, p0)
+        for tok, tok0 in ((r, r0), (pt, pt0), (ratio, ratio0)):
+            assert float(tok) == pytest.approx(float(tok0), rel=1e-12, abs=0.0)
+        zeros += r == "0.0"
+        assert (r == "0.0") == (r0 == "0.0")
+    assert zeros == (6 if name == "log_shift" else 0)
 
 
 def test_generate_to_stdout(capsys):
@@ -192,6 +236,15 @@ FAMILY = '{"family":"integer_lattice","window":16}'
     (["check", "--weight", '{"family":"power","gamma":"x"}', "--family", FAMILY], "'gamma'"),
     (["check", "--weight", '{"family":"tabulated","knots":[[0,"a"],[9,1]]}',
       "--family", FAMILY], "knots"),
+    (["check", "--weight", WEIGHT, "--family", FAMILY, "--radii", "1,2,4,nan"], "radii"),
+    (["check", "--weight", WEIGHT, "--family", FAMILY, "--thresholds", "0.05,inf"],
+     "thresholds"),
+    (["profile-balayage", "--weight", WEIGHT, "--family", FAMILY,
+      "--xmin=-inf", "--xmax", "1"], "xmin"),
+    (["regularize", "--weight", WEIGHT, "--xmin", "1", "--xmax", "inf",
+      "--ymin", "-1", "--ymax", "1"], "grid bounds"),
+    (["regularize", "--weight", WEIGHT, "--xmin", "1", "--xmax", "2",
+      "--ymin", "nan", "--ymax", "1"], "grid bounds"),
 ])
 def test_malformed_specs_exit_1_with_one_line(args, key, capsys):
     assert run(args) == 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import apinterp as ap
 from apinterp import regularization as reg
@@ -16,14 +17,13 @@ def constant_weight():
 @pytest.fixture(scope="module")
 def constant_reg(constant_weight):
     part = ap.build_partition(constant_weight, 30.0)
-    return reg.RegularizedWeight(constant_weight, part,
-                                 reg.RegQuadSpec(epsabs_factor=1e-12))
+    return reg.RegularizedWeight(constant_weight, part)
 
 
 @pytest.fixture(scope="module")
 def log_shift_reg(log_shift):
     part = ap.build_partition(log_shift, 300.0)
-    return reg.RegularizedWeight(log_shift, part, reg.RegQuadSpec())
+    return reg.RegularizedWeight(log_shift, part)
 
 
 def test_constant_profile_gives_unit_intervals(constant_weight):
@@ -109,18 +109,75 @@ def test_correction_scale_at_interval_center(log_shift, log_shift_reg):
     assert 0.5 * iv.omega <= r <= 50 * iv.omega
     # frozen from a 2e6-sample Monte Carlo of the defining double integral
     # (single-interval value 16.2041 +- 0.002 at this center)
-    single = reg._interval_correction(iv, iv.center, 0.0, log_shift_reg.quad)
+    single = float(reg._interval_correction(iv.left, iv.right, iv.omega, iv.center, 0.0))
     assert single == pytest.approx(16.2032, abs=0.01)
 
 
-def test_correction_stable_under_quadrature_refinement(log_shift):
-    part = ap.build_partition(log_shift, 300.0)
-    loose = reg.RegularizedWeight(log_shift, part, reg.RegQuadSpec(epsabs_factor=1e-8))
-    tight = reg.RegularizedWeight(log_shift, part, reg.RegQuadSpec(epsabs_factor=1e-11))
-    for z in (complex(40.0, 0.0), complex(120.0, 1.5), complex(7.0, -2.0)):
-        a = ap.potential_correction(loose, z)
-        b = ap.potential_correction(tight, z)
-        assert a == pytest.approx(b, abs=1e-6)
+def _quadrature_correction(part, z):
+    """r(z) as a sum of per-interval quadratures of mean_log_gap, with
+    breakpoints at Re z and at the chord ends of each smearing disk."""
+    terms = []
+    for iv in part.intervals:
+        radius = reg.SMEAR_FACTOR * iv.omega
+        if abs(z.imag) >= radius:
+            continue
+        half = math.sqrt(radius * radius - z.imag * z.imag)
+        if iv.right <= z.real - half or iv.left >= z.real + half:
+            continue
+        points = [p for p in (z.real - half, z.real, z.real + half)
+                  if iv.left < p < iv.right]
+        # the log singularity at x = Re z is integrable; its one point is dropped
+        val, _ = quad(lambda x: ap.mean_log_gap(z, x, radius) if x != z.real else 0.0,
+                      iv.left, iv.right, points=points or None,
+                      epsabs=1e-300, epsrel=2e-14, limit=400)
+        terms.append(val)
+    return math.fsum(terms)
+
+
+ORACLE_PROFILES = {
+    "log_shift": ap.OmegaProfile.log_shift(1.0),
+    "log_square": ap.OmegaProfile.log_square(),
+    "power": ap.OmegaProfile.power(0.5),
+    "tabulated": ap.OmegaProfile.tabulated([(0.0, 0.5), (50.0, 2.0), (1000.0, 6.0)]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("name", sorted(ORACLE_PROFILES))
+def test_correction_matches_quadrature_oracle(name):
+    w = ap.BeurlingWeight(ORACLE_PROFILES[name])
+    rw = ap.regularize(w, 300.0)
+    pos = rw.partition.positive_side()
+    zs = []
+    for x in (15.0, 40.0):
+        iv = min(pos, key=lambda i: abs(i.center - x))
+        top = reg.SMEAR_FACTOR * iv.omega
+        zs += [complex(iv.center, 0.0), complex(iv.left, 0.0), complex(iv.right, 0.0),
+               complex(-iv.center, 0.0), complex(iv.left + 1e-7 * iv.omega, 0.0),
+               complex(iv.center, 0.3 * iv.omega),
+               complex(iv.center, -0.5 * top), complex(iv.center, top * (1 - 1e-9)),
+               complex(iv.left, -top * (1 - 1e-12))]
+    assert max(abs(z.real) for z in zs) < rw.reliable_half_width
+    for z in zs:
+        got = ap.potential_correction(rw, z)
+        want = _quadrature_correction(rw.partition, z)
+        assert want > 0
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), z
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_correction_near_a_flat_disk_edge_is_absolutely_accurate(constant_reg):
+    # with every radius equal, r vanishes like (10 omega - |Im z|)^(5/2); the
+    # closed form keeps an absolute error of a few eps * omega, so its
+    # relative error grows there, as does the quadrature's
+    iv = constant_reg.partition.positive_side()[12]
+    for gap in (1e-2, 1e-4, 1e-6, 1e-9):
+        z = complex(iv.center, 10.0 * iv.omega * (1 - gap))
+        got = ap.potential_correction(constant_reg, z)
+        want = _quadrature_correction(constant_reg.partition, z)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * iv.omega)
+    z = complex(iv.center, 10.0 * iv.omega)
+    assert ap.potential_correction(constant_reg, z) == 0.0
 
 
 def test_regularized_p_axis_ratio_window(log_shift, log_shift_reg):
