@@ -83,12 +83,9 @@ from .weights import (
     BeurlingWeight,
     GridSpec,
     OmegaProfile,
-    QuadSpec,
     ToleranceSpec,
     check_axioms,
     estimate_disk_constant,
-    omega_eval,
-    p_eval,
     poisson_transform,
     verify_poisson_bound,
 )

@@ -308,7 +308,7 @@ def dbar_growth_report(data: InterpolationData, radii: SeparationRadii,
         cell = math.pi * delta * delta * (0.9 / n_rad) / n_theta
         if val:
             int_dbar += val * val * math.exp(-gamma * w.p(z)) * cell
-    return DbarGrowthReport(k_fit, gamma, int_f, int_dbar, samples, log_sup)
+    return DbarGrowthReport(k_fit, gamma, float(int_f), float(int_dbar), samples, log_sup)
 
 
 def singular_weight(v: Variety, w: BeurlingWeight, eps: float, z: complex,

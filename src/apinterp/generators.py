@@ -18,6 +18,13 @@ GEOMETRIC_RAY = "geometric_ray"
 _FAMILIES = (INTEGER_LATTICE, HORIZONTAL_LINE, DYADIC_ANGLE,
              PERTURBED_LATTICE, STRIP_RANDOM, GEOMETRIC_RAY)
 
+MAX_POINTS = 2 ** 21   # checked before a builder allocates; dyadic_angle 1..20 fits
+
+
+def _check_count(count: float) -> None:
+    if not count <= MAX_POINTS:
+        raise DomainError(f"family spec asks for {count:.4g} points, more than {MAX_POINTS}")
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -48,6 +55,7 @@ def generate(spec: FamilySpec) -> Variety:
 
 
 def _integer_lattice(mult: int = 1, window: float = 100.0) -> Variety:
+    _check_count(2 * math.floor(window) + 1)
     ks = np.arange(-math.floor(window), math.floor(window) + 1)
     return Variety([(complex(k, 0.0), mult) for k in ks], window_radius=window)
 
@@ -56,6 +64,7 @@ def _horizontal_line(height: float = 1.0, spacing: float = 1.0, mult: int = 1,
                      extent: float = 100.0) -> Variety:
     if spacing <= 0:
         raise DomainError("spacing must be positive")
+    _check_count(2 * extent / spacing + 1)
     n = math.floor(extent / spacing)
     ks = np.arange(-n, n + 1)
     pts = [(complex(k * spacing, height), mult) for k in ks]
@@ -68,8 +77,7 @@ def _dyadic_angle(n_min: int = 1, n_max: int = 10) -> Variety:
     -2^n + 1, -2^n + 3, ..., 2^n - 1."""
     if not 1 <= n_min <= n_max:
         raise DomainError("need 1 <= n_min <= n_max")
-    if n_max > 20:
-        raise DomainError("n_max is capped at 20")
+    _check_count(2 ** (n_max + 1) - 2 ** n_min if n_max < 64 else math.inf)
     pts = []
     for n in range(n_min, n_max + 1):
         h = float(2 ** n)
@@ -84,6 +92,7 @@ def _perturbed_lattice(amplitude: float = 0.25, seed: int = 0,
         raise DomainError("amplitude must lie in [0, 1/2)")
     if seed < 0:
         raise DomainError("seed must be non-negative")
+    _check_count(2 * half_count + 1)
     rng = np.random.default_rng(seed)
     ks = np.arange(-half_count, half_count + 1)
     jitter = amplitude * (rng.uniform(-1, 1, ks.size)
@@ -96,6 +105,7 @@ def _strip_random(count: int = 200, strip_height: float = 1.0, seed: int = 0,
                   half_width: float = 100.0) -> Variety:
     if count < 0 or seed < 0:
         raise DomainError("count and seed must be non-negative")
+    _check_count(count)
     rng = np.random.default_rng(seed)
     re = rng.uniform(-half_width, half_width, count)
     im = rng.uniform(-strip_height, strip_height, count)
@@ -110,6 +120,7 @@ def _geometric_ray(ratio: float = 0.5, count: int = 20) -> Variety:
         raise DomainError("ratio must lie in (0, 1)")
     if count < 1:
         raise DomainError("count must be positive")
+    _check_count(count)
     pts = [(complex(k * ratio ** k, 0.0), 1) for k in range(1, count + 1)]
     window = 2.0 * max(p[0].real for p in pts)
     return Variety(pts, window_radius=window)

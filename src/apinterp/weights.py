@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import log1p, spence
 
 from .errors import (DomainError, InputError, NumericError, TabulatedRangeError,
                      check_spec_keys)
@@ -115,6 +116,37 @@ class OmegaProfile:
             return float(out)
         return out
 
+    def _poisson(self, z: np.ndarray) -> np.ndarray:
+        """(1/pi) int omega(|t|) Im z / |t - z|^2 dt at each z (Im z > 0), in
+        closed form; for a tabulated profile over the knot range only."""
+        if self.family == LOG_SHIFT:
+            # I(z) = Im[-(1/2) log^2(-1/(1+z)) - Li2(1/(1+z))] integrates over
+            # t > 0 (Lewin 1981); log(-1/(1+z)) = i pi - log(1+z) because 1+z
+            # lies in the upper half-plane, and Li2(1/(1+z)) = spence(z/(1+z)).
+            def half(z):
+                lg = log1p(z)
+                return lg.real * (np.pi - lg.imag) - spence(z / (1.0 + z)).imag
+            return self.a / np.pi * (half(z) + half(-np.conj(z)))
+        if self.family == LOG_SQUARE:
+            return 2.0 * log1p(-1j * z).real             # 2 log|z + i|
+        if self.family == POWER:
+            g = self.gamma                               # Re((-iz)^g) / cos(g pi/2)
+            return (np.abs(z) ** g * np.cos(g * np.arctan2(-z.real, z.imag))
+                    / math.cos(g * math.pi / 2))
+        # a piece alpha + beta t on [a, b] gives (alpha + beta x) [atan((b-x)/y) -
+        # atan((a-x)/y)] + (beta y/2) log(((b-x)^2+y^2)/((a-x)^2+y^2)), and its
+        # mirror on [-b, -a] the same at -x; angle and log ratio do not cancel
+        a, b = self._knot_t[:-1], self._knot_t[1:]
+        beta = np.diff(self._knot_w) / (b - a)
+        x, y = np.stack([z.real, -z.real])[..., None], z.imag[:, None]
+        da, db = a - x, b - x
+        angle = np.arctan2(y * (b - a), y * y + da * db)
+        gap = (b - a) * (da + db)                         # db^2 - da^2
+        log_ratio = np.sign(gap) * np.log1p(
+            np.abs(gap) / (np.minimum(da * da, db * db) + y * y))
+        terms = (self._knot_w[:-1] - beta * da) * angle + 0.5 * beta * y * log_ratio
+        return terms.sum(axis=-1).sum(axis=0) / np.pi
+
     def to_dict(self) -> dict:
         if self.family == LOG_SHIFT:
             return {"family": LOG_SHIFT, "a": self.a}
@@ -136,11 +168,6 @@ class OmegaProfile:
             raise DomainError(f"unknown omega family {family!r}")
         check_spec_keys(f"omega family {family!r}", params, build)
         return build(**params)
-
-
-def omega_eval(profile: OmegaProfile, t):
-    """omega(t); rejects negative t and out-of-range tabulated arguments."""
-    return profile(t)
 
 
 @dataclass
@@ -175,13 +202,6 @@ class ToleranceSpec:
     quad_epsabs: float = 1e-10
     quad_epsrel: float = 1e-10
     mesh_agree: float = 1e-6     # W2 refinement stability requirement
-
-
-@dataclass
-class QuadSpec:
-    epsabs: float = 1e-10
-    epsrel: float = 1e-10
-    limit: int = 200
 
 
 @dataclass
@@ -247,11 +267,6 @@ class BeurlingWeight:
     @classmethod
     def from_dict(cls, cfg: dict) -> "BeurlingWeight":
         return cls(OmegaProfile.from_dict(cfg))
-
-
-def p_eval(w: BeurlingWeight, z):
-    """Weight value |Im z| + omega(|z|); symmetric under conjugation and z -> -z."""
-    return w.p(z)
 
 
 def _w2_tail_estimate(omega: OmegaProfile, t_cap: float, tol: ToleranceSpec):
@@ -422,38 +437,23 @@ def estimate_disk_constant(w: BeurlingWeight, eps: float, n: int = 64,
                           t_cap=cap if math.isfinite(cap) else math.inf)
 
 
-def poisson_transform(w: BeurlingWeight, z: complex, quad: QuadSpec | None = None) -> float:
+def poisson_transform(w: BeurlingWeight, z):
     """Harmonic extension u(z) = (1/pi) * int y omega(|t|) / ((x-t)^2 + y^2) dt.
 
     Normalized so that u has boundary value omega(|x|) on the real axis.
-    For tabulated profiles the integral is restricted to the knot range
-    (evaluation outside it is forbidden); closed-form families integrate
-    over the whole line.
+    Closed form for every family; for tabulated profiles the integral is
+    restricted to the knot range.  One z gives a float, an array an array.
     """
-    quad = quad or QuadSpec()
-    x, y = z.real, z.imag
-    if not y > 0:
+    arr = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("poisson_transform requires a finite z")
+    if not np.all(arr.imag > 0):
         raise DomainError("poisson_transform requires Im z > 0")
-    omega = w.omega
-
-    def f(t):
-        return y * omega(abs(t)) / ((x - t) ** 2 + y * y)
-
-    cap = omega.t_max
-    if math.isfinite(cap):
-        lo, hi = -cap, cap
-    else:
-        lo, hi = -math.inf, math.inf
-    breaks = sorted({0.0, x})
-    edges = [lo] + [b for b in breaks if lo < b < hi] + [hi]
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        if a == b:
-            continue
-        val, _ = adaptive_quad(f, a, b, epsabs=quad.epsabs,
-                               epsrel=quad.epsrel, limit=quad.limit)
-        total += val
-    return total / math.pi
+    # evaluated on a 1-d array, so one z takes the same numpy loops as a batch
+    out = w.omega._poisson(arr.ravel())
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 @dataclass
@@ -474,29 +474,21 @@ class PoissonBoundReport:
         }
 
 
-def verify_poisson_bound(w: BeurlingWeight, samples,
-                         quad: QuadSpec | None = None) -> PoissonBoundReport:
+def verify_poisson_bound(w: BeurlingWeight, samples) -> PoissonBoundReport:
     """Fit the smallest (A, B) with |u(z) - omega(|z|)| <= A + B Im z on samples.
 
     B is the non-negative least-squares slope of deviation against height
     (zero when all samples share one height); A then closes the bound
-    exactly at the binding sample.  Report-only, never raises on content.
+    exactly at the binding sample.  No samples give the zero report.
+    Report-only, never raises on content.
     """
-    zs = [complex(z) for z in samples]
-    if any(z.imag <= 0 for z in zs):
-        raise DomainError("all samples must lie in the open upper half-plane")
-    ys = np.array([z.imag for z in zs])
-    devs = np.array([abs(poisson_transform(w, z, quad) - w.omega(abs(z)))
-                     for z in zs])
-    if np.ptp(ys) > 0:
-        slope = float(np.polyfit(ys, devs, 1)[0])
-        b_fit = max(0.0, slope)
-    else:
-        b_fit = 0.0
-    a_fit = max(0.0, float(np.max(devs - b_fit * ys))) if len(zs) else 0.0
-    k = int(np.argmax(devs)) if len(zs) else 0
+    zs = np.array([complex(z) for z in samples], dtype=complex)
+    if not zs.size:
+        return PoissonBoundReport(0.0, 0.0, 0.0, 0j, 0)
+    ys = zs.imag
+    devs = np.abs(poisson_transform(w, zs) - w.omega(np.abs(zs)))
+    b_fit = max(0.0, float(np.polyfit(ys, devs, 1)[0])) if np.ptp(ys) > 0 else 0.0
+    k = int(np.argmax(devs))
     return PoissonBoundReport(
-        a_fit=a_fit, b_fit=b_fit,
-        max_deviation=float(devs[k]) if len(zs) else 0.0,
-        worst_point=zs[k] if len(zs) else 0j,
-        n_samples=len(zs))
+        a_fit=max(0.0, float(np.max(devs - b_fit * ys))), b_fit=b_fit,
+        max_deviation=float(devs[k]), worst_point=complex(zs[k]), n_samples=zs.size)

@@ -245,6 +245,16 @@ FAMILY = '{"family":"integer_lattice","window":16}'
       "--ymin", "-1", "--ymax", "1"], "grid bounds"),
     (["regularize", "--weight", WEIGHT, "--xmin", "1", "--xmax", "2",
       "--ymin", "nan", "--ymax", "1"], "grid bounds"),
+    (["generate", "--family", '{"family":"integer_lattice","window":1e300}'], "points"),
+    (["generate", "--family", '{"family":"horizontal_line","spacing":1e-300}'], "points"),
+    (["generate", "--family", '{"family":"dyadic_angle","n_max":21}'], "points"),
+    (["generate", "--family", '{"family":"dyadic_angle","n_max":1000000000}'], "points"),
+    (["generate", "--family", '{"family":"perturbed_lattice","half_count":1000000000000}'],
+     "points"),
+    (["generate", "--family", '{"family":"strip_random","count":1000000000000}'], "points"),
+    (["generate", "--family", '{"family":"geometric_ray","count":1000000000000}'], "points"),
+    (["check", "--weight", WEIGHT, "--family", '{"family":"integer_lattice","window":1e300}'],
+     "points"),
 ])
 def test_malformed_specs_exit_1_with_one_line(args, key, capsys):
     assert run(args) == 1

@@ -136,6 +136,8 @@ def test_growth_report_zero_and_doubling(jet_setup, log_shift):
     rep2 = ap.dbar_growth_report(data.scaled(2.0), sep, log_shift)
     assert rep2.log_sup - rep1.log_sup == pytest.approx(math.log(2), abs=1e-9)
     assert rep1.k_fit > 0 and math.isfinite(rep1.integral_f)
+    for rep in (rep0, rep1, rep2):
+        assert all(type(v) in (int, float) for v in vars(rep).values()), vars(rep)
 
 
 def test_growth_report_unit_data_on_lattice(lattice, log_shift):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import apinterp as ap
 from apinterp.errors import DomainError, TabulatedRangeError
 
-from conftest import finite_complex
+from conftest import finite_complex, poisson_quadrature
 
 PI_LOG2 = math.pi * math.log(2.0)          # closed form of the log-square growth integral
 CATALAN = 0.915965594177219015              # sum (-1)^k / (2k+1)^2
@@ -16,17 +16,17 @@ U_LOG_SHIFT_AT_I = (2 / math.pi) * ((math.pi / 4) * math.log(2.0) + CATALAN)
 
 
 def test_omega_values():
-    assert ap.omega_eval(ap.OmegaProfile.log_shift(1.0), 0.0) == 0.0
-    assert ap.omega_eval(ap.OmegaProfile.power(0.5), 4.0) == pytest.approx(2.0, abs=1e-15)
-    assert ap.omega_eval(ap.OmegaProfile.log_square(), 1.0) == pytest.approx(math.log(2), abs=1e-12)
+    assert ap.OmegaProfile.log_shift(1.0)(0.0) == 0.0
+    assert ap.OmegaProfile.power(0.5)(4.0) == pytest.approx(2.0, abs=1e-15)
+    assert ap.OmegaProfile.log_square()(1.0) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_omega_rejects_bad_arguments():
     with pytest.raises(DomainError):
-        ap.omega_eval(ap.OmegaProfile.log_shift(1.0), -1.0)
+        ap.OmegaProfile.log_shift(1.0)(-1.0)
     tab = ap.OmegaProfile.tabulated([(0, 0), (10, 1)])
     with pytest.raises(TabulatedRangeError):
-        ap.omega_eval(tab, 11.0)
+        tab(11.0)
     with pytest.raises(DomainError):
         ap.OmegaProfile.power(1.0)
     with pytest.raises(DomainError):
@@ -48,9 +48,9 @@ def test_tabulated_profile_interpolates_its_knots():
 
 
 def test_p_values(log_shift, log_square):
-    assert ap.p_eval(log_shift, 3j) == pytest.approx(3 + math.log(4), abs=1e-12)
-    assert ap.p_eval(log_shift, 0j) == 0.0
-    assert ap.p_eval(log_square, 1 + 1j) == pytest.approx(1 + math.log(3), abs=1e-12)
+    assert log_shift.p(3j) == pytest.approx(3 + math.log(4), abs=1e-12)
+    assert log_shift.p(0j) == 0.0
+    assert log_square.p(1 + 1j) == pytest.approx(1 + math.log(3), abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,7 +144,7 @@ def test_poisson_transform_log_square_closed_form(log_square):
 
 def test_poisson_transform_log_shift_value(log_shift):
     u1 = ap.poisson_transform(log_shift, 1j)
-    u2 = ap.poisson_transform(log_shift, 1j, ap.QuadSpec(epsabs=1e-12, epsrel=1e-12, limit=400))
+    u2 = poisson_quadrature(log_shift.omega, 1j)
     assert abs(u1 - u2) < 1e-4
     assert u1 == pytest.approx(U_LOG_SHIFT_AT_I, abs=1e-3)
     assert u1 == pytest.approx(0.9297, abs=1e-3)
@@ -157,15 +157,72 @@ def test_poisson_transform_even_symmetry(log_shift):
         assert u == pytest.approx(u_m, rel=1e-8, abs=1e-10)
 
 
-def test_poisson_transform_requires_upper_half(log_shift):
+@pytest.mark.parametrize("z", [
+    1 - 1j, 2 + 0j, complex(math.inf, 1), complex(-math.inf, 1), complex(1, math.inf),
+    complex(math.nan, 1), complex(1, math.nan), np.array([1j, complex(math.inf, 1)]),
+], ids=["lower", "real", "inf_re", "minus_inf_re", "inf_im", "nan_re", "nan_im", "array"])
+def test_poisson_transform_requires_upper_half(log_shift, z):
     with pytest.raises(DomainError):
-        ap.poisson_transform(log_shift, 1 - 1j)
+        ap.poisson_transform(log_shift, z)
+
+
+# log(1 + t^2) tabulated at t = 0, 1, ..., 400
+TAB_401 = ap.OmegaProfile.tabulated([(t, math.log1p(t * t)) for t in range(401)])
+ORACLE_PROFILES = {
+    "log_shift": [ap.OmegaProfile.log_shift(1.0), ap.OmegaProfile.log_shift(2.5)],
+    "log_square": [ap.OmegaProfile.log_square()],
+    "power": [ap.OmegaProfile.power(0.5), ap.OmegaProfile.power(0.8)],
+    "tabulated": [TAB_401],
+}
+# x at 0, on a knot, at +-100 and off the knots; y from 1e-9 to 1e4
+ORACLE_ZS = [complex(x, y) for x in (0.0, 3.0, -100.0, 100.0, 0.37)
+             for y in (1e-9, 1e-4, 1.0, 20.0, 1e4)]
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_PROFILES))
+def test_poisson_transform_matches_quadrature_oracle(family):
+    for omega in ORACLE_PROFILES[family]:
+        w = ap.BeurlingWeight(omega)
+        for z in ORACLE_ZS:
+            u, ref = ap.poisson_transform(w, z), poisson_quadrature(omega, z)
+            assert math.isfinite(ref) and ref >= 0
+            tol = 1e-12 * ref if ref >= 1e-3 else 1e-15
+            assert abs(u - ref) <= tol, (omega, z, u, ref)
+
+
+def test_poisson_transform_keeps_relative_accuracy_near_the_axis():
+    # u is 1e-9 to 1e-5 here, so the absolute tolerance above would let a
+    # form that cancels to 1e-16 absolute (log(x^2 + (1+y)^2), or
+    # Li2(1 - 1/(1+z)) for log_shift) pass; the closed forms keep ~1e-16 relative
+    for omegas in ORACLE_PROFILES.values():
+        for omega in omegas:
+            for z in (1e-9j, 1e-6 + 1e-6j):
+                u = ap.poisson_transform(ap.BeurlingWeight(omega), z)
+                assert u == pytest.approx(poisson_quadrature(omega, z), rel=1e-12, abs=0)
+
+
+def test_poisson_transform_array_equals_scalar_calls():
+    zs = np.array(ORACLE_ZS).reshape(5, 5)
+    for omegas in ORACLE_PROFILES.values():
+        for omega in omegas:
+            w = ap.BeurlingWeight(omega)
+            batch = ap.poisson_transform(w, zs)
+            assert batch.shape == zs.shape
+            alone = [[ap.poisson_transform(w, complex(z)) for z in row] for row in zs]
+            assert type(alone[0][0]) is float
+            assert np.array_equal(batch, alone)
 
 
 def test_poisson_bound_zero_profile():
     w = ap.BeurlingWeight(ap.OmegaProfile.tabulated([(0, 0), (100, 0)]))
     rep = ap.verify_poisson_bound(w, [1j, 2 + 3j, -5 + 0.5j])
     assert rep.a_fit == 0.0 and rep.b_fit == 0.0 and rep.max_deviation == 0.0
+
+
+def test_poisson_bound_no_samples(log_shift):
+    rep = ap.verify_poisson_bound(log_shift, [])
+    assert rep.to_dict() == {"a_fit": 0.0, "b_fit": 0.0, "max_deviation": 0.0,
+                             "worst_point": [0.0, 0.0], "n_samples": 0}
 
 
 def test_poisson_bound_on_horizontal_line(log_square):
