@@ -21,7 +21,7 @@ import numpy as np
 
 from .conditions import DEFAULT_THRESHOLDS, TrendResult, classify_trend, _validate_radii
 from .errors import DomainError, InputError, InvariantViolation
-from .numutil import close_pairs, truncated_log_sums
+from .numutil import close_pair_arrays, truncated_log_sums
 from .variety import P_MIN, Variety, integrated_count, separation_profile
 from .weights import BeurlingWeight, estimate_disk_constant
 
@@ -159,10 +159,11 @@ class SeparationRadii:
             raise DomainError("separation radii must be positive")
         cutoff = 4.0 * float(np.max(self.radii)) if self.radii.size else 0.0
         if cutoff > 0:
-            for i, j, d in close_pairs(self.lam, cutoff):
-                if d < 2 * (self.radii[i] + self.radii[j]):
-                    raise InvariantViolation(
-                        f"separation disks overlap near {self.lam[i]}")
+            i, j, d = close_pair_arrays(self.lam, cutoff)
+            overlap = np.nonzero(d < 2 * (self.radii[i] + self.radii[j]))[0]
+            if overlap.size:
+                raise InvariantViolation(
+                    f"separation disks overlap near {self.lam[i[overlap[0]]]}")
 
     @classmethod
     def from_params(cls, v: Variety, w: BeurlingWeight, delta: float,
@@ -181,11 +182,9 @@ class SeparationRadii:
             growth = max(growth, safety * prof.worst_constant)
         p_vals = np.maximum(w.p(v.lam), 0.0)
         shrink = np.exp(-growth * p_vals / v.mult)
-        delta = 0.25
-        for i, j, d in close_pairs(v.lam, 1.0):
-            feasible = d / (2 * (shrink[i] + shrink[j]))
-            delta = min(delta, feasible / safety)
-        return cls.from_params(v, w, delta, growth)
+        i, j, d = close_pair_arrays(v.lam, 1.0)
+        feasible = d / (2 * (shrink[i] + shrink[j])) / safety
+        return cls.from_params(v, w, np.min(feasible, initial=0.25), growth)
 
     def radius_of(self, lam: complex) -> float:
         idx = np.nonzero(self.lam == lam)[0]
@@ -423,24 +422,23 @@ def annulus_counting_report(v: Variety, w: BeurlingWeight, radii,
     c_prime = c_eps * c_eps + 1.0
     abs_lam = np.abs(v.lam)
     p_lam = w.p(v.lam)
-    domination = 0.0
     thetas = np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False)
     ratios = np.full(len(v), 0.0)
     inner = np.nonzero(abs_lam <= radii[-1])[0]
     excl = truncated_log_sums(v.lam, v.mult, v.lam[inner], c_prime * p_lam[inner])
-    for i, n_excl in zip(inner, excl):
-        lam = v.lam[i]
-        ring = math.sqrt(1.5) * sep.radii[i]
-        worst = 0.0
-        for theta in thetas:
-            z = complex(lam) + ring * complex(math.cos(theta), math.sin(theta))
-            pz = w.p(z)
-            val = integrated_count(v, z, c_eps * pz) / max(pz, P_MIN)
-            worst = max(worst, val)
-        ratios[i] = worst
-        rhs = p_lam[i] + n_excl
-        if rhs > 0:
-            domination = max(domination, worst * max(p_lam[i], P_MIN) / rhs)
+    unit = np.array([complex(math.cos(t), math.sin(t)) for t in thetas])
+    z = v.lam[inner, None] + (math.sqrt(1.5) * sep.radii[inner])[:, None] * unit
+    pz = w.p(z)
+    disk = c_eps * pz
+    if not np.all(disk > 0):
+        raise DomainError("radius must be positive")
+    counts = truncated_log_sums(v.lam, v.mult, z.ravel(), disk.ravel(), include_center=True)
+    worst = np.max(counts.reshape(z.shape) / np.maximum(pz, P_MIN), axis=1, initial=0.0)
+    ratios[inner] = worst
+    rhs = p_lam[inner] + excl
+    ok = rhs > 0
+    domination = float(np.max(worst[ok] * np.maximum(p_lam[inner][ok], P_MIN) / rhs[ok],
+                              initial=0.0))
     constants = []
     for r in radii:
         keep = abs_lam <= r

@@ -1,14 +1,19 @@
-"""Small numeric helpers: the dense pairwise kernels, 1-D search, quadrature
-wrapper and close-pair search."""
+"""Small numeric helpers: 1-D search, the quadrature wrapper, the close-pair
+search (a k-d tree, returning arrays) and the dense pairwise kernels."""
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
 from .errors import NumericError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Relative widening of the k-d tree radius in close_pair_arrays, so that the
+#: tree's own distance rounding never drops a pair with d < cutoff.
+_PAIR_SLACK = 8 * np.finfo(float).eps
 
 
 def golden_section_max(f, a: float, b: float, tol: float = 1e-6, max_iter: int = 200):
@@ -67,31 +72,21 @@ def adaptive_quad(f, a: float, b: float, *, points=None, epsabs: float = 1e-10,
     return val, err
 
 
-def close_pairs(lam: np.ndarray, cutoff: float):
-    """Yield (i, j, distance) over pairs with distance < cutoff, i < j.
+def close_pair_arrays(lam: np.ndarray, cutoff: float):
+    """(i, j, d) arrays of the pairs with i < j and distance d < cutoff, in
+    canonical (i, j) order.
 
-    Uniform grid hashing with cell size equal to the cutoff; deterministic
-    iteration order, near-linear cost for spread-out configurations.
+    A k-d tree finds the candidates within a radius widened by a few ulp; d
+    is then np.hypot of the component differences (the same bits as the
+    scalar abs(lam[i] - lam[j])), so membership is decided by d < cutoff
+    alone.
     """
-    if lam.size < 2:
-        return
-    inv = 1.0 / cutoff
-    cells: dict[tuple[int, int], list[int]] = {}
-    keys = []
-    for i in range(lam.size):
-        key = (math.floor(lam[i].real * inv), math.floor(lam[i].imag * inv))
-        keys.append(key)
-        cells.setdefault(key, []).append(i)
-    offsets = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    for i in range(lam.size):
-        cx, cy = keys[i]
-        for dx, dy in offsets:
-            for j in cells.get((cx + dx, cy + dy), ()):
-                if j <= i:
-                    continue
-                d = abs(lam[i] - lam[j])
-                if d < cutoff:
-                    yield i, j, d
+    tree = cKDTree(np.column_stack([lam.real, lam.imag]))
+    ij = tree.query_pairs(cutoff * (1.0 + _PAIR_SLACK), output_type="ndarray")
+    i, j = ij[np.lexsort((ij[:, 1], ij[:, 0]))].T
+    d = np.hypot(lam.real[i] - lam.real[j], lam.imag[i] - lam.imag[j])
+    keep = d < cutoff
+    return i[keep], j[keep], d[keep]
 
 
 # The dense pairwise kernels.  Each value is one numpy pairwise sum over its

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, InvariantViolation
-from .numutil import close_pairs, truncated_log_sums
+from .numutil import close_pair_arrays, truncated_log_sums
 from .weights import BeurlingWeight
 
 P_MIN = 1.0  # floor used when dividing by p(lambda) near the origin
@@ -242,30 +242,27 @@ def separation_profile(v: Variety, w: BeurlingWeight) -> SeparationProfile:
 
     For each ordered close pair (lambda, lambda') the scanned quantity is
     mult(lambda') * log(1/|lambda - lambda'|) / max(p(lambda), 1); its
-    supremum over the configuration is the weak-separation constant.
+    supremum over the configuration is the weak-separation constant.  The
+    witness is the first maximizing pair in canonical (i, j) order.
     """
     if len(v) < 2:
         raise DomainError("separation profile needs at least two points")
     p_vals = w.p(v.lam)
     floor_hits = int(np.sum(p_vals < P_MIN))
     p_vals = np.maximum(p_vals, P_MIN)
-    worst = 0.0
-    worst_pair = None
-    examined = 0
-    for i, j, d in close_pairs(v.lam, 1.0):
-        if d == 0.0:
-            raise InvariantViolation("coincident points survived ingestion")
-        examined += 1
-        log_inv = math.log(1.0 / d)
-        cand_ij = v.mult[j] * log_inv / p_vals[i]
-        cand_ji = v.mult[i] * log_inv / p_vals[j]
-        if cand_ij >= cand_ji:
-            cand, pair = cand_ij, (complex(v.lam[i]), complex(v.lam[j]))
-        else:
-            cand, pair = cand_ji, (complex(v.lam[j]), complex(v.lam[i]))
-        if cand > worst:
-            worst, worst_pair = cand, pair
-    return SeparationProfile(worst_pair, worst, examined, floor_hits)
+    i, j, d = close_pair_arrays(v.lam, 1.0)
+    if np.any(d == 0.0):
+        raise InvariantViolation("coincident points survived ingestion")
+    log_inv = np.log(1.0 / d)
+    cand_ij = v.mult[j] * log_inv / p_vals[i]
+    cand_ji = v.mult[i] * log_inv / p_vals[j]
+    cand = np.maximum(cand_ij, cand_ji)
+    worst, worst_pair = float(np.max(cand, initial=0.0)), None
+    if worst > 0.0:
+        k = int(np.argmax(cand))
+        a, b = (i[k], j[k]) if cand_ij[k] >= cand_ji[k] else (j[k], i[k])
+        worst_pair = (complex(v.lam[a]), complex(v.lam[b]))
+    return SeparationProfile(worst_pair, worst, int(d.size), floor_hits)
 
 
 def local_density_constant(v: Variety, w: BeurlingWeight, eps: float,

@@ -201,7 +201,6 @@ class ToleranceSpec:
     eps_add: float = 0.30
     quad_epsabs: float = 1e-10
     quad_epsrel: float = 1e-10
-    mesh_agree: float = 1e-6     # W2 refinement stability requirement
 
 
 @dataclass

@@ -7,6 +7,7 @@ import pytest
 import apinterp as ap
 from apinterp.errors import DomainError, InvariantViolation
 from apinterp.extension import V_SINGULAR
+from apinterp.numutil import truncated_log_sums
 
 from conftest import collapsing_pairs, wirtinger_stencil
 
@@ -47,6 +48,33 @@ def test_separation_radii_disjointness_enforced(log_shift):
     sep = ap.SeparationRadii.from_profile(v, log_shift)
     d = abs(v.lam[1] - v.lam[0])
     assert d >= 2 * (sep.radii[0] + sep.radii[1])
+    # Radii 0.5 and 0.25: disks D(lambda, 2 delta) overlap below distance
+    # 1.5, which only the 4 * max(radii) = 2 pair cutoff reaches, not 1.
+    radii = np.array([0.5, 0.25])
+    for gap, overlaps in ((1.25, True), (np.nextafter(1.5, 0), True), (1.5, False),
+                          (1.75, False)):
+        lam = np.array([0j, complex(gap, 0)])
+        if overlaps:
+            with pytest.raises(InvariantViolation, match="overlap near 0j"):
+                ap.SeparationRadii(lam, radii, 0.25, 0.0)
+        else:
+            ap.SeparationRadii(lam, radii, 0.25, 0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    ("perturbed_lattice", {"half_count": 60, "seed": 21, "amplitude": 0.45}),
+    ("strip_random", {"count": 400, "half_width": 20.0, "seed": 5}),
+])
+def test_separation_radii_delta_equals_all_pairs_minimum(spec, log_shift):
+    v = ap.generate(ap.FamilySpec(*spec))
+    sep = ap.SeparationRadii.from_profile(v, log_shift)
+    shrink = np.exp(-sep.growth * np.maximum(log_shift.p(v.lam), 0.0) / v.mult)
+    i, j = np.triu_indices(len(v), k=1)
+    d = np.hypot(v.lam.real[i] - v.lam.real[j], v.lam.imag[i] - v.lam.imag[j])
+    close = d < 1.0
+    feasible = d[close] / (2 * (shrink[i][close] + shrink[j][close])) / 2.0
+    assert close.sum() > 10
+    assert sep.delta == min(0.25, feasible.min())
 
 
 def test_smooth_interpolant_pointwise(jet_setup):
@@ -265,6 +293,45 @@ def test_annulus_counting_singleton(log_shift):
         expected = max(expected,
                        ap.integrated_count(v, z, rep.c_eps * pz) / max(pz, 1.0))
     assert rep.constants[-1] == pytest.approx(expected, rel=1e-9)
+
+
+def test_annulus_counting_equals_per_sample_integrated_count(log_shift):
+    # The batched ring samples against one integrated_count call per sample,
+    # bit for bit; points near the origin have p(lambda) < 1, so the P_MIN
+    # floor of the domination ratio is exercised.
+    v = ap.generate(ap.FamilySpec("perturbed_lattice",
+                                  {"half_count": 30, "seed": 4, "amplitude": 0.45}))
+    radii = ap.default_radii(v.window_radius)
+    sep = ap.SeparationRadii.from_profile(v, log_shift)
+    rep = ap.annulus_counting_report(v, log_shift, radii, sep=sep)
+    p_lam = log_shift.p(v.lam)
+    assert np.min(p_lam) < 1.0
+    excl = truncated_log_sums(v.lam, v.mult, v.lam, rep.c_prime * p_lam)
+    ratios, domination = [], 0.0
+    for i, lam in enumerate(v.lam):
+        ring = math.sqrt(1.5) * sep.radii[i]
+        worst = 0.0
+        for theta in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
+            z = complex(lam) + ring * complex(math.cos(theta), math.sin(theta))
+            pz = log_shift.p(z)
+            worst = max(worst, ap.integrated_count(v, z, rep.c_eps * pz) / max(pz, 1.0))
+        ratios.append(worst)
+        domination = max(domination, worst * max(p_lam[i], 1.0) / (p_lam[i] + excl[i]))
+    abs_lam = np.abs(v.lam)
+    assert rep.constants == [max(x for x, a in zip(ratios, abs_lam) if a <= r)
+                             for r in radii]
+    assert rep.domination == domination
+
+
+def test_annulus_counting_sample_at_zero_weight_raises(log_shift):
+    # A ring sample landing on z = 0, where p vanishes, gives a zero disk
+    # radius: an error, as for integrated_count, not a silent 0.
+    delta = 0.25
+    v = ap.Variety([(complex(-math.sqrt(1.5) * delta, 0.0), 1), (10 + 0j, 1)],
+                   window_radius=40.0)
+    sep = ap.SeparationRadii.from_params(v, log_shift, delta, 0.0)
+    with pytest.raises(DomainError, match="radius must be positive"):
+        ap.annulus_counting_report(v, log_shift, [2.5, 5.0, 10.0, 20.0], sep=sep)
 
 
 def test_jets_file_round_trip(tmp_path, jet_setup):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import apinterp as ap
 from apinterp.errors import DomainError, InputError
+from apinterp.numutil import close_pair_arrays
 
 from conftest import point_lists
 
@@ -147,6 +148,71 @@ def test_separation_profile_collapse_grows(log_shift):
 def test_separation_needs_two_points(log_shift):
     with pytest.raises(DomainError):
         ap.separation_profile(ap.Variety([(1j, 1)]), log_shift)
+
+
+QUARTER = st.integers(-40, 40).map(lambda k: k / 4)
+
+
+@st.composite
+def pair_configs(draw):
+    """Arbitrary points, a pair at distance exactly cutoff and one at
+    nextafter(cutoff, 0) (both along the real axis, so the differences are
+    exact), points within a few ulp of the cutoff circle in other directions,
+    duplicates and configurations with fewer than two points."""
+    cutoff = draw(st.integers(1, 12)) / 4
+    pts = [complex(x, y) for x, y in draw(st.lists(st.tuples(QUARTER, QUARTER), max_size=25))]
+    pts += draw(st.lists(st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)),
+                         max_size=10))
+    if pts and draw(st.booleans()):
+        base = pts[0]
+        pts += [base + cutoff * complex(math.cos(t), math.sin(t))
+                for t in draw(st.lists(st.floats(0, 2 * math.pi), max_size=6))]
+        pts.append(base)
+    if draw(st.booleans()):
+        x, y = draw(QUARTER), draw(QUARTER)
+        pts += [complex(x, y), complex(x + cutoff, y)]
+        pts += [complex(0, y + 50), complex(np.nextafter(cutoff, 0), y + 50)]
+    order = draw(st.permutations(range(len(pts))))
+    return np.array([pts[k] for k in order], dtype=complex), cutoff
+
+
+def brute_force_pairs(lam, cutoff):
+    i, j = np.triu_indices(lam.size, k=1)  # canonical (i, j) order
+    d = np.hypot(lam.real[i] - lam.real[j], lam.imag[i] - lam.imag[j])
+    keep = d < cutoff
+    return i[keep], j[keep], d[keep]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_configs())
+def test_close_pair_arrays_match_all_pairs(cfg):
+    lam, cutoff = cfg
+    got = close_pair_arrays(lam, cutoff)
+    want = brute_force_pairs(lam, cutoff)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.astype(a.dtype).tobytes()
+    # d is the scalar abs of the complex difference, bit for bit
+    assert got[2].tolist() == [abs(lam[i] - lam[j]) for i, j in zip(got[0], got[1])]
+
+
+def test_close_pair_arrays_cutoff_is_strict():
+    c = 0.75
+    lam = np.array([0, c, 10j, np.nextafter(c, 0) + 10j])
+    i, j, d = close_pair_arrays(lam, c)
+    assert (i.tolist(), j.tolist(), d.tolist()) == ([2], [3], [np.nextafter(c, 0)])
+    assert [a.size for a in close_pair_arrays(lam[:1], c)] == [0, 0, 0]
+
+
+def test_separation_witness_is_first_in_canonical_order(log_shift):
+    # Every neighbour pair of the line ties; the first pair in (i, j) order
+    # of the canonical point order is (1j, 0.5 + 1j), oriented as (i, j)
+    # because the two candidates are equal.
+    v = ap.generate(ap.FamilySpec("horizontal_line", {"spacing": 0.5, "extent": 20}))
+    assert v.lam[0] == 1j and v.lam[1] == 0.5 + 1j
+    prof = ap.separation_profile(v, log_shift)
+    assert prof.worst_pair == (1j, 0.5 + 1j)
+    assert prof.pairs_examined == 80
+    assert prof.worst_constant == math.log(2) / log_shift.p(1j)
 
 
 def test_local_density_lattice(log_shift):
