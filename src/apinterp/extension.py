@@ -13,70 +13,68 @@ the penalized weight beta p + v, the annulus counting bound) is measured
 here numerically.  The L2 existence step itself is out of scope.
 """
 
+import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conditions import DEFAULT_THRESHOLDS, TrendResult, classify_trend, _validate_radii
 from .errors import DomainError, InputError, InvariantViolation
 from .numutil import close_pair_arrays, truncated_log_sums
+# integrated_count is not called here; it stays importable as
+# extension.integrated_count, the name perfbench's tracer wraps.
 from .variety import P_MIN, Variety, integrated_count, separation_profile
 from .weights import BeurlingWeight, estimate_disk_constant
 
 #: Sentinel for the singular weight at a configuration point.
 V_SINGULAR = float("-inf")
 
+_SAFETY = 2.0          # margin on the separation growth and on the disk radii
+_DBAR_ANGLES = 16      # samples per ring in dbar_growth_report
+_DBAR_RINGS = 5        # dbar rings per point; the F grid has twice as many
+_ANNULUS_ANGLES = 8    # samples per ring in annulus_counting_report
 
-def _bump(s: float) -> float:
-    if s <= 0.0:
-        return 0.0
-    return math.exp(-1.0 / s)
+
+def _bump(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b(s) = exp(-1/s) for s > 0 and 0 elsewhere, with b'(s) = b(s) / s^2."""
+    pos = s > 0.0
+    s = np.where(pos, s, 1.0)
+    b = np.where(pos, np.exp(-1.0 / s), 0.0)
+    return b, b / (s * s)
 
 
-def _bump_deriv(s: float) -> float:
-    if s <= 0.0:
-        return 0.0
-    return math.exp(-1.0 / s) / (s * s)
+def _float_or_array(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
 class CutoffSpec:
     """Smooth transition X: 1 on (-inf, 1], 0 on [2, inf), |X'| <= 2.1.
 
-    Realized as the standard quotient of one-sided mollifier bumps, which is
-    infinitely smooth with a closed-form derivative; the slope peaks at 2.0
-    in the middle of the transition.
+    Realized as the standard quotient b(2 - u) / (b(2 - u) + b(u - 1)) of
+    one-sided mollifier bumps, which is infinitely smooth with a closed-form
+    derivative; the slope peaks at 2.0 in the middle of the transition.
+    Takes a scalar u (and returns a float) or an array of them.
     """
 
-    deriv_bound: float = 2.1
+    def value(self, u):
+        u = np.asarray(u, dtype=float)
+        (f_hi, _), (f_lo, _) = _bump(2.0 - u), _bump(u - 1.0)
+        return _float_or_array(f_hi / (f_hi + f_lo))
 
-    def value(self, u: float) -> float:
-        if u <= 1.0:
-            return 1.0
-        if u >= 2.0:
-            return 0.0
-        f_hi = _bump(2.0 - u)
-        f_lo = _bump(u - 1.0)
-        return f_hi / (f_hi + f_lo)
-
-    def derivative(self, u: float) -> float:
-        if u <= 1.0 or u >= 2.0:
-            return 0.0
-        f_hi = _bump(2.0 - u)
-        f_lo = _bump(u - 1.0)
-        g_hi = _bump_deriv(2.0 - u)
-        g_lo = _bump_deriv(u - 1.0)
-        return -(g_hi * f_lo + f_hi * g_lo) / (f_hi + f_lo) ** 2
+    def derivative(self, u):
+        u = np.asarray(u, dtype=float)
+        (f_hi, g_hi), (f_lo, g_lo) = _bump(2.0 - u), _bump(u - 1.0)
+        return _float_or_array(-(g_hi * f_lo + f_hi * g_lo) / (f_hi + f_lo) ** 2)
 
     def audit(self, n: int = 10001) -> float:
         grid = np.linspace(0.5, 2.5, n)
-        worst = max(abs(self.derivative(float(u))) for u in grid)
-        vals = [self.value(float(u)) for u in grid]
-        if min(vals) < 0 or max(vals) > 1:
+        vals = self.value(grid)
+        if vals.min() < 0 or vals.max() > 1:
             raise InvariantViolation("cutoff left the range [0, 1]")
-        return worst
+        return float(np.max(np.abs(self.derivative(grid))))
 
 
 @dataclass
@@ -87,6 +85,14 @@ class InterpolationData:
     lam: np.ndarray
     values: tuple[tuple[complex, ...], ...]
     alpha: float = 1.0
+    # values padded with zeros to one row width, for Horner over all points
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        width = max(map(len, self.values), default=0)
+        self.coeffs = np.zeros((len(self.values), width), dtype=complex)
+        for k, row in enumerate(self.values):
+            self.coeffs[k, :len(row)] = row
 
     @classmethod
     def for_variety(cls, v: Variety, values, alpha: float = 1.0) -> "InterpolationData":
@@ -96,6 +102,8 @@ class InterpolationData:
         for row, m in zip(values, v.mult):
             if len(row) != int(m):
                 raise DomainError("value count at each point must equal its multiplicity")
+        if not all(cmath.isfinite(x) for row in values for x in row):
+            raise DomainError("jet values must be finite")
         return cls(lam=v.lam.copy(), values=values, alpha=float(alpha))
 
     def certificate(self, w: BeurlingWeight) -> float:
@@ -173,17 +181,16 @@ class SeparationRadii:
         return cls(v.lam.copy(), radii, float(delta), float(growth))
 
     @classmethod
-    def from_profile(cls, v: Variety, w: BeurlingWeight,
-                     safety: float = 2.0) -> "SeparationRadii":
+    def from_profile(cls, v: Variety, w: BeurlingWeight) -> "SeparationRadii":
         """Derive (delta, C) from the separation scan with a safety margin."""
         growth = 0.1
         if len(v) >= 2:
             prof = separation_profile(v, w)
-            growth = max(growth, safety * prof.worst_constant)
+            growth = max(growth, _SAFETY * prof.worst_constant)
         p_vals = np.maximum(w.p(v.lam), 0.0)
         shrink = np.exp(-growth * p_vals / v.mult)
         i, j, d = close_pair_arrays(v.lam, 1.0)
-        feasible = d / (2 * (shrink[i] + shrink[j])) / safety
+        feasible = d / (2 * (shrink[i] + shrink[j])) / _SAFETY
         return cls.from_params(v, w, np.min(feasible, initial=0.25), growth)
 
     def radius_of(self, lam: complex) -> float:
@@ -214,47 +221,40 @@ def _locate(data: InterpolationData, radii: SeparationRadii, z: complex):
     return int(hits[0])
 
 
-def _jet_poly(row, dz: complex) -> complex:
-    acc = 0j
-    for coeff in reversed(row):
-        acc = acc * dz + coeff
-    return acc
+def _jet_field(data: InterpolationData, radii: SeparationRadii, idx, z: np.ndarray,
+               dbar: bool) -> np.ndarray:
+    """F, or dbar F, at samples z[k, ...] that lie in the disk D(lambda, 2 delta)
+    of point idx[k]: p_lambda(z) X(u), or p_lambda(z) X'(u) (z - lambda) / delta^2,
+    with u = |z - lambda|^2 / delta^2."""
+    tail = (1,) * (z.ndim - 1)
+    dz = z - data.lam[idx].reshape(-1, *tail)
+    delta2 = radii.radii[idx].reshape(-1, *tail) ** 2
+    poly = np.zeros(z.shape, dtype=complex)
+    for coeff in data.coeffs[idx].T[::-1]:
+        poly = poly * dz + coeff.reshape(-1, *tail)
+    # np.hypot keeps the bits of the scalar abs(); X' near u = 1, 2 magnifies the last bit
+    u = np.hypot(dz.real, dz.imag) ** 2 / delta2
+    if dbar:
+        return poly * _CUTOFF.derivative(u) * dz / delta2
+    return poly * _CUTOFF.value(u)
 
 
-def _interpolant_at(data: InterpolationData, radii: SeparationRadii, i: int,
-                    z: complex, cutoff: CutoffSpec) -> complex:
-    """F(z) for z in the disk D(lambda_i, 2 delta_i) owned by point i."""
-    dz = z - complex(data.lam[i])
-    u = abs(dz) ** 2 / radii.radii[i] ** 2
-    x = cutoff.value(u)
-    return 0j if x == 0.0 else _jet_poly(data.values[i], dz) * x
-
-
-def _dbar_at(data: InterpolationData, radii: SeparationRadii, i: int,
-             z: complex, cutoff: CutoffSpec) -> complex:
-    """dbar F(z) for z in the disk D(lambda_i, 2 delta_i) owned by point i."""
-    delta2 = radii.radii[i] ** 2
-    dz = z - complex(data.lam[i])
-    u = abs(dz) ** 2 / delta2
-    xp = cutoff.derivative(u)
-    return 0j if xp == 0.0 else _jet_poly(data.values[i], dz) * xp * dz / delta2
-
-
-def smooth_interpolant(data: InterpolationData, radii: SeparationRadii,
-                       z: complex, cutoff: CutoffSpec = _CUTOFF) -> complex:
-    """F(z): the local jet polynomial times the cutoff; zero away from all disks."""
+def _field_at(data: InterpolationData, radii: SeparationRadii, z: complex,
+              dbar: bool) -> complex:
     z = complex(z)
     i = _locate(data, radii, z)
-    return 0j if i is None else _interpolant_at(data, radii, i, z, cutoff)
+    return 0j if i is None else complex(_jet_field(data, radii, [i], np.array([z]), dbar)[0])
 
 
-def dbar_defect(data: InterpolationData, radii: SeparationRadii,
-                z: complex, cutoff: CutoffSpec = _CUTOFF) -> complex:
+def smooth_interpolant(data: InterpolationData, radii: SeparationRadii, z: complex) -> complex:
+    """F(z): the local jet polynomial times the cutoff; zero away from all disks."""
+    return _field_at(data, radii, z, dbar=False)
+
+
+def dbar_defect(data: InterpolationData, radii: SeparationRadii, z: complex) -> complex:
     """dbar F in closed form: p_lambda(z) X'(u) (z - lambda) / delta^2
     with u = |z - lambda|^2 / delta^2; supported on the transition annuli."""
-    z = complex(z)
-    i = _locate(data, radii, z)
-    return 0j if i is None else _dbar_at(data, radii, i, z, cutoff)
+    return _field_at(data, radii, z, dbar=True)
 
 
 @dataclass
@@ -268,46 +268,37 @@ class DbarGrowthReport:
 
 
 def dbar_growth_report(data: InterpolationData, radii: SeparationRadii,
-                       w: BeurlingWeight, n_theta: int = 16,
-                       n_rad: int = 5) -> DbarGrowthReport:
+                       w: BeurlingWeight) -> DbarGrowthReport:
     """Fit K with |dbar F| <= exp(K p(z)) over annulus samples and report the
     discretized weighted square integrals of F and dbar F at gamma = 2K + 2.
-    Each sample lies in the (disjoint) disk of the point whose rings it
-    walks, within sqrt(1.95) delta, so F and dbar F are evaluated there."""
+
+    The samples sit on rings sqrt(frac) delta around every point, 16 angles
+    a ring: 5 rings with frac in [1.05, 1.95] for dbar F and 10 with frac in
+    [0.05, 1.95] for F, each ring carrying the area of its frac band.  Every
+    sample lies in the (disjoint) disk of the point whose rings it walks, so
+    F and dbar F are evaluated there, as arrays of shape (points, rings,
+    angles)."""
     _check_same_configuration(data, radii)
-    sup_log, log_sup, samples = -math.inf, -math.inf, 0
-    ring_vals = []
-    for i, lam in enumerate(data.lam):
-        delta = radii.radii[i]
-        for frac in np.linspace(1.05, 1.95, n_rad):
-            rad = math.sqrt(frac) * delta
-            for theta in np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False):
-                z = complex(lam) + rad * complex(math.cos(theta), math.sin(theta))
-                val = abs(_dbar_at(data, radii, i, z, _CUTOFF))
-                samples += 1
-                ring_vals.append((z, val, rad, delta))
-                if val > 0:
-                    log_sup = max(log_sup, math.log(val))
-                    sup_log = max(sup_log, math.log(val) / max(w.p(z), P_MIN))
-    k_fit = max(0.0, sup_log) if samples and math.isfinite(sup_log) else 0.0
+    unit = np.exp(1j * np.linspace(0.0, 2 * math.pi, _DBAR_ANGLES, endpoint=False))
+    delta = radii.radii
+
+    def rings(fracs: np.ndarray, band: float, dbar: bool):
+        """|F| or |dbar F|, p and the cell area at every sample of the grid."""
+        z = data.lam[:, None, None] + (np.sqrt(fracs) * delta[:, None])[:, :, None] * unit
+        cell = math.pi * delta * delta * (band / fracs.size) / _DBAR_ANGLES
+        return np.abs(_jet_field(data, radii, slice(None), z, dbar)), w.p(z), cell[:, None, None]
+
+    vals, pz, cell = rings(np.linspace(1.05, 1.95, _DBAR_RINGS), 0.9, dbar=True)
+    pos = vals > 0
+    logs = np.log(vals[pos])
+    log_sup = float(np.max(logs, initial=-math.inf))
+    sup_log = float(np.max(logs / np.maximum(pz[pos], P_MIN), initial=-math.inf))
+    k_fit = max(0.0, sup_log) if math.isfinite(sup_log) else 0.0
     gamma = 2 * k_fit + 2.0
-    int_f = 0.0
-    for i, lam in enumerate(data.lam):
-        delta = radii.radii[i]
-        for frac in np.linspace(0.05, 1.95, 2 * n_rad):
-            rad = math.sqrt(frac) * delta
-            cell = math.pi * delta * delta * (1.9 / (2 * n_rad)) / n_theta
-            for theta in np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False):
-                z = complex(lam) + rad * complex(math.cos(theta), math.sin(theta))
-                f = abs(_interpolant_at(data, radii, i, z, _CUTOFF))
-                if f:
-                    int_f += f * f * math.exp(-gamma * w.p(z)) * cell
-    int_dbar = 0.0
-    for z, val, rad, delta in ring_vals:
-        cell = math.pi * delta * delta * (0.9 / n_rad) / n_theta
-        if val:
-            int_dbar += val * val * math.exp(-gamma * w.p(z)) * cell
-    return DbarGrowthReport(k_fit, gamma, float(int_f), float(int_dbar), samples, log_sup)
+    int_dbar = float(np.sum(vals * vals * np.exp(-gamma * pz) * cell))
+    f, pz, cell = rings(np.linspace(0.05, 1.95, 2 * _DBAR_RINGS), 1.9, dbar=False)
+    int_f = float(np.sum(f * f * np.exp(-gamma * pz) * cell))
+    return DbarGrowthReport(k_fit, gamma, int_f, int_dbar, vals.size, log_sup)
 
 
 def singular_weight(v: Variety, w: BeurlingWeight, eps: float, z: complex,
@@ -404,11 +395,10 @@ class AnnulusCountingReport:
         }
 
 
-def annulus_counting_report(v: Variety, w: BeurlingWeight, radii,
-                            eps: float = 0.1,
+def annulus_counting_report(v: Variety, w: BeurlingWeight, radii, eps: float = 0.1,
                             sep: SeparationRadii | None = None,
-                            thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
-                            n_theta: int = 8) -> AnnulusCountingReport:
+                            thresholds: tuple[float, float] = DEFAULT_THRESHOLDS
+                            ) -> AnnulusCountingReport:
     """Worst N(z, C(eps) p(z)) / p(z) over transition-annulus samples.
 
     C(eps) is the empirical disk-comparability constant of the weight.  The
@@ -422,7 +412,7 @@ def annulus_counting_report(v: Variety, w: BeurlingWeight, radii,
     c_prime = c_eps * c_eps + 1.0
     abs_lam = np.abs(v.lam)
     p_lam = w.p(v.lam)
-    thetas = np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False)
+    thetas = np.linspace(0.0, 2 * math.pi, _ANNULUS_ANGLES, endpoint=False)
     ratios = np.full(len(v), 0.0)
     inner = np.nonzero(abs_lam <= radii[-1])[0]
     excl = truncated_log_sums(v.lam, v.mult, v.lam[inner], c_prime * p_lam[inner])

@@ -1,4 +1,5 @@
-"""`apinterp check` reports against a golden corpus in tests/data.
+"""`apinterp check` reports and `profile-balayage` CSVs against a golden
+corpus in tests/data.
 
 Each file tests/data/check_<input>_<weight>.json was written with the
 commands below, from the repository root, before the close-pair search
@@ -18,6 +19,18 @@ with W each of the WEIGHTS below.  Every field is pinned exactly (verdicts,
 witnesses, counts, pairs_examined and every constant), except
 separation.worst_constant, which is pinned to 1e-15 relative: its logs are
 taken by np.log, which may differ from math.log in the last bit.
+
+Each file tests/data/profile_balayage_dyadic_angle_<weight>.csv was written
+before the jet layer moved to arrays (commit dbd7762) with
+
+    apinterp profile-balayage --weight W \\
+        --family '{"family":"dyadic_angle","n_min":1,"n_max":8}' \\
+        --xmin -300 --xmax 300 --samples 257 \\
+        --out tests/data/profile_balayage_dyadic_angle_<weight>.csv
+
+and is pinned byte for byte.  The weight enters only through the split, and
+all 510 dyadic points lie above every one of these strips, so the four files
+are the same bytes.
 """
 
 import json
@@ -45,6 +58,8 @@ INPUTS = {
     "perturbed_lattice": ["--family",
                           '{"family":"perturbed_lattice","half_count":200,"seed":21}'],
 }
+
+DYADIC = INPUTS["dyadic_angle"]
 
 LOOSE = {("separation", "worst_constant"): 1e-15}
 
@@ -79,3 +94,13 @@ def test_check_matches_golden_report(name, weight, strip_csv, tmp_path):
     assert cli.main(["check", "--weight", WEIGHTS[weight], *source, "--out", str(out)]) == 0
     want = json.loads((GOLDEN / f"check_{name}_{weight}.json").read_text())
     assert_matches(json.loads(out.read_text()), want)
+
+
+@pytest.mark.parametrize("weight", sorted(WEIGHTS))
+def test_profile_balayage_matches_golden_csv(weight, tmp_path):
+    out = tmp_path / "profile.csv"
+    assert cli.main(["profile-balayage", "--weight", WEIGHTS[weight], *DYADIC,
+                     "--xmin", "-300", "--xmax", "300", "--samples", "257",
+                     "--out", str(out)]) == 0
+    want = GOLDEN / f"profile_balayage_dyadic_angle_{weight}.csv"
+    assert out.read_bytes() == want.read_bytes()

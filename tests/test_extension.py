@@ -348,3 +348,16 @@ def test_interpolation_data_validation(log_shift):
     v = ap.Variety([(0j, 2)])
     with pytest.raises(DomainError):
         ap.InterpolationData.for_variety(v, [(1.0,)])  # needs two values
+
+
+def test_non_finite_jet_values_rejected(tmp_path):
+    # json reads NaN, so a non-finite value must be caught by for_variety,
+    # not turn the growth report's integrals into nan next to a finite k_fit
+    path = tmp_path / "jets.json"
+    path.write_text('{"jets": [{"re": 0.0, "im": 0.0, "values": [[NaN, 0.0]]},'
+                    ' {"re": 1.0, "im": 0.0, "values": [[1.0, 0.0]]}]}')
+    with pytest.raises(DomainError, match="finite"):
+        ap.load_jets(path)
+    v = ap.Variety([(0j, 2), (1 + 0j, 1)])
+    with pytest.raises(DomainError, match="finite"):
+        ap.InterpolationData.for_variety(v, [(1.0, complex(0.0, math.inf)), (2.0,)])
