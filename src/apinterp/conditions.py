@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError, InvariantViolation
 from .numutil import (golden_section_max, poisson_prefix_sums, poisson_sums,
                       truncated_log_sums)
+from .treecode import contenders, poisson_prefix_enclosures, truncated_log_enclosures
 from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
 
@@ -38,9 +39,9 @@ class RegionSplit:
     lower: Variety
 
     def exterior(self) -> Variety:
-        pts = list(zip(self.upper.lam, self.upper.mult))
-        pts += list(zip(self.lower.lam, self.lower.mult))
-        return Variety(pts, self.strip.window_radius)
+        return Variety.from_arrays(np.concatenate([self.upper.lam, self.lower.lam]),
+                                   np.concatenate([self.upper.mult, self.lower.mult]),
+                                   self.strip.window_radius)
 
     def counts(self) -> dict:
         return {"strip": len(self.strip), "upper": len(self.upper),
@@ -49,7 +50,7 @@ class RegionSplit:
 
 def split_regions(v: Variety, w: BeurlingWeight) -> RegionSplit:
     if not len(v):
-        empty = Variety([], v.window_radius)
+        empty = Variety.from_arrays([], [], v.window_radius)
         return RegionSplit(empty, empty, empty)
     omega_abs = w.omega(np.abs(v.lam))
     im = v.lam.imag
@@ -58,9 +59,9 @@ def split_regions(v: Variety, w: BeurlingWeight) -> RegionSplit:
     down = im < -omega_abs
     window = v.window_radius
     return RegionSplit(
-        Variety(zip(v.lam[in_strip], v.mult[in_strip]), window),
-        Variety(zip(v.lam[up], v.mult[up]), window),
-        Variety(zip(v.lam[down], v.mult[down]), window),
+        Variety.from_arrays(v.lam[in_strip], v.mult[in_strip], window),
+        Variety.from_arrays(v.lam[up], v.mult[up], window),
+        Variety.from_arrays(v.lam[down], v.mult[down], window),
     )
 
 
@@ -100,20 +101,25 @@ def condition_a_constants(v: Variety, w: BeurlingWeight, radii,
     if not len(v):
         return ConditionSweep(list(radii), [0.0] * radii.size,
                               [None] * radii.size)
-    abs_lam = np.abs(v.lam)  # canonical order is sorted by |lambda|
-    keep = abs_lam <= radii[-1]
-    centers = v.lam[keep]
+    centers = v.lam[np.abs(v.lam) <= radii[-1]]
     if centers.size == 0:
         return ConditionSweep(list(radii), [0.0] * radii.size,
                               [None] * radii.size)
     p_c = w.p(centers)
     floor_hits = int(np.sum(p_c < p_min))
-    n_vals = truncated_log_sums(v.lam, v.mult, centers, p_c, include_center)
-    ratios = n_vals / np.maximum(p_c, p_min)
-    abs_centers = np.abs(centers)
+    den = np.maximum(p_c, p_min)
+    value, err = truncated_log_enclosures(v.lam, v.mult, centers, p_c, include_center)
+    # canonical order is sorted by |lambda|: the centers within R are a prefix
+    ends = np.searchsorted(np.abs(centers), radii, side="right")
+    # Direct ratios for the centers that can hold a radius' first maximum;
+    # every other center is strictly below one of them.
+    keep = np.unique(np.concatenate([contenders(value[:k], err[:k], den[:k])
+                                     for k in ends]))
+    ratios = np.full(centers.size, -np.inf)
+    ratios[keep] = truncated_log_sums(v.lam, v.mult, centers[keep], p_c[keep],
+                                      include_center) / den[keep]
     constants, witnesses = [], []
-    for r in radii:
-        k = int(np.searchsorted(abs_centers, r, side="right"))
+    for k in ends:
         if k == 0:
             constants.append(0.0)
             witnesses.append(None)
@@ -169,6 +175,34 @@ def _refine(lam, mult, cands, vals, tol: float) -> tuple[float, float]:
     return best_x, best_v
 
 
+def _balayage_maxima(lam, mult, grid, ends, tol: float) -> list:
+    """balayage_sup of each prefix lam[:n], n in ends, with its grid values.
+
+    Entry k is (x_star, sup, grid values) for n = ends[k] > 0 and None for
+    n = 0.  The candidates of a prefix are its real parts and the grid.  The
+    grid values are direct sums.  The real parts off the grid get tree
+    enclosures, and only those that can hold the first maximum are summed
+    directly; the others enter _refine as -inf, strictly below the maximum,
+    so its argmax and every reported bit are unchanged.
+    """
+    reals = np.unique(lam.real)
+    off = reals[~np.isin(reals, grid)]
+    out = []
+    for n, grid_vals, (value, err) in zip(ends, poisson_prefix_sums(lam, mult, grid, ends),
+                                          poisson_prefix_enclosures(lam, mult, off, ends)):
+        if n == 0:
+            out.append(None)
+            continue
+        own = np.flatnonzero(np.isin(off, lam[:n].real))
+        xs = off[own[contenders(value[own], err[own], floor=float(grid_vals.max()))]]
+        cands = np.unique(np.concatenate([lam[:n].real, grid]))
+        vals = np.full(cands.size, -np.inf)
+        vals[np.searchsorted(cands, grid)] = grid_vals
+        vals[np.searchsorted(cands, xs)] = poisson_sums(lam[:n], mult[:n], xs)
+        out.append((*_refine(lam[:n], mult[:n], cands, vals, tol), grid_vals))
+    return out
+
+
 def balayage_sup(v_exterior: Variety, scan: ScanSpec | None = None) -> tuple[float, float]:
     """Scan-and-refine maximum of the balayage profile.
 
@@ -183,8 +217,8 @@ def balayage_sup(v_exterior: Variety, scan: ScanSpec | None = None) -> tuple[flo
     scan = scan or ScanSpec()
     lam, mult = _exterior_arrays(v_exterior)
     grid = _scan_grid(scan, v_exterior.window_radius)
-    cands = np.unique(np.concatenate([lam.real, grid]))
-    return _refine(lam, mult, cands, poisson_sums(lam, mult, cands), scan.refine_tol)
+    x_star, sup, _ = _balayage_maxima(lam, mult, grid, [lam.size], scan.refine_tol)[0]
+    return x_star, sup
 
 
 @dataclass
@@ -204,8 +238,8 @@ class BalayageProfile:
 def balayage_profile(v_exterior: Variety, scan: ScanSpec | None = None) -> BalayageProfile:
     """Sampled balayage map plus the refined supremum row.
 
-    One pass evaluates the balayage_sup candidates (real parts and the
-    grid); the sampled values are read from it.  slope_bound is
+    The samples and the supremum row come from the balayage_sup candidates
+    (real parts and the grid).  slope_bound is
     sup |Phi'| <= 0.6495 * sum mult / Im^2 (peak derivative of each kernel),
     and max_miss = slope_bound * grid spacing / 2 estimates how far the grid
     maximum can sit below the true supremum between samples.
@@ -215,10 +249,7 @@ def balayage_profile(v_exterior: Variety, scan: ScanSpec | None = None) -> Balay
     if not len(v_exterior):
         return BalayageProfile(list(map(float, xs)), [0.0] * xs.size, 0.0, 0.0, 0.0, 0.0)
     lam, mult = _exterior_arrays(v_exterior)
-    cands = np.unique(np.concatenate([lam.real, xs]))
-    vals = poisson_sums(lam, mult, cands)
-    values = vals[np.searchsorted(cands, xs)]
-    x_star, sup = _refine(lam, mult, cands, vals, scan.refine_tol)
+    x_star, sup, values = _balayage_maxima(lam, mult, xs, [lam.size], scan.refine_tol)[0]
     slope_bound = float((0.6495 * mult / (lam.imag * lam.imag)).sum())
     spacing = (xs[-1] - xs[0]) / (xs.size - 1)
     return BalayageProfile(list(map(float, xs)), list(map(float, values)),
@@ -230,9 +261,7 @@ def condition_b_constants(v: Variety, w: BeurlingWeight, radii,
     """Per-radius balayage supremum over strip-exterior points with |lambda| <= R.
 
     Exterior membership uses the strict inequality |Im lambda| > omega(|lambda|).
-    Each radius gives balayage_sup of its own exterior points, bit for bit,
-    while each term is evaluated once, on the candidates of the largest
-    radius, and every radius reads its own candidates' prefix sums.
+    Each radius gives balayage_sup of its own exterior points, bit for bit.
     """
     radii = _validate_radii(radii, v.window_radius)
     if not len(v):
@@ -244,20 +273,10 @@ def condition_b_constants(v: Variety, w: BeurlingWeight, radii,
     ends = np.searchsorted(np.abs(v.lam[ext]), radii, side="right")
     lam, mult = v.lam[ext][:ends[-1]], v.mult[ext][:ends[-1]]
     grid = _scan_grid(scan, v.window_radius)
-    cands = np.unique(np.concatenate([lam.real, grid]))
-    sums = poisson_prefix_sums(lam, mult, cands, ends)
     constants, witnesses = [], []
-    for n, row_sums in zip(ends, sums):
-        if n == 0:
-            constants.append(0.0)
-            witnesses.append(None)
-            continue
-        own = np.unique(np.concatenate([lam[:n].real, grid]))
-        x_star, sup = _refine(lam[:n], mult[:n], own,
-                              row_sums[np.searchsorted(cands, own)],
-                              scan.refine_tol)
-        constants.append(float(sup))
-        witnesses.append(float(x_star))
+    for best in _balayage_maxima(lam, mult, grid, ends, scan.refine_tol):
+        constants.append(0.0 if best is None else float(best[1]))
+        witnesses.append(None if best is None else float(best[0]))
     return ConditionSweep(list(radii), constants, witnesses)
 
 

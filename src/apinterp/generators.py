@@ -48,6 +48,13 @@ class FamilySpec:
         return cls(family, cfg)
 
 
+def _points(re, im, mult, window: float) -> Variety:
+    """The variety of the points re + i im, each of multiplicity mult."""
+    lam = np.empty(np.size(re), dtype=complex)
+    lam.real, lam.imag = re, im
+    return Variety.from_arrays(lam, np.full(lam.size, mult), window)
+
+
 def generate(spec: FamilySpec) -> Variety:
     """Deterministic construction; the same spec (and seed) gives the same
     variety bit for bit."""
@@ -57,7 +64,7 @@ def generate(spec: FamilySpec) -> Variety:
 def _integer_lattice(mult: int = 1, window: float = 100.0) -> Variety:
     _check_count(2 * math.floor(window) + 1)
     ks = np.arange(-math.floor(window), math.floor(window) + 1)
-    return Variety([(complex(k, 0.0), mult) for k in ks], window_radius=window)
+    return _points(ks, 0.0, mult, window)
 
 
 def _horizontal_line(height: float = 1.0, spacing: float = 1.0, mult: int = 1,
@@ -67,8 +74,7 @@ def _horizontal_line(height: float = 1.0, spacing: float = 1.0, mult: int = 1,
     _check_count(2 * extent / spacing + 1)
     n = math.floor(extent / spacing)
     ks = np.arange(-n, n + 1)
-    pts = [(complex(k * spacing, height), mult) for k in ks]
-    return Variety(pts, window_radius=math.hypot(extent, height) * 1.01)
+    return _points(ks * spacing, height, mult, math.hypot(extent, height) * 1.01)
 
 
 def _dyadic_angle(n_min: int = 1, n_max: int = 10) -> Variety:
@@ -78,12 +84,10 @@ def _dyadic_angle(n_min: int = 1, n_max: int = 10) -> Variety:
     if not 1 <= n_min <= n_max:
         raise DomainError("need 1 <= n_min <= n_max")
     _check_count(2 ** (n_max + 1) - 2 ** n_min if n_max < 64 else math.inf)
-    pts = []
-    for n in range(n_min, n_max + 1):
-        h = float(2 ** n)
-        res = np.arange(-h + 1.0, h, 2.0)
-        pts.extend((complex(x, h), 1) for x in res)
-    return Variety(pts, window_radius=float(2 ** (n_max + 1)))
+    rows = [float(2 ** n) for n in range(n_min, n_max + 1)]
+    re = np.concatenate([np.arange(-h + 1.0, h, 2.0) for h in rows])
+    im = np.repeat(rows, [int(h) for h in rows])
+    return _points(re, im, 1, float(2 ** (n_max + 1)))
 
 
 def _perturbed_lattice(amplitude: float = 0.25, seed: int = 0,
@@ -97,8 +101,8 @@ def _perturbed_lattice(amplitude: float = 0.25, seed: int = 0,
     ks = np.arange(-half_count, half_count + 1)
     jitter = amplitude * (rng.uniform(-1, 1, ks.size)
                           + 1j * rng.uniform(-1, 1, ks.size))
-    pts = [(complex(k) + j, 1) for k, j in zip(ks, jitter)]
-    return Variety(pts, window_radius=half_count + 1.0)
+    lam = ks + jitter
+    return _points(lam.real, lam.imag, 1, half_count + 1.0)
 
 
 def _strip_random(count: int = 200, strip_height: float = 1.0, seed: int = 0,
@@ -109,8 +113,7 @@ def _strip_random(count: int = 200, strip_height: float = 1.0, seed: int = 0,
     rng = np.random.default_rng(seed)
     re = rng.uniform(-half_width, half_width, count)
     im = rng.uniform(-strip_height, strip_height, count)
-    pts = [(complex(a, b), 1) for a, b in zip(re, im)]
-    return Variety(pts, window_radius=math.hypot(half_width, strip_height) * 1.01)
+    return _points(re, im, 1, math.hypot(half_width, strip_height) * 1.01)
 
 
 def _geometric_ray(ratio: float = 0.5, count: int = 20) -> Variety:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .conditions import DEFAULT_THRESHOLDS, TrendResult, classify_trend, _validate_radii
 from .errors import DomainError
-from .numutil import log_rho_prefix_sums, log_rho_sums
+from .numutil import log_rho_sums
+from .treecode import contenders, log_rho_prefix_enclosures
 from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
 
@@ -30,8 +31,7 @@ LOG_ZERO = float("-inf")
 class HalfPlaneVariety(Variety):
     """A variety whose points all satisfy Im lambda > 0."""
 
-    def __init__(self, points, window_radius: float | None = None):
-        super().__init__(points, window_radius)
+    def _check(self) -> None:
         if np.any(self.lam.imag <= 0):
             raise DomainError("all points must satisfy Im lambda > 0")
 
@@ -48,7 +48,7 @@ class HalfPlaneVariety(Variety):
         else:
             keep = v.lam.imag > 0
             lam = v.lam[keep]
-        return cls(zip(lam, v.mult[keep]), v.window_radius)
+        return cls.from_arrays(lam, v.mult[keep], v.window_radius)
 
 
 def pseudo_distance(z: complex, w: complex) -> float:
@@ -171,15 +171,18 @@ def blaschke_sum_report(hv: HalfPlaneVariety, w: BeurlingWeight, radii,
     # canonical order is sorted by |lambda|: the points within R are a prefix
     ends = np.searchsorted(np.abs(hv.lam), radii, side="right")
     p = np.maximum(w.p(hv.lam[:ends[-1]]), P_MIN)
-    for n, sums in zip(ends, log_rho_prefix_sums(hv.lam, hv.mult, ends)):
+    for n, (value, err) in zip(ends, log_rho_prefix_enclosures(hv.lam, hv.mult, ends)):
         if n == 0:
             constants.append(0.0)
             witnesses.append(None)
             continue
-        ratios = sums / p[:n]
-        k = int(np.argmax(ratios))
-        constants.append(float(max(ratios[k], 0.0)))
-        witnesses.append(complex(hv.lam[k]) if ratios[k] > 0 else None)
+        # Direct sums for the points that can hold the first maximum; every
+        # other point is strictly below one of them.
+        keep = contenders(value, err, p[:n])
+        ratios = log_rho_sums(hv.lam[:n], hv.mult[:n], hv.lam[keep]) / p[keep]
+        j = int(np.argmax(ratios))
+        constants.append(float(max(ratios[j], 0.0)))
+        witnesses.append(complex(hv.lam[keep[j]]) if ratios[j] > 0 else None)
     return SweepReport(list(map(float, radii)), constants, witnesses,
                        classify_trend(radii, constants, thresholds))
 
@@ -193,18 +196,24 @@ class LowerBoundReport:
 
 def blaschke_lower_bound_report(hv: HalfPlaneVariety, w: BeurlingWeight,
                                 samples) -> LowerBoundReport:
-    """Worst (-log|B(z)|) / max(p(z), 1) over the given sample points."""
-    worst, witness, n = 0.0, None, 0
-    for z in samples:
-        z = complex(z)
-        val = log_blaschke_abs(hv, z)
-        if val == LOG_ZERO:
-            raise DomainError("sample coincides with a configuration point")
-        n += 1
-        ratio = -val / max(w.p(z), P_MIN)
-        if ratio > worst:
-            worst, witness = ratio, z
-    return LowerBoundReport(worst, witness, n)
+    """Worst (-log|B(z)|) / max(p(z), 1) over the given sample points.
+
+    The witness is the first sample with the largest positive ratio.  A
+    sample with Im z <= 0 or on a configuration point raises DomainError,
+    the first such sample deciding which.
+    """
+    z = np.array([complex(s) for s in samples], dtype=complex)
+    bad = np.flatnonzero((z.imag <= 0) | np.isin(z, hv.lam))
+    if bad.size:
+        if z[bad[0]].imag <= 0:
+            raise DomainError("log_blaschke_abs requires Im z > 0")
+        raise DomainError("sample coincides with a configuration point")
+    ratios = log_rho_sums(hv.lam, hv.mult, z) / np.maximum(w.p(z), P_MIN)
+    positive = ratios > 0  # a NaN ratio never wins
+    if not positive.any():
+        return LowerBoundReport(0.0, None, int(z.size))
+    k = int(np.argmax(np.where(positive, ratios, 0.0)))
+    return LowerBoundReport(float(ratios[k]), complex(z[k]), int(z.size))
 
 
 def poisson_kernel(lam: complex, x: float) -> float:

@@ -112,6 +112,25 @@ def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _disk_blocks(abs_lam, centers, radii):
+    """(lo, a, b) per block of _ROWS centers: the points lam[a:b] are the only
+    ones whose modulus the block's disks can reach."""
+    for lo in range(0, centers.size, _ROWS):
+        abs_c, r = np.abs(centers[lo:lo + _ROWS]), radii[lo:lo + _ROWS]
+        slack = _WINDOW_SLACK * np.max(abs_c + r)
+        a = int(np.searchsorted(abs_lam, np.min(abs_c - r) - slack, side="left"))
+        b = int(np.searchsorted(abs_lam, np.max(abs_c + r) + slack, side="right"))
+        yield lo, a, b
+
+
+def truncated_log_sum_terms(lam: np.ndarray, centers, radii) -> int:
+    """Number of center-point distances truncated_log_sums builds."""
+    centers = np.asarray(centers, dtype=complex)
+    radii = np.maximum(np.asarray(radii, dtype=float), 0.0)
+    return sum((min(lo + _ROWS, centers.size) - lo) * (b - a)
+               for lo, a, b in _disk_blocks(np.abs(lam), centers, radii))
+
+
 def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
                        include_center: bool = False) -> np.ndarray:
     """Integrated count at each center with its own radius.
@@ -125,14 +144,9 @@ def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
     """
     centers = np.asarray(centers, dtype=complex)
     radii = np.maximum(np.asarray(radii, dtype=float), 0.0)
-    abs_lam = np.abs(lam)
     out = np.empty(centers.size)
-    for lo in range(0, centers.size, _ROWS):
+    for lo, a, b in _disk_blocks(np.abs(lam), centers, radii):
         c, r = centers[lo:lo + _ROWS], radii[lo:lo + _ROWS]
-        abs_c = np.abs(c)
-        slack = _WINDOW_SLACK * np.max(abs_c + r)
-        a = int(np.searchsorted(abs_lam, np.min(abs_c - r) - slack, side="left"))
-        b = int(np.searchsorted(abs_lam, np.max(abs_c + r) + slack, side="right"))
         d = np.abs(lam[a:b] - c[:, None])
         inside = (d > 0) & (d <= r[:, None])
         counts = inside.sum(axis=1)

@@ -34,37 +34,56 @@ class Variety:
     """Immutable weighted point configuration.
 
     Construction merges coincident coordinates into a single point with
-    summed multiplicity and sorts points by (|lambda|, arg lambda) so that
-    iteration order, and therefore every kernel sum, is deterministic.
+    summed multiplicity (0.0 and -0.0 coincide; the first occurrence's
+    coordinates are kept) and sorts points by (|lambda|, arg lambda), ties
+    in first-occurrence order, so that iteration order, and therefore every
+    kernel sum, is deterministic.  Every coordinate must be finite.
     """
 
     def __init__(self, points, window_radius: float | None = None):
-        acc: dict[complex, int] = {}
-        merged = 0
-        for item in points:
-            if isinstance(item, WeightedPoint):
-                lam, m = complex(item.lam), int(item.mult)
-            else:
-                lam, m = complex(item[0]), int(item[1])
-            if m < 1:
-                raise DomainError("multiplicity must be a positive integer")
-            if lam in acc:
-                merged += 1
-            acc[lam] = acc.get(lam, 0) + m
-        lam = np.array(list(acc.keys()), dtype=complex)
-        mult = np.array(list(acc.values()), dtype=np.int64)
+        pairs = [(p.lam, p.mult) if isinstance(p, WeightedPoint) else p for p in points]
+        self._build(np.array([complex(p[0]) for p in pairs], dtype=complex),
+                    np.array([int(p[1]) for p in pairs], dtype=np.int64), window_radius)
+
+    @classmethod
+    def from_arrays(cls, lam, mult, window_radius: float | None = None) -> "Variety":
+        """cls(zip(lam, mult), window_radius) without the per-point loop."""
+        v = cls.__new__(cls)
+        v._build(np.asarray(lam, dtype=complex).ravel(),
+                 np.asarray(mult, dtype=np.int64).ravel(), window_radius)
+        return v
+
+    def _build(self, lam, mult, window_radius) -> None:
+        if np.any(mult < 1):
+            raise DomainError("multiplicity must be a positive integer")
+        finite = np.isfinite(lam.real) & np.isfinite(lam.imag)
+        if not finite.all():
+            z = complex(lam[np.argmin(finite)])
+            raise DomainError(f"point ({z.real!r}, {z.imag!r}) has a non-finite coordinate")
+        self.merged_count = 0
         if lam.size:
+            # np.unique compares with ==, so 0.0 and -0.0 merge, and it
+            # reports the first occurrence of each value.
+            _, first, group = np.unique(lam, return_index=True, return_inverse=True)
+            total = np.zeros(first.size, np.int64)
+            np.add.at(total, group, mult)
+            self.merged_count = lam.size - first.size
+            seen = np.argsort(first)  # the groups in first-occurrence order
+            lam, mult = lam[first[seen]], total[seen]
             order = np.lexsort((np.angle(lam), np.abs(lam)))
             lam, mult = lam[order], mult[order]
         self.lam = lam
         self.mult = mult
-        self.merged_count = merged
         if window_radius is None:
             window_radius = 2.0 * float(np.max(np.abs(lam))) if lam.size else 1.0
             window_radius = max(window_radius, 1.0)
-        if not window_radius > 0:
-            raise DomainError("window_radius must be positive")
+        if not 0 < window_radius < math.inf:
+            raise DomainError("window_radius must be a positive finite number")
         self.window_radius = float(window_radius)
+        self._check()
+
+    def _check(self) -> None:
+        """Subclass hook: reject points outside the subclass's domain."""
 
     def __len__(self) -> int:
         return int(self.lam.size)
@@ -82,14 +101,14 @@ class Variety:
         return int(self.mult.sum())
 
     def conjugate(self) -> "Variety":
-        return Variety(zip(np.conj(self.lam), self.mult), self.window_radius)
+        return Variety.from_arrays(np.conj(self.lam), self.mult, self.window_radius)
 
     def restrict(self, radius: float) -> "Variety":
         keep = np.abs(self.lam) <= radius
-        return type(self)(zip(self.lam[keep], self.mult[keep]), self.window_radius)
+        return type(self).from_arrays(self.lam[keep], self.mult[keep], self.window_radius)
 
     def scale_mult(self, k: int) -> "Variety":
-        return Variety(zip(self.lam, self.mult * int(k)), self.window_radius)
+        return Variety.from_arrays(self.lam, self.mult * int(k), self.window_radius)
 
     def to_dict(self) -> dict:
         return {

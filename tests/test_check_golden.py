@@ -31,6 +31,26 @@ before the jet layer moved to arrays (commit dbd7762) with
 and is pinned byte for byte.  The weight enters only through the split, and
 all 510 dyadic points lie above every one of these strips, so the four files
 are the same bytes.
+
+The larger inputs below run sweeps above the tree-code crossover
+(treecode.CROSSOVER): the Blaschke sweeps of all of them, the profile, and
+on dyadic 1..12 condition a and condition b too; on the 6000-point strip
+condition a stays direct under log_shift and tabulated.  Their files were
+written before the tree-code (commit 4077221) with
+
+    apinterp generate --family '{"family":"strip_random","count":6000,"seed":3}' \\
+        --out strip6000.csv
+    apinterp check --weight W --family '{"family":"dyadic_angle","n_min":1,"n_max":N}' \\
+        --out tests/data/check_dyadic_angle_<N>_<weight>.json
+    apinterp check --weight W --input strip6000.csv \\
+        --out tests/data/check_strip_random_6000_<weight>.json
+    apinterp profile-balayage --weight '{"family":"log_shift","a":1.0}' \\
+        --family '{"family":"dyadic_angle","n_min":1,"n_max":11}' \\
+        --xmin -2100 --xmax 2100 --samples 2049 \\
+        --out tests/data/profile_balayage_dyadic_angle_11_log_shift.csv
+
+with N = 11 and 12 and W each of the WEIGHTS below, and each is pinned byte for
+byte.
 """
 
 import json
@@ -64,11 +84,29 @@ DYADIC = INPUTS["dyadic_angle"]
 LOOSE = {("separation", "worst_constant"): 1e-15}
 
 
+STRIP_6000 = '{"family":"strip_random","count":6000,"seed":3}'
+
+LARGE = {
+    "dyadic_angle_11": ["--family", '{"family":"dyadic_angle","n_min":1,"n_max":11}'],
+    "dyadic_angle_12": ["--family", '{"family":"dyadic_angle","n_min":1,"n_max":12}'],
+    "strip_random_6000": None,  # --input of the CSV written by `generate`
+}
+
+
+def generated_csv(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("golden") / "points.csv"
+    assert cli.main(["generate", "--family", spec, "--out", str(path)]) == 0
+    return path
+
+
 @pytest.fixture(scope="module")
 def strip_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden") / "strip.csv"
-    assert cli.main(["generate", "--family", STRIP, "--out", str(path)]) == 0
-    return path
+    return generated_csv(tmp_path_factory, STRIP)
+
+
+@pytest.fixture(scope="module")
+def strip_6000_csv(tmp_path_factory):
+    return generated_csv(tmp_path_factory, STRIP_6000)
 
 
 def assert_matches(got, want, path=()):
@@ -103,4 +141,23 @@ def test_profile_balayage_matches_golden_csv(weight, tmp_path):
                      "--xmin", "-300", "--xmax", "300", "--samples", "257",
                      "--out", str(out)]) == 0
     want = GOLDEN / f"profile_balayage_dyadic_angle_{weight}.csv"
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("weight", sorted(WEIGHTS))
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_check_matches_golden_bytes_above_the_crossover(name, weight, strip_6000_csv,
+                                                        tmp_path):
+    source = LARGE[name] or ["--input", str(strip_6000_csv)]
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--weight", WEIGHTS[weight], *source, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"check_{name}_{weight}.json").read_bytes()
+
+
+def test_profile_balayage_matches_golden_csv_above_the_crossover(tmp_path):
+    out = tmp_path / "profile.csv"
+    assert cli.main(["profile-balayage", "--weight", WEIGHTS["log_shift"],
+                     *LARGE["dyadic_angle_11"], "--xmin", "-2100", "--xmax", "2100",
+                     "--samples", "2049", "--out", str(out)]) == 0
+    want = GOLDEN / "profile_balayage_dyadic_angle_11_log_shift.csv"
     assert out.read_bytes() == want.read_bytes()

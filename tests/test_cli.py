@@ -262,3 +262,35 @@ def test_malformed_specs_exit_1_with_one_line(args, key, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
+
+
+NON_FINITE_INPUTS = {
+    "csv-inf": ("points.csv", "re,im,mult\n1.0,2.0,1\ninf,1,1\n"),
+    "csv-nan": ("points.csv", "1.0,2.0,1\n0.5,nan,2\n"),
+    "json-nan-window": ("points.json", '{"points": [{"re": 1.0, "im": 2.0}, '
+                        '{"re": NaN, "im": 1.0}], "window_radius": 64.0}'),
+    "json-nan": ("points.json", '{"points": [{"re": NaN, "im": 1.0, "mult": 2}]}'),
+    "json-inf-window": ("points.json", '{"points": [{"re": 1.0, "im": -Infinity}], '
+                        '"window_radius": 64.0}'),
+    "json-inf": ("points.json", '{"points": [{"re": Infinity, "im": 1.0}, '
+                 '{"re": 1.0, "im": 2.0}]}'),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["check"],
+    ["profile-balayage", "--xmin", "-10", "--xmax", "10", "--samples", "33"],
+])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_INPUTS))
+def test_non_finite_point_exits_1_with_one_line(name, command, tmp_path, capsys):
+    filename, text = NON_FINITE_INPUTS[name]
+    src = tmp_path / filename
+    src.write_text(text)
+    out = tmp_path / "out.txt"
+    assert run([command[0], "--weight", WEIGHT, "--input", str(src), *command[1:],
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "non-finite" in lines[0]

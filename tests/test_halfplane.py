@@ -174,6 +174,43 @@ def test_blaschke_lower_bound_report(log_shift):
     assert empty.worst == 0.0
 
 
+def loop_lower_bound(hv, w, samples):
+    """blaschke_lower_bound_report as the per-sample loop it replaced."""
+    worst, witness, n = 0.0, None, 0
+    for z in samples:
+        z = complex(z)
+        val = ap.log_blaschke_abs(hv, z)
+        if val == LOG_ZERO:
+            raise DomainError("sample coincides with a configuration point")
+        n += 1
+        ratio = -val / max(w.p(z), 1.0)
+        if ratio > worst:
+            worst, witness = ratio, z
+    return worst, witness, n
+
+
+QUARTER_UPPER = st.builds(complex, st.integers(-12, 12).map(lambda k: k / 4),
+                          st.integers(1, 12).map(lambda k: k / 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(QUARTER_UPPER, st.integers(1, 3)), min_size=1, max_size=20),
+       st.lists(st.builds(complex, st.integers(-12, 12).map(lambda k: k / 4),
+                          st.integers(-2, 12).map(lambda k: k / 4)), max_size=12))
+def test_blaschke_lower_bound_report_matches_the_loop(log_shift, pts, samples):
+    # Quarter-grid samples: some on points, some with Im <= 0, mirror ties.
+    hv = ap.HalfPlaneVariety(pts)
+    try:
+        want = loop_lower_bound(hv, log_shift, samples)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=str(exc)):
+            ap.blaschke_lower_bound_report(hv, log_shift, samples)
+        return
+    rep = ap.blaschke_lower_bound_report(hv, log_shift, samples)
+    assert (rep.worst, rep.witness, rep.n_samples) == want
+    assert type(rep.worst) is float
+
+
 def test_blaschke_lower_bound_on_separation_annuli(log_shift):
     # feed the report the ring samples the interpolant machinery produces
     import cmath

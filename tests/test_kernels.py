@@ -1,21 +1,25 @@
-"""The three dense pairwise kernels in numutil.
+"""The three dense pairwise kernels in numutil and their tree-code
+enclosures in treecode.
 
 Each kernel value is checked against a plain-Python math.fsum direct sum
 within the pairwise-summation bound, and every value computed in a batch
 must equal the same value computed alone, bit for bit, including through
 the public scalar and sweep functions and the nested-prefix forms the
-sweeps use.
+sweeps use.  Each tree value must lie within its bound of both the fsum
+direct sum and the direct kernel, and each sweep that selects through the
+tree must report the direct kernels' first maximum, bit for bit.
 """
 
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apinterp as ap
-from apinterp import numutil
+from apinterp import conditions, numutil, treecode
 from apinterp.numutil import (log_rho_prefix_sums, log_rho_sums, poisson_prefix_sums,
                               poisson_sums, truncated_log_sums)
 
@@ -241,3 +245,207 @@ def test_balayage_profile_equals_single_abscissa_values(log_shift):
         assert [poisson_sums(ext.lam, ext.mult, [x])[0] for x in prof.xs] == prof.values
         assert (prof.x_star, prof.sup) == ap.balayage_sup(ext, scan)
         assert prof.sup == ap.balayage_value(ext, prof.x_star)
+
+
+# The tree-code enclosures.  CROSSOVER = -1 forces the tree path and a leaf
+# of 3 points gives deep trees with far pairs even on small inputs.
+TREE = dict(CROSSOVER=-1, LEAF=3)
+
+
+def forced_tree(**overrides):
+    return mock.patch.multiple(treecode, **{**TREE, **overrides})
+
+
+FINE = st.integers(-6, 6).map(lambda k: k / 64)
+
+
+@st.composite
+def tree_points(draw, min_im=None):
+    """Quarter-grid points, a tight cluster, a long collinear row, mirror
+    images (-x, y) for exact ties, and multiplicities above 1.  With min_im
+    every point has Im >= min_im."""
+    im = QUARTER if min_im is None else st.integers(4 * min_im, 40).map(lambda k: k / 4)
+    pts = draw(st.lists(st.tuples(QUARTER, im, st.integers(1, 3)), min_size=1, max_size=30))
+    x0, y0, _ = pts[0]
+    pts += [(x0 + a, y0 + abs(b) if min_im else y0 + b, m)
+            for a, b, m in draw(st.lists(st.tuples(FINE, FINE, st.integers(1, 4)),
+                                         max_size=30))]
+    row = draw(st.integers(0, 40))
+    y_row = draw(im)
+    pts += [(k / 2, y_row, 1) for k in range(-row, row)]
+    if draw(st.booleans()):
+        pts += [(-x, y, m) for x, y, m in pts]
+    return ap.Variety([(complex(x, y), m) for x, y, m in pts])
+
+
+def prefix_ends(data, v):
+    abs_lam = np.abs(v.lam)
+    tied = np.searchsorted(abs_lam, abs_lam, side="right").tolist()
+    ends = sorted(data.draw(st.lists(st.sampled_from(tied + [0]), min_size=1, max_size=5)))
+    return ends + [len(v)]
+
+
+def assert_enclosed(value, err, direct, fsum_value):
+    assert err >= 0
+    assert abs(value - direct) <= err
+    assert abs(value - fsum_value) <= err
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_points(), st.data(), st.booleans())
+def test_truncated_log_tree_encloses_direct_sum(v, data, include_center):
+    # Centers on points (coincident centers repeat one), off points, and
+    # radii exactly to another point, so points sit on disk circles.
+    k = len(v)
+    idx = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=12))
+    centers = [complex(v.lam[i]) for i in idx] + [complex(v.lam[idx[0]])]
+    centers += data.draw(st.lists(st.builds(complex, QUARTER, QUARTER), max_size=4))
+    to = data.draw(st.lists(st.integers(0, k - 1), min_size=len(centers),
+                            max_size=len(centers)))
+    radii = [abs(c - v.lam[j]) or 0.5 if data.draw(st.booleans()) else data.draw(UPPER) * 2
+             for c, j in zip(centers, to)]
+    with forced_tree():
+        value, err = treecode.truncated_log_enclosures(v.lam, v.mult, centers, radii,
+                                                       include_center)
+    direct = truncated_log_sums(v.lam, v.mult, centers, radii, include_center)
+    for i, (c, r) in enumerate(zip(centers, radii)):
+        terms, _ = direct_truncated_log(v, c, r, include_center)
+        assert_enclosed(value[i], err[i], direct[i], math.fsum(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_points(min_im=1), st.data())
+def test_log_rho_tree_encloses_direct_sum(v, data):
+    hv = ap.HalfPlaneVariety.from_variety(v)
+    ends = prefix_ends(data, hv)
+    with forced_tree():
+        got = treecode.log_rho_prefix_enclosures(hv.lam, hv.mult, ends)
+    for e, (value, err), direct in zip(ends, got, log_rho_prefix_sums(hv.lam, hv.mult, ends)):
+        sub = ap.HalfPlaneVariety.from_arrays(hv.lam[:e], hv.mult[:e], hv.window_radius)
+        for i in range(e):
+            terms, _ = direct_log_rho(sub, complex(hv.lam[i]))
+            assert_enclosed(value[i], err[i], direct[i], math.fsum(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_points(), st.data())
+def test_poisson_tree_encloses_direct_sum(v, data):
+    v = ap.Variety.from_arrays(v.lam[v.lam.imag != 0], v.mult[v.lam.imag != 0])
+    if not len(v):
+        return
+    ends = prefix_ends(data, v)
+    xs = np.unique(np.concatenate([v.lam.real, data.draw(st.lists(QUARTER, max_size=6))]))
+    with forced_tree():
+        got = treecode.poisson_prefix_enclosures(v.lam, v.mult, xs, ends)
+    for e, (value, err), direct in zip(ends, got, poisson_prefix_sums(v.lam, v.mult, xs, ends)):
+        for i, x in enumerate(xs):
+            terms = [m * abs(lam.imag) / ((x - lam.real) ** 2 + lam.imag ** 2)
+                     for lam, m in zip(v.lam[:e].tolist(), v.mult[:e].tolist())]
+            assert_enclosed(value[i], err[i], direct[i], math.fsum(terms))
+
+
+def test_tree_prunes_dyadic_sweeps_to_the_mirror_pair(log_shift):
+    # At the default order and leaf size, dyadic 1..12 is above the crossover
+    # in every kernel, and each sweep keeps only the mirror pair (x, y),
+    # (-x, y) of its maximum.
+    v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 12}))
+    radii = ap.default_radii(v.window_radius)
+    ends = np.searchsorted(np.abs(v.lam), radii, side="right")
+    p = np.maximum(log_shift.p(v.lam), 1.0)
+    for e, (value, err) in zip(ends, treecode.log_rho_prefix_enclosures(v.lam, v.mult, ends)):
+        assert 0 < err.max() < 1e-9 * value.max()
+        keep = treecode.contenders(value, err, p[:e])
+        assert keep.size == 2 and v.lam[keep[0]] == -np.conj(v.lam[keep[1]])
+    centers = v.lam[:ends[-1]]
+    value, err = treecode.truncated_log_enclosures(v.lam, v.mult, centers, log_shift.p(centers))
+    assert 0 < err.max() < 1e-9 * value.max()
+    keep = treecode.contenders(value, err, p[:ends[-1]])
+    assert keep.size == 2 and v.lam[keep[0]] == -np.conj(v.lam[keep[1]])
+    xs = np.unique(v.lam.real)
+    ((value, err),) = treecode.poisson_prefix_enclosures(v.lam, v.mult, xs, [len(v)])
+    assert 0 < err.max() < 1e-9 * value.max()
+    keep = treecode.contenders(value, err)
+    assert keep.size == 2 and xs[keep[0]] == -xs[keep[1]]
+
+
+def direct_first_max(ratios, ends):
+    """(constant, index) of the first maximum of each prefix, as np.argmax."""
+    out = []
+    for e in ends:
+        j = int(np.argmax(ratios[:e])) if e else None
+        out.append((None, None) if j is None else (float(ratios[j]), j))
+    return out
+
+
+LINE = ap.FamilySpec("horizontal_line", {"height": 1.0, "spacing": 0.5, "extent": 400.0})
+
+
+def lattice_rows(heights, window=300):
+    """integer_lattice lifted to each height: exact mirror ties off the axis."""
+    lat = ap.generate(ap.FamilySpec("integer_lattice", {"window": window}))
+    return ap.Variety.from_arrays(np.concatenate([lat.lam + 1j * h for h in heights]),
+                                  np.ones(lat.lam.size * len(heights), np.int64))
+
+
+@pytest.mark.parametrize("v", [
+    ap.generate(ap.FamilySpec("integer_lattice", {"window": 400})),
+    ap.generate(LINE),
+], ids=["integer_lattice", "horizontal_line"])
+def test_condition_a_tree_sweep_keeps_the_direct_first_maximum(v, log_shift):
+    radii = ap.default_radii(v.window_radius)
+    with forced_tree(LEAF=treecode.LEAF), mock.patch.object(
+            treecode, "_enclose", wraps=treecode._enclose) as tree:
+        sweep = ap.condition_a_constants(v, log_shift, radii)
+    assert tree.called
+    centers = v.lam[np.abs(v.lam) <= radii[-1]]
+    p_c = log_shift.p(centers)
+    ratios = truncated_log_sums(v.lam, v.mult, centers, p_c) / np.maximum(p_c, 1.0)
+    ends = np.searchsorted(np.abs(centers), radii, side="right")
+    for c, z, (want, j) in zip(sweep.constants, sweep.witnesses, direct_first_max(ratios, ends)):
+        assert c == want and z == complex(centers[j])
+
+
+@pytest.mark.parametrize("v", [
+    ap.HalfPlaneVariety.from_variety(lattice_rows([1.0, 2.0])),
+    ap.HalfPlaneVariety.from_variety(ap.generate(LINE)),
+], ids=["integer_lattice", "horizontal_line"])
+def test_blaschke_tree_sweep_keeps_the_direct_first_maximum(v, log_shift):
+    radii = ap.default_radii(v.window_radius)
+    with forced_tree(LEAF=treecode.LEAF), mock.patch.object(
+            treecode, "_enclose", wraps=treecode._enclose) as tree:
+        rep = ap.blaschke_sum_report(v, log_shift, radii)
+    assert tree.called
+    ends = np.searchsorted(np.abs(v.lam), radii, side="right")
+    p = np.maximum(log_shift.p(v.lam), 1.0)
+    for k, e in enumerate(ends):
+        ratios = log_rho_sums(v.lam[:e], v.mult[:e], v.lam[:e]) / p[:e]
+        ((want, j),) = direct_first_max(ratios, [e])
+        assert rep.constants[k] == want and rep.witnesses[k] == complex(v.lam[j])
+
+
+@pytest.mark.parametrize("v", [
+    lattice_rows([1.0, -1.0, 2.5]),
+    ap.generate(LINE),
+], ids=["integer_lattice", "horizontal_line"])
+def test_balayage_tree_sweeps_keep_the_direct_first_maximum(v):
+    # omega = 0.01 log(1 + t) puts every point off the axis in the exterior.
+    w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(0.01))
+    radii = ap.default_radii(v.window_radius)
+    scan = ap.ScanSpec(samples=301)  # some grid points are real parts
+    with forced_tree(LEAF=treecode.LEAF), mock.patch.object(
+            treecode, "_enclose", wraps=treecode._enclose) as tree:
+        sweep = ap.condition_b_constants(v, w, radii, scan)
+        ext = ap.split_regions(v, w).exterior()
+        prof = ap.balayage_profile(ext, ap.ScanSpec(xmin=-50.0, xmax=50.0, samples=201))
+    assert tree.call_count > 1
+    for r, c, x in zip(radii, sweep.constants, sweep.witnesses):
+        sub = ext.restrict(r)
+        grid = conditions._scan_grid(scan, v.window_radius)
+        cands = np.unique(np.concatenate([sub.lam.real, grid]))
+        vals = poisson_sums(sub.lam, sub.mult, cands)
+        assert (x, c) == conditions._refine(sub.lam, sub.mult, cands, vals, scan.refine_tol)
+    xs = np.linspace(-50.0, 50.0, 201)
+    cands = np.unique(np.concatenate([ext.lam.real, xs]))
+    vals = poisson_sums(ext.lam, ext.mult, cands)
+    assert prof.values == poisson_sums(ext.lam, ext.mult, xs).tolist()
+    assert (prof.x_star, prof.sup) == conditions._refine(ext.lam, ext.mult, cands, vals, 1e-6)

@@ -121,6 +121,51 @@ def test_canonical_order_is_deterministic():
     assert np.array_equal(a.lam, b.lam) and np.array_equal(a.mult, b.mult)
 
 
+def loop_variety(points):
+    """The merge and sort Variety used before it moved to numpy: a dict in
+    first-occurrence order, then a stable (|lambda|, arg lambda) sort."""
+    acc, merged = {}, 0
+    for lam, m in points:
+        lam = complex(lam)
+        if lam in acc:
+            merged += 1
+        acc[lam] = acc.get(lam, 0) + int(m)
+    lam = np.array(list(acc.keys()), dtype=complex)
+    mult = np.array(list(acc.values()), dtype=np.int64)
+    if lam.size:
+        order = np.lexsort((np.angle(lam), np.abs(lam)))
+        lam, mult = lam[order], mult[order]
+    return lam, mult, merged
+
+
+# Coordinates with signed zeros, repeats and many ties in modulus and angle
+# (3 + 4i, 5, -5i ... share a modulus; k (1 + i) share an angle).
+SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, -4.0, 5.0, 0.5, -2.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.builds(complex, SIGNED, SIGNED), st.integers(1, 4)),
+                max_size=40))
+def test_variety_merge_and_order_match_the_loop(points):
+    lam, mult, merged = loop_variety(points)
+    for v in (ap.Variety(points), ap.Variety([ap.WeightedPoint(z, m) for z, m in points]),
+              ap.Variety.from_arrays([z for z, _ in points], [m for _, m in points])):
+        assert v.lam.tobytes() == lam.tobytes()  # the first occurrence's zeros too
+        assert v.mult.tolist() == mult.tolist()
+        assert v.merged_count == merged
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_coordinate_is_rejected(bad):
+    for z in (complex(bad, 1.0), complex(1.0, bad)):
+        with pytest.raises(DomainError, match="non-finite"):
+            ap.Variety([(1 + 1j, 1), (z, 1)])
+        with pytest.raises(DomainError, match="non-finite"):
+            ap.Variety.from_arrays([z], [1], window_radius=8.0)
+    with pytest.raises(DomainError, match="window_radius"):
+        ap.Variety([(1 + 1j, 1)], window_radius=math.inf)
+
+
 def test_separation_profile_far_pair(log_shift):
     v = ap.Variety([(0j, 1), (2 + 0j, 1)])
     prof = ap.separation_profile(v, log_shift)
