@@ -72,7 +72,6 @@ from .variety import (
     WeightedPoint,
     count_in_disk,
     integrated_count,
-    integrated_count_oracle,
     load_variety,
     local_density_constant,
     save_variety,
@@ -81,9 +80,7 @@ from .variety import (
 from .weights import (
     AxiomReport,
     BeurlingWeight,
-    GridSpec,
     OmegaProfile,
-    ToleranceSpec,
     check_axioms,
     estimate_disk_constant,
     poisson_transform,

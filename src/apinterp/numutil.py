@@ -48,20 +48,14 @@ def golden_section_max(f, a: float, b: float, tol: float = 1e-6, max_iter: int =
     return best_x, best_f
 
 
-def adaptive_quad(f, a: float, b: float, *, points=None, epsabs: float = 1e-10,
-                  epsrel: float = 1e-10, limit: int = 200):
+def adaptive_quad(f, a: float, b: float, *, epsabs: float = 1e-10,
+                  epsrel: float = 1e-10):
     """scipy.integrate.quad with error checking; returns (value, abserr).
 
     Raises NumericError when QUADPACK reports failure and the error estimate
     is materially above the requested tolerance.
     """
-    pts = None
-    if points is not None and math.isfinite(a) and math.isfinite(b):
-        pts = sorted(p for p in points if a < p < b)
-        if not pts:
-            pts = None
-    out = quad(f, a, b, points=pts, epsabs=epsabs, epsrel=epsrel,
-               limit=limit, full_output=1)
+    out = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1)
     val, err = out[0], out[1]
     if len(out) > 3:
         budget = 50.0 * max(epsabs, abs(val) * epsrel, 1e-300)

@@ -267,8 +267,7 @@ class MassAudit:
     discrepancy: float
 
 
-def interval_mass_audit(part: IntervalPartition, index: int,
-                        epsrel: float = 1e-12) -> MassAudit:
+def interval_mass_audit(part: IntervalPartition, index: int) -> MassAudit:
     """Check that mu_n and nu_n carry the same mass omega_n.
 
     nu_n is length measure on I_n, mass = |I_n| exactly.  The mu_n mass is
@@ -278,7 +277,7 @@ def interval_mass_audit(part: IntervalPartition, index: int,
     iv = part.intervals[index]
     radius = SMEAR_FACTOR * iv.omega
     chord, _ = adaptive_quad(lambda y: 2 * math.sqrt(max(radius * radius - y * y, 0.0)),
-                             -radius, radius, epsabs=1e-14, epsrel=epsrel)
+                             -radius, radius, epsabs=1e-14, epsrel=1e-12)
     mu_mass = (iv.right - iv.left) * chord / (math.pi * radius * radius)
     nu_mass = iv.right - iv.left
     return MassAudit(nu_mass, mu_mass, mu_mass - nu_mass)

@@ -202,40 +202,6 @@ def integrated_count(v: Variety, z: complex, r: float) -> float:
     return float(truncated_log_sums(v.lam, v.mult, [z], [r], include_center=True)[0])
 
 
-def integrated_count_oracle(v: Variety, z: complex, r: float, steps: int = 20000) -> float:
-    """Trapezoid quadrature of the defining integral of integrated_count.
-
-    The counting function is a step function, so the integrand between
-    consecutive point distances is c/t; each such interval is covered by
-    geometrically spaced trapezoid nodes, with node budget proportional to
-    its logarithmic length.  Converges to the closed form as steps grows.
-    """
-    if steps < 1000:
-        raise DomainError("steps must be at least 1000")
-    if not r > 0:
-        raise DomainError("radius must be positive")
-    if not len(v):
-        return 0.0
-    d = np.abs(v.lam - z)
-    center = int(v.mult[d == 0].sum())
-    total = center * math.log(r) if center else 0.0
-    bps = np.unique(d[(d > 0) & (d < r)])
-    if bps.size == 0:
-        return total
-    edges = np.append(bps, r)
-    log_lens = np.log(edges[1:] / edges[:-1])
-    weight = log_lens / log_lens.sum()
-    for i in range(bps.size):
-        a, b = edges[i], edges[i + 1]
-        if b <= a:
-            continue
-        c = int(v.mult[(d > 0) & (d <= bps[i])].sum())
-        n = max(2, int(round(steps * weight[i])))
-        nodes = a * (b / a) ** np.linspace(0.0, 1.0, n + 1)
-        total += float(np.trapezoid(c / nodes, nodes))
-    return total
-
-
 @dataclass
 class SeparationProfile:
     worst_pair: tuple[complex, complex] | None

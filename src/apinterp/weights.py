@@ -3,8 +3,9 @@
 The radial profile omega: [0, inf) -> [0, inf) is expected to vanish at 0,
 increase continuously, stay subadditive up to a small additive excess,
 dominate log(1+t) for t > 1, and have a finite integral of
-omega(t)/(1+t^2) over the positive axis.  check_axioms measures each of
-these properties numerically on grids instead of assuming them.
+omega(t)/(1+t^2) over the positive axis (W2).  check_axioms scans the other
+properties on fixed grids instead of assuming them, and evaluates W2 in
+closed form.
 
 The module also provides the harmonic extension of omega(|t|) to the upper
 half-plane (poisson_transform) and a fitter for the bound
@@ -12,13 +13,15 @@ half-plane (poisson_transform) and a fitter for the bound
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log1p, spence
 
 from .errors import (DomainError, InputError, NumericError, TabulatedRangeError,
                      check_spec_keys)
+# adaptive_quad is not called here; it stays importable as
+# weights.adaptive_quad, the name perfbench's tracer wraps.
 from .numutil import adaptive_quad
 
 LOG_SHIFT = "log_shift"
@@ -27,6 +30,25 @@ POWER = "power"
 TABULATED = "tabulated"
 
 _FAMILIES = (LOG_SHIFT, LOG_SQUARE, POWER, TABULATED)
+
+_CATALAN = 0.915965594177219015             # sum (-1)^k / (2k+1)^2
+
+# Allowed additive subadditivity excess.  The log-square profile, which must
+# pass as subadditive-up-to-a-constant, has exact excess supremum log(4/3) ~
+# 0.2877 (attained at s = t = 1/sqrt(2)), so the constant sits just above it.
+EPS_ADD = 0.30
+
+# The axiom scan grids: 160 points on [0, 10] and 160 log-spaced on
+# [10, 1e4]; the oscillation windows (x - C omega(x), x + C omega(x)), C = 1,
+# around 120 log-spaced x from 100; 64 seeded disk samples for (c) and (d).
+_SCAN_MAX = 1e4
+_N_LINEAR = 160
+_N_LOG = 160
+_OSC_C = 1.0
+_OSC_XMIN = 100.0
+_N_OSC = 120
+_SPOT_SAMPLES = 64
+_SEED = 20240801
 
 
 @dataclass(frozen=True)
@@ -147,6 +169,33 @@ class OmegaProfile:
         terms = (self._knot_w[:-1] - beta * da) * angle + 0.5 * beta * y * log_ratio
         return terms.sum(axis=-1).sum(axis=0) / np.pi
 
+    def _w2(self) -> tuple[float, float]:
+        """(integral, tail) of omega(t)/(1+t^2) over t > 0, in closed form.
+
+        The closed-form families integrate exactly, so their tail is 0.0.  A
+        tabulated profile integrates its knot range [0, T] and adds the tail
+        estimate omega(T)(pi/2 - atan T) + int_0^T omega(s)/(1+(s+T)^2) ds from
+        the monotone subadditive extension omega(t) <= omega(T) + omega(t - T).
+        Subadditivity alone cannot pin the tail rigorously (profiles as large
+        as t/log t are subadditive yet non-integrable), so the tail is an
+        estimate, not a bound.
+        """
+        if self.family == LOG_SHIFT:
+            return self.a * (math.pi / 4 * math.log(2.0) + _CATALAN), 0.0
+        if self.family == LOG_SQUARE:
+            return math.pi * math.log(2.0), 0.0
+        if self.family == POWER:
+            return math.pi / (2.0 * math.cos(self.gamma * math.pi / 2)), 0.0
+        ts, ws = self._knot_t, self._knot_w
+        if ts[0] > 0:
+            raise TabulatedRangeError(
+                f"the W2 integral starts at t = 0, outside tabulated range [{ts[0]}, {ts[-1]}]")
+        # the shifted integrand is the same interpolant on the knots moved by T;
+        # atan2(1, T) is pi/2 - atan T without its cancellation at large T
+        end = float(ts[-1])
+        tail = float(ws[-1]) * math.atan2(1.0, end) + _piecewise_w2(ts + end, ws)
+        return _piecewise_w2(ts, ws) + tail, tail
+
     def to_dict(self) -> dict:
         if self.family == LOG_SHIFT:
             return {"family": LOG_SHIFT, "a": self.a}
@@ -170,37 +219,15 @@ class OmegaProfile:
         return build(**params)
 
 
-@dataclass
-class GridSpec:
-    """Scan grids used by check_axioms."""
-
-    t_max: float = 1e4
-    n_linear: int = 160          # dense low range [0, 10]
-    n_log: int = 160             # log-spaced [10, t_max]
-    prop_e_c: float = 1.0        # window half-width factor C in (x - C w(x), x + C w(x))
-    prop_e_xmin: float = 100.0
-    n_prop_e: int = 120
-    spot_samples: int = 64
-    seed: int = 20240801
-
-    def scan_points(self, cap: float) -> np.ndarray:
-        hi = min(self.t_max, cap)
-        lo_block = np.linspace(0.0, min(10.0, hi), self.n_linear)
-        if hi > 10.0:
-            hi_block = np.geomspace(10.0, hi, self.n_log)
-            return np.unique(np.concatenate([lo_block, hi_block]))
-        return np.unique(lo_block)
-
-
-@dataclass
-class ToleranceSpec:
-    # Allowed additive subadditivity excess.  The log-square profile, which
-    # must pass as subadditive-up-to-a-constant, has exact excess supremum
-    # log(4/3) ~ 0.2877 (attained at s = t = 1/sqrt(2)), so the default sits
-    # just above it.
-    eps_add: float = 0.30
-    quad_epsabs: float = 1e-10
-    quad_epsrel: float = 1e-10
+def _piecewise_w2(ts: np.ndarray, ws: np.ndarray) -> float:
+    """int over [ts[0], ts[-1]] (ts >= 0) of the linear interpolant through
+    (ts, ws) against 1/(1+t^2).  The piece w_a + beta (t - a) on [a, b] gives
+    w_a A + beta ((1/2) log((1+b^2)/(1+a^2)) - a A), A = atan b - atan a."""
+    a, b = ts[:-1], ts[1:]
+    beta = np.diff(ws) / (b - a)
+    angle = np.arctan2(b - a, 1.0 + a * b)
+    log_ratio = np.log1p((b - a) * (b + a) / (1.0 + a * a))
+    return float(np.sum(ws[:-1] * angle + beta * (0.5 * log_ratio - a * angle)))
 
 
 @dataclass
@@ -214,7 +241,6 @@ class AxiomReport:
     w2_integral: float
     w2_tail: float
     w2_tail_is_estimate: bool
-    w2_refined_delta: float
     w2_finite: bool
     oscillation_worst: float
     oscillation_argmax: tuple[float, float]
@@ -234,7 +260,6 @@ class AxiomReport:
             "w2_integral": self.w2_integral,
             "w2_tail": self.w2_tail,
             "w2_tail_is_estimate": self.w2_tail_is_estimate,
-            "w2_refined_delta": self.w2_refined_delta,
             "w2_finite": self.w2_finite,
             "oscillation_worst": self.oscillation_worst,
             "oscillation_argmax": list(self.oscillation_argmax),
@@ -251,7 +276,6 @@ class BeurlingWeight:
     Im z = 0 and omega(|z|) = 0."""
 
     omega: OmegaProfile
-    axiom_report: AxiomReport | None = field(default=None, repr=False)
 
     def p(self, z):
         arr = np.asarray(z, dtype=complex)
@@ -268,59 +292,34 @@ class BeurlingWeight:
         return cls(OmegaProfile.from_dict(cfg))
 
 
-def _w2_tail_estimate(omega: OmegaProfile, t_cap: float, tol: ToleranceSpec):
-    """First-order tail estimate past t_cap from the monotone subadditive
-    extension omega(t) <= omega(t_cap) + omega(t - t_cap).
-
-    Subadditivity alone cannot pin the tail rigorously (profiles as large as
-    t/log t are subadditive yet non-integrable), so this is reported as an
-    estimate, not a bound.
-    """
-    w_cap = omega(t_cap)
-    head = w_cap * (math.pi / 2 - math.atan(t_cap))
-    shifted, _ = adaptive_quad(
-        lambda s: omega(min(s, t_cap)) / (1.0 + (s + t_cap) ** 2),
-        0.0, t_cap, epsabs=tol.quad_epsabs, epsrel=tol.quad_epsrel)
-    return head + shifted
+def _scan_points(cap: float) -> np.ndarray:
+    hi = min(_SCAN_MAX, cap)
+    lo_block = np.linspace(0.0, min(10.0, hi), _N_LINEAR)
+    if hi > 10.0:
+        hi_block = np.geomspace(10.0, hi, _N_LOG)
+        return np.unique(np.concatenate([lo_block, hi_block]))
+    return np.unique(lo_block)
 
 
-def _w2_value(omega: OmegaProfile, t_cap: float, tol: ToleranceSpec):
-    f = lambda t: omega(t) / (1.0 + t * t)
-    main, _ = adaptive_quad(f, 0.0, t_cap, points=[1.0],
-                            epsabs=tol.quad_epsabs, epsrel=tol.quad_epsrel)
-    refined, _ = adaptive_quad(f, 0.0, t_cap, points=[1.0],
-                               epsabs=tol.quad_epsabs / 100.0,
-                               epsrel=tol.quad_epsrel / 100.0, limit=400)
-    if math.isinf(omega.t_max):
-        tail, _ = adaptive_quad(f, t_cap, math.inf,
-                                epsabs=tol.quad_epsabs, epsrel=tol.quad_epsrel)
-        estimate = False
-    else:
-        tail = _w2_tail_estimate(omega, t_cap, tol)
-        estimate = True
-    return main + tail, tail, estimate, abs(main - refined)
-
-
-def check_axioms(w: BeurlingWeight, grid: GridSpec | None = None,
-                 tol: ToleranceSpec | None = None) -> AxiomReport:
-    """Scan the profile axioms on grids and record worst cases.
+def check_axioms(w: BeurlingWeight) -> AxiomReport:
+    """Scan the profile axioms on fixed grids and record worst cases.
 
     Subadditivity is scanned over pairs from the grid; the ratio
-    log(1+t)/omega(t) over t > 1; the integral of omega(t)/(1+t^2) by
-    adaptive quadrature (exact improper integral for closed-form families,
-    capped range plus tail estimate for tabulated ones); the oscillation
-    ratio omega(y)/omega(x) over windows y in (x - C omega(x), x + C omega(x));
-    and the disk comparability constants by random sampling.
+    log(1+t)/omega(t) over t > 1; the oscillation ratio omega(y)/omega(x)
+    over windows y in (x - C omega(x), x + C omega(x)); and the disk
+    comparability constants by seeded random sampling.  The integral of
+    omega(t)/(1+t^2) over t > 0 (W2) is a closed form: a (pi/4 log 2 + G)
+    for log_shift(a), with G Catalan's constant; pi log 2 for log_square;
+    pi / (2 cos(g pi/2)) for power(g); and for a tabulated profile, whose
+    range must start at t = 0, the elementary integral of each linear piece
+    plus a tail estimate past the last knot.  w2_tail is that estimated
+    part, 0.0 for the exact families.
     """
-    grid = grid or GridSpec()
-    tol = tol or ToleranceSpec()
     omega = w.omega
-    if math.isinf(omega.t_max) and grid.t_max < 1e4:
-        raise DomainError("axiom grid must cover [0, 1e4]")
 
     # subadditivity: pairs must stay evaluable, so cap at half the range
-    cap_pair = omega.t_max / 2 if math.isfinite(omega.t_max) else grid.t_max / 2
-    s = grid.scan_points(cap_pair)
+    cap_pair = (omega.t_max if math.isfinite(omega.t_max) else _SCAN_MAX) / 2
+    s = _scan_points(cap_pair)
     s = s[s > 0]
     ws = omega(s)
     sum_matrix = omega(s[:, None] + s[None, :])
@@ -330,7 +329,7 @@ def check_axioms(w: BeurlingWeight, grid: GridSpec | None = None,
     subadd_argmax = (float(s[idx[0]]), float(s[idx[1]]))
 
     # growth floor: worst log(1+t)/omega(t) for t > 1
-    t_hi = grid.scan_points(omega.t_max if math.isfinite(omega.t_max) else grid.t_max)
+    t_hi = _scan_points(omega.t_max)
     t_hi = t_hi[t_hi > 1.0]
     w_hi = omega(t_hi)
     with np.errstate(divide="ignore"):
@@ -340,19 +339,19 @@ def check_axioms(w: BeurlingWeight, grid: GridSpec | None = None,
     w1_constant = float(ratios[k])
     w1_argmax = float(t_hi[k])
 
-    t_cap = min(grid.t_max, omega.t_max)
-    w2, w2_tail, w2_estimate, w2_delta = _w2_value(omega, t_cap, tol)
+    w2, w2_tail = omega._w2()
     if not math.isfinite(w2):
-        raise NumericError("integral of omega(t)/(1+t^2) did not converge")
+        raise NumericError("integral of omega(t)/(1+t^2) overflowed")
 
     # oscillation over windows around large x
+    t_cap = min(_SCAN_MAX, omega.t_max)
     osc_worst = 1.0
-    osc_arg = (grid.prop_e_xmin, grid.prop_e_xmin)
-    x_hi = min(t_cap * 0.9, grid.t_max)
-    if x_hi > grid.prop_e_xmin:
-        xs = np.geomspace(grid.prop_e_xmin, x_hi, grid.n_prop_e)
+    osc_arg = (_OSC_XMIN, _OSC_XMIN)
+    x_hi = t_cap * 0.9
+    if x_hi > _OSC_XMIN:
+        xs = np.geomspace(_OSC_XMIN, x_hi, _N_OSC)
         for x in xs:
-            half = grid.prop_e_c * omega(x)
+            half = _OSC_C * omega(x)
             ys = np.linspace(max(x - half, 0.0), min(x + half, t_cap), 41)
             wy = omega(ys)
             wx = omega(x)
@@ -367,21 +366,20 @@ def check_axioms(w: BeurlingWeight, grid: GridSpec | None = None,
                 osc_arg = (float(x), float(ys[j]))
 
     prop_c = _disk_constant(w, radius_factor=1.0, eps_mode=False,
-                            n=grid.spot_samples, seed=grid.seed, t_cap=t_cap)
+                            n=_SPOT_SAMPLES, seed=_SEED, t_cap=t_cap)
     prop_d = _disk_constant(w, radius_factor=0.1, eps_mode=True,
-                            n=grid.spot_samples, seed=grid.seed + 1, t_cap=t_cap)
+                            n=_SPOT_SAMPLES, seed=_SEED + 1, t_cap=t_cap)
 
-    report = AxiomReport(
+    return AxiomReport(
         subadd_excess=subadd_excess,
         subadd_argmax=subadd_argmax,
         subadd_strict=subadd_excess <= 1e-12,
-        subadd_relaxed=subadd_excess <= tol.eps_add,
+        subadd_relaxed=subadd_excess <= EPS_ADD,
         w1_constant=w1_constant,
         w1_argmax=w1_argmax,
         w2_integral=w2,
         w2_tail=w2_tail,
-        w2_tail_is_estimate=w2_estimate,
-        w2_refined_delta=w2_delta,
+        w2_tail_is_estimate=math.isfinite(omega.t_max),
         w2_finite=math.isfinite(w2),
         oscillation_worst=osc_worst,
         oscillation_argmax=osc_arg,
@@ -390,8 +388,6 @@ def check_axioms(w: BeurlingWeight, grid: GridSpec | None = None,
         prop_d_constant=prop_d,
         prop_d_eps=0.1,
     )
-    w.axiom_report = report
-    return report
 
 
 def _disk_constant(w: BeurlingWeight, radius_factor: float, eps_mode: bool,

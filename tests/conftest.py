@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import apinterp as ap
+from apinterp.errors import DomainError
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +72,62 @@ def poisson_quadrature(omega, z):
         parts += [quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                   for a, b in zip(edges, edges[1:])]
     return math.fsum(parts) / math.pi
+
+
+def w2_quadrature(omega):
+    """Quadrature oracle for the W2 integral of check_axioms: (integral, tail)
+    of omega(t)/(1+t^2) over t > 0, split at t = 1.  A tabulated profile
+    integrates its knot range, split also at every knot, plus the tail
+    estimate omega(T)(pi/2 - atan T) + int_0^T omega(s)/(1+(s+T)^2) ds past
+    its last knot T, split at every knot; the other families have no tail.
+    """
+    def split_quad(f, edges):
+        return math.fsum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for a, b in zip(edges, edges[1:]))
+
+    f = lambda t: omega(t) / (1.0 + t * t)
+    if not omega.knots:
+        return split_quad(f, [0.0, 1.0, math.inf]), 0.0
+    ts = [t for t, _ in omega.knots]
+    end = ts[-1]
+    body = split_quad(f, sorted({t for t in (*ts, 1.0) if t <= end}))
+    tail = omega(end) * (math.pi / 2 - math.atan(end)) + split_quad(
+        lambda s: omega(s) / (1.0 + (s + end) ** 2), ts)
+    return body + tail, tail
+
+
+def integrated_count_oracle(v: ap.Variety, z: complex, r: float, steps: int = 20000) -> float:
+    """Trapezoid quadrature of the defining integral of integrated_count.
+
+    The counting function is a step function, so the integrand between
+    consecutive point distances is c/t; each such interval is covered by
+    geometrically spaced trapezoid nodes, with node budget proportional to
+    its logarithmic length.  Converges to the closed form as steps grows.
+    """
+    if steps < 1000:
+        raise DomainError("steps must be at least 1000")
+    if not r > 0:
+        raise DomainError("radius must be positive")
+    if not len(v):
+        return 0.0
+    d = np.abs(v.lam - z)
+    center = int(v.mult[d == 0].sum())
+    total = center * math.log(r) if center else 0.0
+    bps = np.unique(d[(d > 0) & (d < r)])
+    if bps.size == 0:
+        return total
+    edges = np.append(bps, r)
+    log_lens = np.log(edges[1:] / edges[:-1])
+    weight = log_lens / log_lens.sum()
+    for i in range(bps.size):
+        a, b = edges[i], edges[i + 1]
+        if b <= a:
+            continue
+        c = int(v.mult[(d > 0) & (d <= bps[i])].sum())
+        n = max(2, int(round(steps * weight[i])))
+        nodes = a * (b / a) ** np.linspace(0.0, 1.0, n + 1)
+        total += float(np.trapezoid(c / nodes, nodes))
+    return total
 
 
 def jensen_quadrature(hv, z, steps=20000):
