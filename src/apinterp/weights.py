@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log1p, spence
 
 from .errors import (DomainError, InputError, NumericError, TabulatedRangeError,
                      check_spec_keys)
@@ -142,6 +141,7 @@ class OmegaProfile:
         """(1/pi) int omega(|t|) Im z / |t - z|^2 dt at each z (Im z > 0), in
         closed form; for a tabulated profile over the knot range only."""
         if self.family == LOG_SHIFT:
+            from scipy.special import log1p, spence     # complex log1p, Li2
             # I(z) = Im[-(1/2) log^2(-1/(1+z)) - Li2(1/(1+z))] integrates over
             # t > 0 (Lewin 1981); log(-1/(1+z)) = i pi - log(1+z) because 1+z
             # lies in the upper half-plane, and Li2(1/(1+z)) = spence(z/(1+z)).
@@ -150,6 +150,7 @@ class OmegaProfile:
                 return lg.real * (np.pi - lg.imag) - spence(z / (1.0 + z)).imag
             return self.a / np.pi * (half(z) + half(-np.conj(z)))
         if self.family == LOG_SQUARE:
+            from scipy.special import log1p
             return 2.0 * log1p(-1j * z).real             # 2 log|z + i|
         if self.family == POWER:
             g = self.gamma                               # Re((-iz)^g) / cos(g pi/2)
@@ -241,7 +242,6 @@ class AxiomReport:
     w2_integral: float
     w2_tail: float
     w2_tail_is_estimate: bool
-    w2_finite: bool
     oscillation_worst: float
     oscillation_argmax: tuple[float, float]
     oscillation_ok: bool
@@ -260,7 +260,6 @@ class AxiomReport:
             "w2_integral": self.w2_integral,
             "w2_tail": self.w2_tail,
             "w2_tail_is_estimate": self.w2_tail_is_estimate,
-            "w2_finite": self.w2_finite,
             "oscillation_worst": self.oscillation_worst,
             "oscillation_argmax": list(self.oscillation_argmax),
             "oscillation_ok": self.oscillation_ok,
@@ -380,7 +379,6 @@ def check_axioms(w: BeurlingWeight) -> AxiomReport:
         w2_integral=w2,
         w2_tail=w2_tail,
         w2_tail_is_estimate=math.isfinite(omega.t_max),
-        w2_finite=math.isfinite(w2),
         oscillation_worst=osc_worst,
         oscillation_argmax=osc_arg,
         oscillation_ok=osc_worst <= 2.0,

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import apinterp as ap
 import apinterp.cli as cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(args):
@@ -294,3 +300,44 @@ def test_non_finite_point_exits_1_with_one_line(name, command, tmp_path, capsys)
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "non-finite" in lines[0]
+
+
+# Run in a fresh interpreter: conftest.py imports scipy into this one.
+SCIPY_FREE_RUN = """
+import sys
+import apinterp as ap
+from apinterp import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), ("import apinterp", scipy_modules())
+out, weight = sys.argv[1], sys.argv[2]
+family = '{"family":"dyadic_angle","n_min":1,"n_max":6}'
+for args in (
+        ["generate", "--family", family, "--out", out + "/dyadic.json"],
+        ["check", "--weight", weight, "--input", out + "/dyadic.json",
+         "--out", out + "/check.json"],
+        ["profile-balayage", "--weight", weight, "--family", family, "--xmin", "-10",
+         "--xmax", "10", "--samples", "33", "--out", out + "/profile.csv"],
+        ["regularize", "--weight", weight, "--xmin", "-3", "--xmax", "3", "--ymin", "0",
+         "--ymax", "2", "--nx", "7", "--ny", "3", "--out", out + "/grid.csv"]):
+    assert cli.main(args) == 0, args[0]
+    assert not scipy_modules(), (args[0], scipy_modules())
+w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1.0))
+print(repr(ap.poisson_transform(w, 0.5 + 2j)))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path), WEIGHT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the log_shift closed form still loads scipy.special on demand
+    w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1.0))
+    assert proc.stdout.split() == [repr(ap.poisson_transform(w, 0.5 + 2j))]
+    for name in ("dyadic.json", "check.json", "profile.csv", "grid.csv"):
+        assert (tmp_path / name).stat().st_size > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import apinterp as ap
 from apinterp.errors import DomainError, InputError
@@ -203,7 +204,10 @@ def pair_configs(draw):
     """Arbitrary points, a pair at distance exactly cutoff and one at
     nextafter(cutoff, 0) (both along the real axis, so the differences are
     exact), points within a few ulp of the cutoff circle in other directions,
-    duplicates and configurations with fewer than two points."""
+    points exactly on the lines y = k * cutoff, duplicates and configurations
+    with fewer than two points; then, optionally, everything on one vertical
+    or horizontal line, an exact power-of-two rescaling of the points and the
+    cutoff, and a large common translation."""
     cutoff = draw(st.integers(1, 12)) / 4
     pts = [complex(x, y) for x, y in draw(st.lists(st.tuples(QUARTER, QUARTER), max_size=25))]
     pts += draw(st.lists(st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)),
@@ -217,8 +221,19 @@ def pair_configs(draw):
         x, y = draw(QUARTER), draw(QUARTER)
         pts += [complex(x, y), complex(x + cutoff, y)]
         pts += [complex(0, y + 50), complex(np.nextafter(cutoff, 0), y + 50)]
+    pts += [complex(x, k * cutoff) for x, k in
+            draw(st.lists(st.tuples(QUARTER, st.integers(-4, 4)), max_size=8))]
+    line, at = draw(st.sampled_from([None, "vertical", "horizontal"])), draw(QUARTER)
+    if line == "vertical":
+        pts = [complex(at, z.imag) for z in pts]
+    elif line == "horizontal":
+        pts = [complex(z.real, at) for z in pts]
+    scale = 2.0 ** draw(st.integers(-40, 40))
+    shift = draw(st.sampled_from([0j, 1e6 - 3e6j, -2.5e9 + 7e11j, 2.0 ** 52 + 1e15j]))
+    pts = [complex(z.real * scale + shift.real, z.imag * scale + shift.imag)
+           for z in pts]
     order = draw(st.permutations(range(len(pts))))
-    return np.array([pts[k] for k in order], dtype=complex), cutoff
+    return np.array([pts[k] for k in order], dtype=complex), cutoff * scale
 
 
 def brute_force_pairs(lam, cutoff):
@@ -228,7 +243,7 @@ def brute_force_pairs(lam, cutoff):
     return i[keep], j[keep], d[keep]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(pair_configs())
 def test_close_pair_arrays_match_all_pairs(cfg):
     lam, cutoff = cfg
@@ -240,12 +255,41 @@ def test_close_pair_arrays_match_all_pairs(cfg):
     assert got[2].tolist() == [abs(lam[i] - lam[j]) for i, j in zip(got[0], got[1])]
 
 
+def kd_tree_pairs(lam, cutoff):
+    """A k-d tree oracle: query_pairs within the cutoff widened by 8 eps, in
+    canonical order, then the same np.hypot distance and strict cutoff."""
+    ij = cKDTree(np.column_stack([lam.real, lam.imag])).query_pairs(
+        cutoff * (1 + 8 * np.finfo(float).eps), output_type="ndarray")
+    i, j = ij[np.lexsort((ij[:, 1], ij[:, 0]))].T
+    d = np.hypot(lam.real[i] - lam.real[j], lam.imag[i] - lam.imag[j])
+    keep = d < cutoff
+    return i[keep], j[keep], d[keep]
+
+
+@pytest.mark.parametrize("family, params, cutoffs", [
+    ("strip_random", {"count": 6000, "seed": 0, "half_width": 100.0}, (1.0, 2.5)),
+    ("dyadic_angle", {"n_min": 1, "n_max": 14}, (1.0, 4.0, 16.0)),
+])
+def test_close_pair_arrays_match_kd_tree(family, params, cutoffs):
+    lam = ap.generate(ap.FamilySpec(family, params)).lam
+    found = 0
+    for cutoff in cutoffs:
+        got, want = close_pair_arrays(lam, cutoff), kd_tree_pairs(lam, cutoff)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        found += want[0].size
+    assert found > 0
+
+
 def test_close_pair_arrays_cutoff_is_strict():
     c = 0.75
     lam = np.array([0, c, 10j, np.nextafter(c, 0) + 10j])
     i, j, d = close_pair_arrays(lam, c)
     assert (i.tolist(), j.tolist(), d.tolist()) == ([2], [3], [np.nextafter(c, 0)])
     assert [a.size for a in close_pair_arrays(lam[:1], c)] == [0, 0, 0]
+    # an infinite cutoff (an infinite SeparationRadii delta) keeps every pair
+    for a, b in zip(close_pair_arrays(lam, math.inf), brute_force_pairs(lam, math.inf)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_separation_witness_is_first_in_canonical_order(log_shift):

@@ -89,7 +89,7 @@ def test_log_square_subadditivity_excess(log_square):
 def test_power_subadditive():
     rep = ap.check_axioms(ap.BeurlingWeight(ap.OmegaProfile.power(0.5)))
     assert rep.subadd_excess <= 1e-12
-    assert rep.w2_finite
+    assert math.isfinite(rep.w2_integral)
 
 
 def test_w2_log_square_closed_form(log_square):
@@ -102,7 +102,7 @@ def test_w2_tabulated_tail_is_estimate():
     w = ap.BeurlingWeight(ap.OmegaProfile.tabulated([(0, 0), (50, 2), (100, 3)]))
     rep = ap.check_axioms(w)
     assert rep.w2_tail_is_estimate
-    assert rep.w2_finite and rep.w2_tail > 0
+    assert math.isfinite(rep.w2_integral) and rep.w2_tail > 0
 
 
 @pytest.mark.parametrize("omega", [
@@ -132,7 +132,7 @@ def test_w2_tabulated_matches_quadrature(knots):
     integral, tail = w2_quadrature(omega)
     assert rep.w2_integral == pytest.approx(integral, rel=1e-12, abs=0.0)
     assert rep.w2_tail == pytest.approx(tail, rel=1e-12, abs=0.0)
-    assert rep.w2_tail_is_estimate and rep.w2_finite
+    assert rep.w2_tail_is_estimate
 
 
 def test_w2_tabulated_range_must_start_at_zero():
@@ -192,7 +192,7 @@ AXIOM_PROFILES = {
 @pytest.mark.parametrize("family", list(AXIOM_PROFILES))
 def test_axiom_scans_pinned(family):
     got = ap.check_axioms(ap.BeurlingWeight(AXIOM_PROFILES[family])).to_dict()
-    w2_keys = ["w2_integral", "w2_tail", "w2_tail_is_estimate", "w2_finite"]
+    w2_keys = ["w2_integral", "w2_tail", "w2_tail_is_estimate"]
     assert [k for k in got if k.startswith("w2_")] == w2_keys
     assert {k: v for k, v in got.items() if not k.startswith("w2_")} == AXIOM_FIELDS[family]
 
