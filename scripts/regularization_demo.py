@@ -37,8 +37,8 @@ def main() -> None:
 
     print("\ncorrection along the real axis:")
     hi = rw.reliable_half_width * 0.95
-    for x in np.geomspace(max(2.0, part.t_inner + 1.0), hi, 10):
-        r = ap.potential_correction(rw, complex(x, 0.0))
+    xs = np.geomspace(max(2.0, part.t_inner + 1.0), hi, 10)
+    for x, r in zip(xs.tolist(), ap.potential_correction(rw, xs + 0j).tolist()):
         print(f"  x={x:8.2f}  omega={w.omega(x):7.3f}  r={r:8.3f}  "
               f"r/omega={r / w.omega(x):7.3f}")
 

@@ -12,6 +12,7 @@ status), 1 on input problems, 2 on numeric failure.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -169,15 +170,18 @@ def cmd_regularize(args) -> int:
     rw = regularization.regularize(w, extent)
     xs = np.linspace(args.xmin, args.xmax, args.nx)
     ys = np.linspace(args.ymin, args.ymax, args.ny)
+    z = np.empty((args.ny, args.nx), dtype=complex)
+    z.real, z.imag = xs, ys[:, None]
+    z = z.ravel()
+    r = regularization.potential_correction(rw, z)
+    pt = np.abs(z.imag) + r
+    p = w.p(z)
+    ratio = np.divide(pt, p, out=np.full(z.size, math.inf), where=p > 0)
+    # rows run over y, then x; each abscissa and height is formatted once
+    cells = itertools.product(map(repr, ys.tolist()), map(repr, xs.tolist()))
     lines = ["x,y,r,p_tilde,p,ratio"]
-    for y in ys:
-        for x in xs:
-            z = complex(float(x), float(y))
-            r = regularization.potential_correction(rw, z)
-            pt = abs(z.imag) + r
-            p = float(w.p(z))
-            ratio = pt / p if p > 0 else math.inf
-            lines.append(f"{z.real!r},{z.imag!r},{r!r},{pt!r},{p!r},{ratio!r}")
+    lines.extend(f"{x},{y},{r!r},{pt!r},{p!r},{q!r}" for (y, x), r, pt, p, q
+                 in zip(cells, r.tolist(), pt.tolist(), p.tolist(), ratio.tolist()))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -85,12 +85,11 @@ class ConditionSweep:
 
 
 def condition_a_constants(v: Variety, w: BeurlingWeight, radii,
-                          include_center: bool = False,
-                          p_min: float = P_MIN) -> ConditionSweep:
+                          include_center: bool = False) -> ConditionSweep:
     """Per-radius worst integrated-count density.
 
     For each truncation radius R: max over points with |lambda| <= R of
-    N(lambda, p(lambda)) / max(p(lambda), p_min), where N is the integrated
+    N(lambda, p(lambda)) / max(p(lambda), P_MIN), where N is the integrated
     count over the whole sample.  By default N excludes the center's own
     multiplicity term mult * log p(lambda); the center term is dominated by
     p(lambda) asymptotically and leaving it out matches the direct-summation
@@ -106,8 +105,8 @@ def condition_a_constants(v: Variety, w: BeurlingWeight, radii,
         return ConditionSweep(list(radii), [0.0] * radii.size,
                               [None] * radii.size)
     p_c = w.p(centers)
-    floor_hits = int(np.sum(p_c < p_min))
-    den = np.maximum(p_c, p_min)
+    floor_hits = int(np.sum(p_c < P_MIN))
+    den = np.maximum(p_c, P_MIN)
     value, err = truncated_log_enclosures(v.lam, v.mult, centers, p_c, include_center)
     # canonical order is sorted by |lambda|: the centers within R are a prefix
     ends = np.searchsorted(np.abs(centers), radii, side="right")
@@ -366,12 +365,11 @@ def default_radii(window_radius: float, n: int = 8) -> list[float]:
 
 
 def run_condition_report(v: Variety, w: BeurlingWeight, radii=None,
-                         thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
-                         scan: ScanSpec | None = None,
-                         include_center: bool = False) -> ConditionReport:
+                         thresholds: tuple[float, float] = DEFAULT_THRESHOLDS
+                         ) -> ConditionReport:
     radii = list(radii) if radii is not None else default_radii(v.window_radius)
-    sweep_a = condition_a_constants(v, w, radii, include_center=include_center)
-    sweep_b = condition_b_constants(v, w, radii, scan=scan)
+    sweep_a = condition_a_constants(v, w, radii)
+    sweep_b = condition_b_constants(v, w, radii)
     return ConditionReport(
         radii=list(map(float, radii)),
         constants_a=sweep_a.constants,

@@ -22,7 +22,8 @@ import numpy as np
 
 from .conditions import DEFAULT_THRESHOLDS, TrendResult, classify_trend, _validate_radii
 from .errors import DomainError, InputError, InvariantViolation
-from .numutil import close_pair_arrays, truncated_log_sums
+from .numutil import (close_pair_arrays, row_blocks, row_sums, scalar_or_array,
+                      truncated_log_sums)
 # integrated_count is not called here; it stays importable as
 # extension.integrated_count, the name perfbench's tracer wraps.
 from .variety import P_MIN, Variety, integrated_count, separation_profile
@@ -45,10 +46,6 @@ def _bump(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, b / (s * s)
 
 
-def _float_or_array(x: np.ndarray):
-    return float(x) if x.ndim == 0 else x
-
-
 @dataclass(frozen=True)
 class CutoffSpec:
     """Smooth transition X: 1 on (-inf, 1], 0 on [2, inf), |X'| <= 2.1.
@@ -62,12 +59,12 @@ class CutoffSpec:
     def value(self, u):
         u = np.asarray(u, dtype=float)
         (f_hi, _), (f_lo, _) = _bump(2.0 - u), _bump(u - 1.0)
-        return _float_or_array(f_hi / (f_hi + f_lo))
+        return scalar_or_array(f_hi / (f_hi + f_lo), u.shape)
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
         (f_hi, g_hi), (f_lo, g_lo) = _bump(2.0 - u), _bump(u - 1.0)
-        return _float_or_array(-(g_hi * f_lo + f_hi * g_lo) / (f_hi + f_lo) ** 2)
+        return scalar_or_array(-(g_hi * f_lo + f_hi * g_lo) / (f_hi + f_lo) ** 2, u.shape)
 
     def audit(self, n: int = 10001) -> float:
         grid = np.linspace(0.5, 2.5, n)
@@ -165,6 +162,8 @@ class SeparationRadii:
     def __post_init__(self):
         if np.any(self.radii <= 0):
             raise DomainError("separation radii must be positive")
+        if not np.all(np.isfinite(self.radii)):
+            raise DomainError("separation radii must be finite")
         cutoff = 4.0 * float(np.max(self.radii)) if self.radii.size else 0.0
         if cutoff > 0:
             i, j, d = close_pair_arrays(self.lam, cutoff)
@@ -176,6 +175,10 @@ class SeparationRadii:
     @classmethod
     def from_params(cls, v: Variety, w: BeurlingWeight, delta: float,
                     growth: float) -> "SeparationRadii":
+        if not 0 < delta < math.inf:
+            raise DomainError("delta must be a positive finite number")
+        if not 0 <= growth < math.inf:
+            raise DomainError("growth must be a non-negative finite number")
         p_vals = w.p(v.lam)
         radii = delta * np.exp(-growth * p_vals / v.mult)
         return cls(v.lam.copy(), radii, float(delta), float(growth))
@@ -193,12 +196,6 @@ class SeparationRadii:
         feasible = d / (2 * (shrink[i] + shrink[j])) / _SAFETY
         return cls.from_params(v, w, np.min(feasible, initial=0.25), growth)
 
-    def radius_of(self, lam: complex) -> float:
-        idx = np.nonzero(self.lam == lam)[0]
-        if idx.size == 0:
-            raise DomainError("lambda is not a point of the configuration")
-        return float(self.radii[idx[0]])
-
 
 _CUTOFF = CutoffSpec()
 
@@ -206,19 +203,6 @@ _CUTOFF = CutoffSpec()
 def _check_same_configuration(data: InterpolationData, radii: SeparationRadii) -> None:
     if data.lam.shape != radii.lam.shape or np.any(data.lam != radii.lam):
         raise DomainError("data and radii describe different configurations")
-
-
-def _locate(data: InterpolationData, radii: SeparationRadii, z: complex):
-    _check_same_configuration(data, radii)
-    if not data.lam.size:
-        return None
-    d = np.abs(z - data.lam)
-    hits = np.nonzero(d < 2 * radii.radii)[0]
-    if hits.size == 0:
-        return None
-    if hits.size > 1:
-        raise InvariantViolation("z lies in two separation disks")
-    return int(hits[0])
 
 
 def _jet_field(data: InterpolationData, radii: SeparationRadii, idx, z: np.ndarray,
@@ -241,9 +225,12 @@ def _jet_field(data: InterpolationData, radii: SeparationRadii, idx, z: np.ndarr
 
 def _field_at(data: InterpolationData, radii: SeparationRadii, z: complex,
               dbar: bool) -> complex:
+    _check_same_configuration(data, radii)
     z = complex(z)
-    i = _locate(data, radii, z)
-    return 0j if i is None else complex(_jet_field(data, radii, [i], np.array([z]), dbar)[0])
+    hits = np.flatnonzero(np.abs(z - data.lam) < 2 * radii.radii)
+    if hits.size > 1:
+        raise InvariantViolation("z lies in two separation disks")
+    return complex(_jet_field(data, radii, hits, np.array([z]), dbar)[0]) if hits.size else 0j
 
 
 def smooth_interpolant(data: InterpolationData, radii: SeparationRadii, z: complex) -> complex:
@@ -301,41 +288,42 @@ def dbar_growth_report(data: InterpolationData, radii: SeparationRadii,
     return DbarGrowthReport(k_fit, gamma, int_f, int_dbar, vals.size, log_sup)
 
 
-def singular_weight(v: Variety, w: BeurlingWeight, eps: float, z: complex,
-                    p_cache: np.ndarray | None = None) -> float:
+def singular_weight(v: Variety, w: BeurlingWeight, eps: float, z):
     """v(z) = sum over |z - lambda| <= eps p(lambda) of
     mult * [log(|z-lambda|^2 / (eps p)^2) + 1 - |z-lambda|^2 / (eps p)^2].
 
     Each bracket is <= 0 and meets zero with zero radial derivative at the
     disk boundary, so v is continuous, C1 across boundaries, non-positive,
     and harmonic off the disks.  Returns the V_SINGULAR sentinel at points
-    of the configuration.
+    of the configuration.  Takes one z (and returns a float) or an array of
+    them; each value is a sum over its own disk terms in canonical order.
     """
     if not 0.0 < eps <= 0.5:
         raise DomainError("eps must lie in (0, 1/2]")
-    z = complex(z)
-    if not len(v):
-        return 0.0
-    p_vals = p_cache if p_cache is not None else w.p(v.lam)
-    d = np.abs(z - v.lam)
-    cap = eps * p_vals
-    mask = (d <= cap) & (cap > 0)
-    if not mask.any():
-        return 0.0
-    if np.any(d[mask] == 0):
-        return V_SINGULAR
-    u = (d[mask] / cap[mask]) ** 2
-    terms = v.mult[mask] * (np.log(u) + 1.0 - u)
-    return float(terms.sum())
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
+    cap = eps * w.p(v.lam)
+    out = np.empty(z.size)
+    for block in row_blocks(z.size, len(v)):
+        d = np.abs(z[block, None] - v.lam)
+        inside = (d <= cap) & (cap > 0)
+        u = (d[inside] / np.broadcast_to(cap, d.shape)[inside]) ** 2
+        # log 0 = -inf = V_SINGULAR, at a configuration point (or a distance
+        # whose square underflows)
+        log_u = np.log(u, out=np.full(u.size, V_SINGULAR), where=u > 0)
+        terms = np.broadcast_to(v.mult, d.shape)[inside] * (log_u + 1.0 - u)
+        out[block] = row_sums(terms, inside.sum(axis=1))
+    return scalar_or_array(out, shape)
 
 
-def penalized_weight(v: Variety, w: BeurlingWeight, eps: float, beta: float,
-                     z: complex, p_cache: np.ndarray | None = None) -> float:
-    """beta * p(z) + singular weight; subharmonic once beta is large enough."""
-    s = singular_weight(v, w, eps, z, p_cache)
-    if s == V_SINGULAR:
-        return V_SINGULAR
-    return beta * w.p(z) + s
+def penalized_weight(v: Variety, w: BeurlingWeight, eps: float, beta: float, z):
+    """beta * p(z) + singular weight; subharmonic once beta is large enough.
+    Takes one z (and returns a float) or an array of them."""
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
+    s = singular_weight(v, w, eps, z)
+    np.add(beta * w.p(z), s, out=s, where=s != V_SINGULAR)
+    return scalar_or_array(s, shape)
 
 
 @dataclass
@@ -351,27 +339,26 @@ def subharmonic_audit(v: Variety, w: BeurlingWeight, eps: float, samples,
     beta p + v at every sample, plus the worst residual at that beta.
 
     Samples must keep the stencil off the real axis and away from the
-    configuration points.
+    configuration points; the first sample that fails decides the error.
     """
-    p_cache = w.p(v.lam) if len(v) else None
-    beta0 = 0.0
-    rows = []
-    for z in samples:
-        z = complex(z)
-        if abs(z.imag) < 2 * h:
-            raise DomainError("stencil would cross the real axis")
-        vs = [singular_weight(v, w, eps, z + off, p_cache)
-              for off in (0, h, -h, 1j * h, -1j * h)]
-        if V_SINGULAR in vs:
-            raise DomainError("stencil touches a configuration point")
-        lap_v = (vs[1] + vs[2] + vs[3] + vs[4] - 4 * vs[0]) / (h * h)
-        ps = [w.p(z + off) for off in (0, h, -h, 1j * h, -1j * h)]
-        lap_p = (ps[1] + ps[2] + ps[3] + ps[4] - 4 * ps[0]) / (h * h)
-        rows.append((lap_p, lap_v))
-        if lap_v < 0 and lap_p > 0:
-            beta0 = max(beta0, -lap_v / lap_p)
-    worst = min((beta0 * lp + lv for lp, lv in rows), default=0.0)
-    return SubharmonicAudit(beta0, worst, len(rows))
+    z = np.fromiter(samples, dtype=complex)
+    crossing = np.flatnonzero(np.abs(z.imag) < 2 * h)
+    head = z[:crossing[0]] if crossing.size else z  # before the first crossing one
+    stencil = head[:, None] + np.array([0, h, -h, 1j * h, -1j * h])
+    # singular_weight checks eps, so it runs only once a sample gets that far
+    vs = singular_weight(v, w, eps, stencil) if head.size else np.zeros(stencil.shape)
+    if np.any(vs == V_SINGULAR):
+        raise DomainError("stencil touches a configuration point")
+    if crossing.size:
+        raise DomainError("stencil would cross the real axis")
+    ps = w.p(stencil)
+    lap_v = (vs[:, 1] + vs[:, 2] + vs[:, 3] + vs[:, 4] - 4 * vs[:, 0]) / (h * h)
+    lap_p = (ps[:, 1] + ps[:, 2] + ps[:, 3] + ps[:, 4] - 4 * ps[:, 0]) / (h * h)
+    up = (lap_v < 0) & (lap_p > 0)
+    beta0 = float(np.max(-lap_v[up] / lap_p[up], initial=0.0))
+    residual = beta0 * lap_p + lap_v
+    worst = float(np.min(residual)) if residual.size else 0.0
+    return SubharmonicAudit(beta0, worst, z.size)
 
 
 @dataclass

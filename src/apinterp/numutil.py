@@ -1,6 +1,6 @@
 """Small numeric helpers: 1-D search, the quadrature wrapper, the close-pair
-search (a sort-and-sweep over rows, returning arrays) and the dense pairwise
-kernels.  Only numpy is imported here; scipy loads inside adaptive_quad."""
+search (a sort-and-sweep over rows, returning arrays), the dense pairwise
+kernels and point blocks.  Only numpy is imported; scipy loads in adaptive_quad."""
 
 import math
 
@@ -141,13 +141,30 @@ def close_pair_arrays(lam: np.ndarray, cutoff: float):
 #: depends on it.
 _ROWS = 64
 
+#: Terms per block of a point evaluation (row_blocks): bounds its
+#: (points x terms) temporaries; no value depends on it.
+_BLOCK_TERMS = 1 << 14
+
 #: Relative widening of the modulus window in truncated_log_sums, so that
 #: rounding in |lambda|, |c| and |lambda - c| never drops an in-disk point.
 _WINDOW_SLACK = 8 * np.finfo(float).eps
 
 
-def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-row sums of a ragged array stored row after row; empty rows give 0."""
+def row_blocks(n_rows: int, width: int) -> list:
+    """Slices cutting range(n_rows) into blocks of rows, each row holding width
+    terms, with at most _BLOCK_TERMS terms a block (and at least one row)."""
+    step = max(1, _BLOCK_TERMS // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+def scalar_or_array(values: np.ndarray, shape: tuple):
+    """values in the input's shape; a 0-d input gives a Python scalar."""
+    return values.reshape(shape) if shape else values.item()
+
+
+def row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-row sums of a ragged array stored row after row; empty rows give 0.
+    A row's sum depends only on its own terms."""
     out = np.zeros(counts.size)
     full = counts > 0
     if full.any():
@@ -196,7 +213,7 @@ def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
         log_r = np.log(np.where(r > 0, r, 1.0))
         terms = np.broadcast_to(mult[a:b], d.shape)[inside] * (
             np.repeat(log_r, counts) - np.log(d[inside]))
-        vals = _row_sums(terms, counts)
+        vals = row_sums(terms, counts)
         if include_center:
             vals += np.where(d == 0, mult[a:b], 0).sum(axis=1) * log_r
         out[lo:lo + _ROWS] = vals

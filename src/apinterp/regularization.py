@@ -18,13 +18,12 @@ density of mu, which laplacian_audit checks against a five-point stencil.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .numutil import adaptive_quad
+from .numutil import adaptive_quad, row_blocks, scalar_or_array
 from .weights import BeurlingWeight
 
 SMEAR_FACTOR = 10.0  # disk radius = SMEAR_FACTOR * omega_n
@@ -55,7 +54,7 @@ class IntervalPartition:
         self.intervals = tuple(sorted(intervals, key=lambda iv: iv.center))
         self.t_inner = t_inner
         self.t_outer = t_outer
-        self._centers = [iv.center for iv in self.intervals]
+        self._center = np.array([iv.center for iv in self.intervals])
         self._left = np.array([iv.left for iv in self.intervals])
         self._right = np.array([iv.right for iv in self.intervals])
         self._omega = np.array([iv.omega for iv in self.intervals])
@@ -64,24 +63,40 @@ class IntervalPartition:
     def __len__(self) -> int:
         return len(self.intervals)
 
-    def near(self, x: float):
-        """(left, right, omega) of the intervals whose disks can reach x."""
+    def near(self, x: np.ndarray):
+        """(lo, hi) per abscissa: the intervals lo:hi are those whose disks can
+        reach it, the ones with center within (10.5 max omega) of it."""
         reach = (SMEAR_FACTOR + 0.5) * self.max_omega
-        near = slice(bisect_left(self._centers, x - reach),
-                     bisect_right(self._centers, x + reach))
-        return self._left[near], self._right[near], self._omega[near]
+        return (np.searchsorted(self._center, x - reach, side="left"),
+                np.searchsorted(self._center, x + reach, side="right"))
+
+    def window_sums(self, z: np.ndarray, term) -> np.ndarray:
+        """Per point of the 1-d array z, the sum over its near intervals of
+        term(left, right, omega, Re z, Im z).  Windows of one length are summed
+        as the rows of one matrix, so each value is the same bits as its own
+        window's 1-d sum, whatever the other points of the batch."""
+        lo, hi = self.near(z.real)
+        out = np.zeros(z.size)
+        length = hi - lo
+        for n in np.unique(length[length > 0]):
+            rows = np.flatnonzero(length == n)
+            for block in row_blocks(rows.size, n):
+                k = rows[block]
+                idx = lo[k, None] + np.arange(n)
+                zk = z[k, None]
+                out[k] = term(self._left[idx], self._right[idx], self._omega[idx],
+                              zk.real, zk.imag).sum(axis=1)
+        return out
 
     def positive_side(self):
         return [iv for iv in self.intervals if iv.center > 0]
 
     def audit(self) -> PartitionAudit:
-        max_gap = 0.0
-        pos = self.positive_side()
-        for a, b in zip(pos, pos[1:]):
-            max_gap = max(max_gap, abs(b.left - a.right))
-        max_center = max((abs(iv.center - (iv.left + iv.right) / 2)
-                          for iv in self.intervals), default=0.0)
-        return PartitionAudit(max_gap, max_center)
+        pos = self._center > 0
+        gaps = np.abs(self._left[pos][1:] - self._right[pos][:-1])
+        centers = np.abs(self._center - (self._left + self._right) / 2)
+        return PartitionAudit(float(np.max(gaps, initial=0.0)),
+                              float(np.max(centers, initial=0.0)))
 
 
 def build_partition(w: BeurlingWeight, t_extent: float) -> IntervalPartition:
@@ -176,18 +191,18 @@ def mean_log_gap(z: complex, x: float, radius: float) -> float:
     return math.log(radius) - 0.5 + d * d / (2 * radius * radius) - math.log(d)
 
 
-def _chord_clip(left, right, omega, zx: float, zy: float):
+def _chord_clip(left, right, omega, zx, zy):
     """(R, a, b, keep): R = 10 omega, [a, b] the interval in u = x - Re z
     clipped to the chord |u| <= sqrt(R^2 - y^2), keep = |y| < R and a < b."""
     radius = SMEAR_FACTOR * omega
-    y = abs(zy)
+    y = np.abs(zy)
     half = np.sqrt(np.maximum(radius * radius - y * y, 0.0))
     a = np.maximum(left - zx, -half)
     b = np.minimum(right - zx, half)
     return radius, a, b, (y < radius) & (a < b)
 
 
-def _interval_correction(left, right, omega, zx: float, zy: float) -> np.ndarray:
+def _interval_correction(left, right, omega, zx, zy) -> np.ndarray:
     """Integral of mean_log_gap(z, x, 10 omega) over x in [left, right], per
     interval: with u = x - Re z, y = Im z and R = 10 omega, the antiderivative
     (log R - 1/2) u + (u^3/3 + y^2 u) / (2 R^2)
@@ -196,40 +211,52 @@ def _interval_correction(left, right, omega, zx: float, zy: float) -> np.ndarray
     at u = 0.  log R is folded into log((u^2 + y^2) / R^2), the cubic is
     factored by b - a and the arctangents are combined, so the absolute
     error is a few eps * R: only a value small against that loses digits."""
-    radius, a, b, keep = _chord_clip(left, right, omega, zx, zy)
-    y = abs(zy)
+    radius, a, b, keep = np.broadcast_arrays(*_chord_clip(left, right, omega, zx, zy))
+    # evaluated on the kept intervals only; the others stay exactly 0
+    y = np.broadcast_to(np.abs(zy), keep.shape)[keep]
+    a, b, radius = a[keep], b[keep], radius[keep]
     r2 = radius * radius
 
     def u_log(u):  # u log((u^2 + y^2) / R^2); 0 at u = 0
         q = (u * u + y * y) / r2
         return u * np.log(np.where(q > 0, q, 1.0))
 
-    val = ((b - a) * (0.5 + ((a * a + a * b + b * b) / 3 + y * y) / (2 * r2))
-           - 0.5 * (u_log(b) - u_log(a))
-           - y * np.arctan2((b - a) * y, y * y + a * b))
-    return np.where(keep, val, 0.0)
+    out = np.zeros(keep.shape)
+    out[keep] = ((b - a) * (0.5 + ((a * a + a * b + b * b) / 3 + y * y) / (2 * r2))
+                 - 0.5 * (u_log(b) - u_log(a))
+                 - y * np.arctan2((b - a) * y, y * y + a * b))
+    return out
 
 
-def potential_correction(rw: RegularizedWeight, z: complex) -> float:
+def _chord_density(left, right, omega, zx, zy) -> np.ndarray:
+    """|{x in [left, right] : |z - x| <= 10 omega}| / (100 pi omega^2)."""
+    radius, a, b, keep = _chord_clip(left, right, omega, zx, zy)
+    return np.where(keep, (b - a) / (math.pi * radius * radius), 0.0)
+
+
+def potential_correction(rw: RegularizedWeight, z):
     """r(z): sum of the per-interval corrections; intervals farther than
-    10 omega_n from z contribute exactly zero."""
-    z = complex(z)
-    if abs(z.real) > rw.reliable_half_width:
+    10 omega_n from z contribute exactly zero.  One z gives a float."""
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
+    if not np.all(np.abs(z.real) <= rw.reliable_half_width):
         raise DomainError("z lies outside the reliable region of the partition")
-    return float(_interval_correction(*rw.partition.near(z.real), z.real, z.imag).sum())
+    return scalar_or_array(rw.partition.window_sums(z, _interval_correction), shape)
 
 
-def regularized_p(rw: RegularizedWeight, z: complex) -> float:
+def regularized_p(rw: RegularizedWeight, z):
     """p~(z) = |Im z| + r(z); comparable to the base weight on the strip."""
-    return abs(complex(z).imag) + potential_correction(rw, z)
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
+    return scalar_or_array(np.abs(z.imag) + potential_correction(rw, z), shape)
 
 
-def measure_density(rw: RegularizedWeight, z: complex) -> float:
+def measure_density(rw: RegularizedWeight, z):
     """Area density of mu at z: sum over intervals of
     |{x in I_n : |z - x| <= 10 omega_n}| / (100 pi omega_n^2)."""
-    z = complex(z)
-    radius, a, b, keep = _chord_clip(*rw.partition.near(z.real), z.real, z.imag)
-    return float(np.where(keep, (b - a) / (math.pi * radius * radius), 0.0).sum())
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
+    return scalar_or_array(rw.partition.window_sums(z, _chord_density), shape)
 
 
 @dataclass
@@ -251,10 +278,8 @@ def laplacian_audit(rw: RegularizedWeight, z: complex, h: float) -> LaplacianAud
         raise DomainError("step must be positive")
     if abs(z.imag) < 2 * h:
         raise DomainError("stencil would cross the real axis; need |Im z| >= 2h")
-    r0 = potential_correction(rw, z)
-    stencil = (potential_correction(rw, z + h) + potential_correction(rw, z - h)
-               + potential_correction(rw, z + 1j * h)
-               + potential_correction(rw, z - 1j * h) - 4 * r0) / (h * h)
+    r = potential_correction(rw, z + np.array([0, h, -h, 1j * h, -1j * h])).tolist()
+    stencil = (r[1] + r[2] + r[3] + r[4] - 4 * r[0]) / (h * h)
     density = measure_density(rw, z)
     expected = 2 * math.pi * density
     return LaplacianAudit(stencil, density, expected, stencil - expected)

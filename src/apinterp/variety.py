@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, InvariantViolation
-from .numutil import close_pair_arrays, truncated_log_sums
+from .numutil import close_pair_arrays, row_blocks, scalar_or_array, truncated_log_sums
 from .weights import BeurlingWeight
 
 P_MIN = 1.0  # floor used when dividing by p(lambda) near the origin
@@ -180,14 +180,19 @@ def _numeric(token: str) -> bool:
         return False
 
 
-def count_in_disk(v: Variety, z: complex, r: float) -> int:
-    """Total multiplicity in the closed disk of center z and radius r."""
-    if not r > 0:
+def count_in_disk(v: Variety, z, r):
+    """Total multiplicity in the closed disk of center z and radius r.  Takes
+    one z (and returns an int) or an array of them, with one radius or one
+    per z."""
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
+    r = np.broadcast_to(np.asarray(r, dtype=float), shape).ravel()
+    if not np.all(r > 0):
         raise DomainError("radius must be positive")
-    if not len(v):
-        return 0
-    d = np.abs(v.lam - z)
-    return int(v.mult[d <= r].sum())
+    out = np.empty(z.size, dtype=np.int64)
+    for block in row_blocks(z.size, len(v)):
+        out[block] = (np.abs(v.lam - z[block, None]) <= r[block, None]) @ v.mult
+    return scalar_or_array(out, shape)
 
 
 def integrated_count(v: Variety, z: complex, r: float) -> float:
@@ -257,12 +262,8 @@ def local_density_constant(v: Variety, w: BeurlingWeight, eps: float,
         raise DomainError("eps must lie in (0, 1/2]")
     if not len(v):
         return 0.0
-    worst = 0.0
-    for z in samples:
-        z = complex(z)
-        pz = w.p(z)
-        if pz <= 0:
-            continue
-        n = count_in_disk(v, z, eps * pz)
-        worst = max(worst, n / max(pz, P_MIN))
-    return worst
+    z = np.fromiter(samples, dtype=complex)
+    pz = w.p(z)
+    z, pz = z[~(pz <= 0)], pz[~(pz <= 0)]  # a nan p fails in count_in_disk
+    n = count_in_disk(v, z, eps * pz)
+    return float(np.max(n / np.maximum(pz, P_MIN), initial=0.0))

@@ -21,7 +21,7 @@ from .errors import (DomainError, InputError, NumericError, TabulatedRangeError,
                      check_spec_keys)
 # adaptive_quad is not called here; it stays importable as
 # weights.adaptive_quad, the name perfbench's tracer wraps.
-from .numutil import adaptive_quad
+from .numutil import adaptive_quad, scalar_or_array
 
 LOG_SHIFT = "log_shift"
 LOG_SQUARE = "log_square"
@@ -133,9 +133,7 @@ class OmegaProfile:
                 raise TabulatedRangeError(
                     f"argument outside tabulated range [{ts[0]}, {ts[-1]}]")
             out = np.interp(arr, ts, self._knot_w)
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
+        return scalar_or_array(out, arr.shape)
 
     def _poisson(self, z: np.ndarray) -> np.ndarray:
         """(1/pi) int omega(|t|) Im z / |t - z|^2 dt at each z (Im z > 0), in
@@ -250,23 +248,8 @@ class AxiomReport:
     prop_d_eps: float
 
     def to_dict(self) -> dict:
-        return {
-            "subadd_excess": self.subadd_excess,
-            "subadd_argmax": list(self.subadd_argmax),
-            "subadd_strict": self.subadd_strict,
-            "subadd_relaxed": self.subadd_relaxed,
-            "w1_constant": self.w1_constant,
-            "w1_argmax": self.w1_argmax,
-            "w2_integral": self.w2_integral,
-            "w2_tail": self.w2_tail,
-            "w2_tail_is_estimate": self.w2_tail_is_estimate,
-            "oscillation_worst": self.oscillation_worst,
-            "oscillation_argmax": list(self.oscillation_argmax),
-            "oscillation_ok": self.oscillation_ok,
-            "prop_c_constant": self.prop_c_constant,
-            "prop_d_constant": self.prop_d_constant,
-            "prop_d_eps": self.prop_d_eps,
-        }
+        """The fields in order, tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 @dataclass
@@ -278,10 +261,7 @@ class BeurlingWeight:
 
     def p(self, z):
         arr = np.asarray(z, dtype=complex)
-        out = np.abs(arr.imag) + self.omega(np.abs(arr))
-        if np.ndim(z) == 0:
-            return float(out)
-        return out
+        return scalar_or_array(np.abs(arr.imag) + self.omega(np.abs(arr)), arr.shape)
 
     def to_dict(self) -> dict:
         return self.omega.to_dict()
@@ -349,20 +329,17 @@ def check_axioms(w: BeurlingWeight) -> AxiomReport:
     x_hi = t_cap * 0.9
     if x_hi > _OSC_XMIN:
         xs = np.geomspace(_OSC_XMIN, x_hi, _N_OSC)
-        for x in xs:
-            half = _OSC_C * omega(x)
-            ys = np.linspace(max(x - half, 0.0), min(x + half, t_cap), 41)
-            wy = omega(ys)
-            wx = omega(x)
-            if wx <= 0:
-                continue
-            with np.errstate(divide="ignore"):
-                r = np.where(wy > 0, np.maximum(wy / wx, wx / np.where(wy > 0, wy, 1.0)),
-                             np.inf)
-            j = int(np.argmax(r))
-            if r[j] > osc_worst:
-                osc_worst = float(r[j])
-                osc_arg = (float(x), float(ys[j]))
+        wx = omega(xs)[:, None]
+        ys = np.linspace(np.maximum(xs - _OSC_C * wx[:, 0], 0.0),
+                         np.minimum(xs + _OSC_C * wx[:, 0], t_cap), 41, axis=1)
+        wy = omega(ys)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(wy > 0, np.maximum(wy / wx, wx / np.where(wy > 0, wy, 1.0)),
+                         np.inf)
+        r[wx[:, 0] <= 0] = -np.inf  # a window around a zero of omega is skipped
+        k, j = np.unravel_index(np.argmax(r), r.shape)  # the first worst window
+        if r[k, j] > osc_worst:
+            osc_worst, osc_arg = float(r[k, j]), (float(xs[k]), float(ys[k, j]))
 
     prop_c = _disk_constant(w, radius_factor=1.0, eps_mode=False,
                             n=_SPOT_SAMPLES, seed=_SEED, t_cap=t_cap)
@@ -396,27 +373,19 @@ def _disk_constant(w: BeurlingWeight, radius_factor: float, eps_mode: bool,
     radii = np.geomspace(1.0, max(hi, 2.0), n)
     angles = rng.uniform(0.0, 2 * math.pi, n)
     zs = radii * np.exp(1j * angles)
-    worst = 1.0
-    for z in zs:
-        pz = w.p(z)
-        if pz <= 0:
-            continue
-        r = radius_factor * pz
-        offs = r * np.sqrt(rng.uniform(0, 1, 16)) * np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
-        zetas = z + offs
-        if math.isfinite(t_cap):
-            zetas = zetas[np.abs(zetas) <= t_cap]
-        if zetas.size == 0:
-            continue
-        p_zeta = w.p(zetas)
-        if eps_mode:
-            # property (d): only pairs with |z - zeta| <= eps p(zeta) count
-            keep = np.abs(zetas - z) <= radius_factor * p_zeta
-            p_zeta = p_zeta[keep]
-            if p_zeta.size == 0:
-                continue
-        worst = max(worst, float(np.max(p_zeta)) / pz)
-    return worst
+    pz = w.p(zs)
+    zs, pz = zs[pz > 0], pz[pz > 0]
+    # per sample, 16 radial then 16 angular uniforms, in stream order
+    u = rng.random((zs.size, 2, 16))
+    offs = (radius_factor * pz)[:, None] * np.sqrt(u[:, 0]) * np.exp(1j * (2 * math.pi * u[:, 1]))
+    zetas = zs[:, None] + offs
+    keep = np.abs(zetas) <= t_cap  # the profile may end at t_cap
+    p_zeta = w.p(np.where(keep, zetas, zs[:, None]))
+    if eps_mode:
+        # property (d): only pairs with |z - zeta| <= eps p(zeta) count
+        keep &= np.abs(zetas - zs[:, None]) <= radius_factor * p_zeta
+    best = np.max(p_zeta, axis=1, where=keep, initial=-np.inf)
+    return float(np.max(best / pz, initial=1.0))
 
 
 def estimate_disk_constant(w: BeurlingWeight, eps: float, n: int = 64,
@@ -443,10 +412,7 @@ def poisson_transform(w: BeurlingWeight, z):
     if not np.all(arr.imag > 0):
         raise DomainError("poisson_transform requires Im z > 0")
     # evaluated on a 1-d array, so one z takes the same numpy loops as a batch
-    out = w.omega._poisson(arr.ravel())
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return scalar_or_array(w.omega._poisson(arr.ravel()), arr.shape)
 
 
 @dataclass

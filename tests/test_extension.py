@@ -1,8 +1,11 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apinterp as ap
 from apinterp.errors import DomainError, InvariantViolation
@@ -59,6 +62,22 @@ def test_separation_radii_disjointness_enforced(log_shift):
                 ap.SeparationRadii(lam, radii, 0.25, 0.0)
         else:
             ap.SeparationRadii(lam, radii, 0.25, 0.0)
+
+
+@pytest.mark.parametrize("delta, growth, name", [
+    (math.nan, 0.1, "delta"), (math.inf, 0.1, "delta"), (0.0, 0.1, "delta"),
+    (0.25, math.nan, "growth"), (0.25, -1000.0, "growth"), (0.25, math.inf, "growth"),
+])
+def test_separation_radii_reject_bad_parameters(log_shift, delta, growth, name):
+    v = ap.Variety([(0j, 1), (0.1 + 0j, 1)])
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        ap.SeparationRadii.from_params(v, log_shift, delta=delta, growth=growth)
+
+
+def test_separation_radii_reject_a_nan_radius():
+    lam = np.array([0j, 10 + 0j])
+    with pytest.raises(DomainError, match="finite"):
+        ap.SeparationRadii(lam, np.array([math.nan, 0.25]), 0.25, 0.0)
 
 
 @pytest.mark.parametrize("spec", [
@@ -236,12 +255,74 @@ def test_subharmonic_audit_reports_beta0(lattice, log_shift):
     assert audit.worst_residual >= -1e-6
     # a clearly larger beta keeps every stencil nonnegative as well
     for z in samples:
-        p_cache = log_shift.p(lattice.lam)
         h = 0.01
         vals = [ap.penalized_weight(lattice, log_shift, 0.1, 2 * audit.beta0 + 1, z + off)
                 for off in (0, h, -h, 1j * h, -1j * h)]
         lap = (vals[1] + vals[2] + vals[3] + vals[4] - 4 * vals[0]) / (h * h)
         assert lap >= -1e-6
+
+
+def loop_subharmonic_audit(v, w, eps, samples, h):
+    """subharmonic_audit as the per-sample loop it replaced."""
+    beta0 = 0.0
+    rows = []
+    for z in samples:
+        z = complex(z)
+        if abs(z.imag) < 2 * h:
+            raise DomainError("stencil would cross the real axis")
+        vs = [ap.singular_weight(v, w, eps, z + off) for off in (0, h, -h, 1j * h, -1j * h)]
+        if V_SINGULAR in vs:
+            raise DomainError("stencil touches a configuration point")
+        lap_v = (vs[1] + vs[2] + vs[3] + vs[4] - 4 * vs[0]) / (h * h)
+        ps = [w.p(z + off) for off in (0, h, -h, 1j * h, -1j * h)]
+        lap_p = (ps[1] + ps[2] + ps[3] + ps[4] - 4 * ps[0]) / (h * h)
+        rows.append((lap_p, lap_v))
+        if lap_v < 0 and lap_p > 0:
+            beta0 = max(beta0, -lap_v / lap_p)
+    worst = min((beta0 * lp + lv for lp, lv in rows), default=0.0)
+    return beta0, worst, len(rows)
+
+
+# Quarter-grid points and samples with h = 1/4: stencils can land exactly on a
+# point or cross the axis, and eps = 0.75 is out of range.
+QUARTER_POINT = st.builds(complex, st.integers(-24, 24).map(lambda k: k / 4),
+                          st.integers(-8, 8).map(lambda k: k / 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(QUARTER_POINT, st.integers(1, 3)), max_size=15),
+       st.lists(QUARTER_POINT, max_size=10), st.sampled_from([0.1, 0.5, 0.75]))
+def test_subharmonic_audit_matches_the_loop(log_shift, pts, samples, eps):
+    v = ap.Variety(pts)
+    try:
+        want = loop_subharmonic_audit(v, log_shift, eps, samples, 0.25)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            ap.subharmonic_audit(v, log_shift, eps, samples, h=0.25)
+        return
+    got = ap.subharmonic_audit(v, log_shift, eps, samples, h=0.25)
+    assert (got.beta0, got.worst_residual, got.n_samples) == want
+    assert type(got.beta0) is float and type(got.worst_residual) is float
+
+
+def test_subharmonic_audit_error_precedence(log_shift):
+    v = ap.Variety([(3 + 1j, 1), (7 + 0.25j, 2)])
+    # with h = 1/4: touch's stencil reaches 3 + 1j, both meets 7 + 0.25j and
+    # crosses the axis, cross only crosses it
+    touch, both, cross, ok = 3.25 + 1j, 7 + 0j, 3 + 0.25j, 5 + 3j
+    axis = "stencil would cross the real axis"
+    point = "stencil touches a configuration point"
+    for samples, message in (([ok, cross, touch], axis), ([ok, touch, cross], point),
+                             ([both], axis), ([touch, both], point)):
+        with pytest.raises(DomainError, match=message):
+            ap.subharmonic_audit(v, log_shift, 0.1, samples, h=0.25)
+    # eps is checked where the first sample's stencil is evaluated
+    with pytest.raises(DomainError, match=axis):
+        ap.subharmonic_audit(v, log_shift, 0.75, [cross, ok], h=0.25)
+    with pytest.raises(DomainError, match="eps"):
+        ap.subharmonic_audit(v, log_shift, 0.75, [ok, cross], h=0.25)
+    empty = ap.subharmonic_audit(v, log_shift, 0.75, [], h=0.25)
+    assert (empty.beta0, empty.worst_residual, empty.n_samples) == (0.0, 0.0, 0)
 
 
 def test_singularity_exponent_near_point(lattice, log_shift):

@@ -5,7 +5,7 @@ Each kernel value is checked against a plain-Python math.fsum direct sum
 within the pairwise-summation bound, and every value computed in a batch
 must equal the same value computed alone, bit for bit, including through
 the public scalar and sweep functions and the nested-prefix forms the
-sweeps use.  Each tree value must lie within its bound of both the fsum
+sweeps use, and through the point evaluations of the weight layer.  Each tree value must lie within its bound of both the fsum
 direct sum and the direct kernel, and each sweep that selects through the
 tree must report the direct kernels' first maximum, bit for bit.
 """
@@ -449,3 +449,39 @@ def test_balayage_tree_sweeps_keep_the_direct_first_maximum(v):
     vals = poisson_sums(ext.lam, ext.mult, cands)
     assert prof.values == poisson_sums(ext.lam, ext.mult, xs).tolist()
     assert (prof.x_star, prof.sup) == conditions._refine(ext.lam, ext.mult, cands, vals, 1e-6)
+
+
+def _weight_layer():
+    w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1.0))
+    rw = ap.regularize(w, 300.0)
+    v = ap.Variety([(complex(k / 2, (k % 5) / 4), 1 + k % 3) for k in range(-60, 61)])
+    return {
+        "potential_correction": lambda z: ap.potential_correction(rw, z),
+        "measure_density": lambda z: ap.measure_density(rw, z),
+        "regularized_p": lambda z: ap.regularized_p(rw, z),
+        "singular_weight": lambda z: ap.singular_weight(v, w, 0.4, z),
+        "penalized_weight": lambda z: ap.penalized_weight(v, w, 0.4, 2.5, z),
+        "count_in_disk": lambda z: ap.count_in_disk(v, z, 1.75),
+    }
+
+
+WEIGHT_LAYER = _weight_layer()
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_LAYER))
+def test_weight_layer_batch_equals_single_points(name):
+    f = WEIGHT_LAYER[name]
+    rng = np.random.default_rng(17)
+    # points of the variety (singular), quarter-grid points (disk boundaries),
+    # the real axis, and random points with windows of many lengths
+    z = np.concatenate([[0j, 0.5 + 0.25j, -30 + 0j, 12.25 - 0.5j],
+                        rng.integers(-120, 121, 40) / 4 + 1j * rng.integers(-8, 9, 40) / 4,
+                        rng.uniform(-200, 200, 56) + 1j * rng.uniform(-30, 30, 56)])
+    scalar = int if name == "count_in_disk" else float
+    batch = f(z.reshape(4, 25))
+    assert batch.shape == (4, 25)
+    alone = [f(p) for p in z]
+    assert all(type(a) is scalar for a in alone)
+    assert batch.ravel().tolist() == alone
+    assert f(complex(z[1])) == f(np.array(z[1])) == alone[1]
+    assert f(z[::-1]).tolist() == alone[::-1]

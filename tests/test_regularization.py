@@ -180,6 +180,21 @@ def test_correction_near_a_flat_disk_edge_is_absolutely_accurate(constant_reg):
     assert ap.potential_correction(constant_reg, z) == 0.0
 
 
+@pytest.mark.parametrize("term, f", [(reg._interval_correction, ap.potential_correction),
+                                     (reg._chord_density, ap.measure_density)])
+def test_batch_values_are_each_window_1d_sum(log_shift_reg, term, f):
+    # each point's value is the plain 1-d numpy sum over its own window, so a
+    # grid keeps the bits of one call per point
+    part = log_shift_reg.partition
+    x, y = np.meshgrid(np.linspace(-230, 230, 47), np.linspace(-35, 35, 15))
+    z = (x + 1j * y).ravel()
+    lo, hi = part.near(z.real)
+    assert np.unique(hi - lo).size > 10
+    want = [float(term(part._left[a:b], part._right[a:b], part._omega[a:b], p.real, p.imag).sum())
+            for p, a, b in zip(z, lo, hi)]
+    assert f(log_shift_reg, z).tolist() == want
+
+
 def test_regularized_p_axis_ratio_window(log_shift, log_shift_reg):
     # away from the origin the correction is a stable multiple of the profile
     for x in np.geomspace(5.0, 240.0, 12):

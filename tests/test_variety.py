@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.spatial import cKDTree
 import apinterp as ap
 from apinterp.errors import DomainError, InputError
 from apinterp.numutil import close_pair_arrays
+from apinterp.variety import P_MIN
 
 from conftest import integrated_count_oracle, point_lists
 
@@ -317,6 +319,43 @@ def test_local_density_empty_and_bounds(log_shift):
     assert ap.local_density_constant(ap.Variety([]), log_shift, 0.5, [0j]) == 0.0
     with pytest.raises(DomainError):
         ap.local_density_constant(integers_variety(), log_shift, 0.75, [0j])
+
+
+def loop_local_density(v, w, eps, samples):
+    """local_density_constant as the per-sample loop it replaced."""
+    if not 0.0 < eps <= 0.5:
+        raise DomainError("eps must lie in (0, 1/2]")
+    if not len(v):
+        return 0.0
+    worst = 0.0
+    for z in samples:
+        z = complex(z)
+        pz = w.p(z)
+        if pz <= 0:
+            continue
+        n = ap.count_in_disk(v, z, eps * pz)
+        worst = max(worst, n / max(pz, P_MIN))
+    return worst
+
+
+QUARTER_POINT = st.builds(complex, st.integers(-24, 24).map(lambda k: k / 4),
+                          st.integers(-8, 8).map(lambda k: k / 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(QUARTER_POINT, st.integers(1, 3)), max_size=15),
+       st.lists(QUARTER_POINT, max_size=10), st.sampled_from([0.1, 0.5, 0.75]))
+def test_local_density_matches_the_loop(log_shift, pts, samples, eps):
+    # samples at 0 have p = 0 under log_shift and are skipped
+    v = ap.Variety(pts)
+    try:
+        want = loop_local_density(v, log_shift, eps, samples)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            ap.local_density_constant(v, log_shift, eps, samples)
+        return
+    got = ap.local_density_constant(v, log_shift, eps, samples)
+    assert got == want and type(got) is float
 
 
 def test_local_density_dyadic_bounded(log_shift):

@@ -350,3 +350,65 @@ def test_omega_monotone(s, t):
     omega = ap.OmegaProfile.log_shift(1.5)
     lo, hi = min(s, t), max(s, t)
     assert omega(lo) <= omega(hi) + 1e-12
+
+
+def loop_oscillation(omega, t_cap):
+    """check_axioms' oscillation scan as the per-window loop it replaced."""
+    worst, arg = 1.0, (100.0, 100.0)
+    x_hi = t_cap * 0.9
+    if x_hi > 100.0:
+        for x in np.geomspace(100.0, x_hi, 120):
+            half = omega(x)
+            ys = np.linspace(max(x - half, 0.0), min(x + half, t_cap), 41)
+            wy, wx = omega(ys), omega(x)
+            if wx <= 0:
+                continue
+            with np.errstate(divide="ignore"):
+                r = np.where(wy > 0, np.maximum(wy / wx, wx / np.where(wy > 0, wy, 1.0)),
+                             np.inf)
+            j = int(np.argmax(r))
+            if r[j] > worst:
+                worst, arg = float(r[j]), (float(x), float(ys[j]))
+    return worst, arg
+
+
+def loop_disk_constant(w, radius_factor, eps_mode, n, seed, t_cap):
+    """weights._disk_constant as the per-sample loop it replaced."""
+    rng = np.random.default_rng(seed)
+    hi = min(t_cap / 4 if math.isfinite(t_cap) else 1e3, 1e3)
+    zs = np.geomspace(1.0, max(hi, 2.0), n) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
+    worst = 1.0
+    for z in zs:
+        pz = w.p(z)
+        if pz <= 0:
+            continue
+        r = radius_factor * pz
+        zetas = z + r * np.sqrt(rng.uniform(0, 1, 16)) * np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
+        if math.isfinite(t_cap):
+            zetas = zetas[np.abs(zetas) <= t_cap]
+        p_zeta = w.p(zetas)
+        if eps_mode:
+            p_zeta = p_zeta[np.abs(zetas - z) <= radius_factor * p_zeta]
+        if p_zeta.size:
+            worst = max(worst, float(np.max(p_zeta)) / pz)
+    return worst
+
+
+LOOP_PROFILES = [
+    ap.OmegaProfile.log_shift(2.5), ap.OmegaProfile.power(0.9),
+    # zero up to t = 150 (skipped windows), then a steep piece
+    ap.OmegaProfile.tabulated([(0, 0), (150, 0), (300, 2), (20000, 8)]),
+    # ends at t = 600, so samples near it are cut off at t_cap
+    ap.OmegaProfile.tabulated([(0, 0.5), (400, 1), (420, 4), (600, 4.5)]),
+]
+
+
+@pytest.mark.parametrize("omega", LOOP_PROFILES)
+def test_axiom_sampling_matches_the_loops(omega):
+    w = ap.BeurlingWeight(omega)
+    t_cap = min(1e4, omega.t_max)
+    rep = ap.check_axioms(w)
+    assert (rep.oscillation_worst, rep.oscillation_argmax) == loop_oscillation(omega, t_cap)
+    for factor, eps_mode, seed in ((1.0, False, 3), (0.1, True, 4), (0.5, True, 5)):
+        want = loop_disk_constant(w, factor, eps_mode, 64, seed, t_cap)
+        assert ap.weights._disk_constant(w, factor, eps_mode, 64, seed, t_cap) == want
