@@ -107,13 +107,19 @@ def condition_a_constants(v: Variety, w: BeurlingWeight, radii,
     p_c = w.p(centers)
     floor_hits = int(np.sum(p_c < P_MIN))
     den = np.maximum(p_c, P_MIN)
-    value, err = truncated_log_enclosures(v.lam, v.mult, centers, p_c, include_center)
+    value, err, refine = truncated_log_enclosures(v.lam, v.mult, centers, p_c, include_center)
     # canonical order is sorted by |lambda|: the centers within R are a prefix
     ends = np.searchsorted(np.abs(centers), radii, side="right")
     # Direct ratios for the centers that can hold a radius' first maximum;
-    # every other center is strictly below one of them.
+    # every other center is strictly below one of them.  The first selection
+    # runs on the tree's first pass; the centers it keeps get narrower
+    # enclosures, and a second selection runs on those.
     keep = np.unique(np.concatenate([contenders(value[:k], err[:k], den[:k])
                                      for k in ends]))
+    value, err = refine(keep)
+    keep = keep[np.unique(np.concatenate([
+        contenders(value[:j], err[:j], den[keep[:j]])
+        for j in np.searchsorted(keep, ends)]))]
     ratios = np.full(centers.size, -np.inf)
     ratios[keep] = truncated_log_sums(v.lam, v.mult, centers[keep], p_c[keep],
                                       include_center) / den[keep]

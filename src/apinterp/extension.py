@@ -107,7 +107,12 @@ class InterpolationData:
         """sup over points of (sum |v^l|) * exp(-alpha p(lambda))."""
         if not self.lam.size:
             return 0.0
-        sums = np.array([sum(abs(x) for x in row) for row in self.values])
+        # Column by column, in order: each row's sum has the bits of the
+        # sequential sum over its own jets (the zero padding adds nothing).
+        # np.hypot has the bits of abs() on a complex; np.abs may differ.
+        sums = np.zeros(self.lam.size)
+        for col in self.coeffs.T:
+            sums += np.hypot(col.real, col.imag)
         return float(np.max(sums * np.exp(-self.alpha * w.p(self.lam))))
 
     def scaled(self, factor: complex) -> "InterpolationData":

@@ -114,12 +114,16 @@ def build_partition(w: BeurlingWeight, t_extent: float) -> IntervalPartition:
     if omega(t_extent) < OMEGA_FLOOR:
         raise ConstructionError("profile stays below OMEGA_FLOOR on the range")
     # Smallest start point with omega >= floor, by bisection on monotone omega.
+    # Once mid rounds to lo or hi, no later step can move hi (omega(lo) stays
+    # below the floor), so the bisection stops there with t0's bits.
     if omega(0.0) >= OMEGA_FLOOR:
         t0 = 0.0
     else:
         lo, hi = 0.0, t_extent
         for _ in range(200):
             mid = (lo + hi) / 2
+            if mid == lo or mid == hi:
+                break
             if omega(mid) >= OMEGA_FLOOR:
                 hi = mid
             else:

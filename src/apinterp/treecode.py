@@ -9,16 +9,33 @@ reported bit is still a direct kernel's bit (see ``contenders``).
 
 The sources sit in an adaptive quadtree, one root per band of the canonical
 order (the points between two radius ends), so that every radius column is a
-sum over whole bands.  The targets are grouped into the leaves of a second
-quadtree.  A (group, cell) pair that is well separated,
-``SEP * (rho_group + rho_cell) <= distance``, and wholly inside the summation
-region becomes a p-term local expansion about the group center: the cell's
-moments ``sum m ((lambda - s) / rho)^k`` go through one multipole-to-local
-matrix (Greengard & Rokhlin, J. Comput. Phys. 73, 1987).  A cell that is near,
-or that crosses a disk circle, is opened down to its leaves, whose points are
-summed directly with the direct kernel's own membership test; a cell wholly
-outside every disk of the group is skipped (Barnes & Hut, Nature 324, 1986,
-for the traversal).
+sum over whole bands.  The targets are grouped into leaves: the source tree's
+own leaves when the targets are a prefix of the sources (condition a, the
+Blaschke sweep), else the leaves of a quadtree over the targets.  A (group,
+cell) pair that is well separated, ``SEP * (rho_group + rho_cell) <=
+distance``, and wholly inside the summation region becomes a p-term local
+expansion about the group center: the cell's moments go through one
+multipole-to-local matrix (Greengard & Rokhlin, J. Comput. Phys. 73, 1987).
+A cell that is near, or that crosses a disk circle of the group, is opened
+down to its leaves; a cell wholly outside every disk of the group is skipped
+(Barnes & Hut, Nature 324, 1986, for the traversal).
+
+Near leaves are summed directly for the Blaschke and Poisson kernels.  For
+the truncated log, each near (group, leaf) pair is decided again for each
+target against its own circle.  A leaf wholly outside is skipped.  A leaf
+wholly inside and well separated from the target, ``SEP * rho <= dist``, is
+one multipole-to-point term from its moments.  A leaf wholly inside but close
+is summed directly.  A leaf that crosses the circle at ``dist > rho`` adds a
+value in ``[0, M log(r / (dist - rho))]``: the first pass adds its midpoint
+and puts its half-width in the bound, and ``refine`` sums it directly for the
+targets the first pass leaves in contention (bound, then refine).
+
+Moments come from an upward pass: power sums over the points of each leaf,
+then each level's children translated to their parent (M2M).  A parent's
+scale is the reach of its children's expansions, so every translation is a
+contraction and adds about ``eps * p`` of the cell's mass in rounding; the
+per-cell bound of that rounding enters every far-pair and multipole-to-point
+bound.
 
 All three kernels are harmonic.  The log-rho term is
 ``log|z - conj lambda| - log|z - lambda|``: two log kernels, whose monopole
@@ -30,7 +47,9 @@ a count.
 
 The bound on each value is the sum of
   * the truncation remainders of the multipole and the local series, in
-    closed form per pair (see ``_far_pairs``);
+    closed form per pair (see ``_far_pairs`` and ``_log_expanded``);
+  * the moment rounding bound of each expanded cell, through the same series;
+  * the half-widths of the circle-crossing leaves not yet summed;
   * ``eps * C * A``, where A bounds the sum of the term magnitudes the direct
     kernel and the tree evaluation round, and C counts their sequential
     operations: the direct kernel's ``log2 n + 8``, the far pairs and near
@@ -72,7 +91,11 @@ LEAF = 32
 #: whose disks hold most points.  On a 6000-point strip_random sample (3.5e6
 #: to 3.6e6 terms over seeds) every in-disk term is near field and the tree is
 #: 1.5x to 2x slower (55 to 68 ms direct, 98 ms or more tree); 4e6 keeps it
-#: direct with 10% to spare.
+#: direct with 10% to spare.  With the per-center near field, condition a on
+#: the 6000-point strip (seed 3, best of 3, three runs) ties: log_square
+#: (6.0e6 terms) 114 to 128 ms tree against 115 to 128 ms direct, power(0.5)
+#: (5.6e6 terms) 113 to 126 ms against 114 to 123 ms; log_shift (3.6e6 terms,
+#: direct) 80 to 83 ms against 101 to 133 ms tree.
 CROSSOVER = 4_000_000
 
 #: Sequential floating-point operations of one expansion, from the moments to
@@ -89,6 +112,14 @@ _SLACK = 16 * _EPS
 #: Element pairs per near-field chunk: bounds the temporaries, and keeps them
 #: in cache (2^15 ran the near field about 1.5x faster than 2^17).
 _CHUNK = 1 << 15
+
+#: Far pairs per chunk: each carries a few (p + 1)-term complex rows.
+_FAR_CHUNK = 1 << 11
+
+#: (target, leaf) pairs per block of the truncated log's per-target decisions:
+#: each carries about 100 bytes of temporaries.  On dyadic 1..12, 2^13 ran
+#: condition a as fast as 2^15, with a peak of 4.6 MB instead of 7.6 MB.
+_TARGET_PAIRS = 1 << 13
 
 _K = np.arange(ORDER + 1)
 _L = np.arange(1, ORDER + 1)
@@ -109,6 +140,28 @@ def _ranges(starts, counts):
     return np.arange(int(np.sum(counts))) - np.repeat(offs - starts, counts)
 
 
+def _blocks(weights, size):
+    """Slices cutting range(weights.size) into runs of total weight at most
+    size, or of one item."""
+    ends = np.cumsum(weights)
+    lo = 0
+    while lo < weights.size:
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + size, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _add_at(out, key, *weights):
+    """out[k][key] += weights[k], repeated keys summed in order, by one
+    np.bincount over the span of key."""
+    if key.size:
+        lo = int(key.min())
+        span = int(key.max()) - lo + 1
+        for row, w in zip(out, weights):
+            row[lo:lo + span] += np.bincount(key - lo, w, minlength=span)
+
+
 def _spread(v):
     """Interleave zero bits above each of the low 20 bits of v."""
     v = v.astype(np.uint64)
@@ -119,15 +172,24 @@ def _spread(v):
     return v
 
 
+def _series(th):
+    """An upper bound of sum_{k=1}^{p} th^k for th >= 0."""
+    return np.where(th < 0.5, 2 * th, ORDER * np.maximum(th, 1.0) ** ORDER)
+
+
 class _Tree:
     """Adaptive quadtree over z, with one root per band.
 
     band must be non-decreasing.  Cells are numbered level by level; the
     points of cell c are perm[start[c]:start[c] + count[c]], its children are
     first[c]:first[c] + nchild[c], and center/rho are the center of the
-    bounding box of its points and their largest distance from it.  With
-    mult, moments[c, k] = sum m ((z - center) / scale)^k, where scale is rho,
-    or 1 for a cell whose points coincide.
+    bounding box of its points and their largest distance from it.  leaves
+    lists the leaves by start, so their points tile perm; points and weights
+    hold the points and multiplicities in that order, and one padding point
+    of multiplicity 0 after them.  With mult,
+    moments[k, c] = sum m ((z - center[c]) / scale[c])^k, where every point
+    lies within scale[c] of center[c], and bound[c] bounds the rounding of
+    moments[k, c] for k >= 1; moments[0] is the mass, a sum of integers.
     """
 
     DEPTH = 20
@@ -182,16 +244,21 @@ class _Tree:
         self.level = np.concatenate(levels)
         self.roots = np.arange(b_start.size)
         self.band = band[perm[self.start]]
-        self._geometry(z, mult)
+        leaves = np.flatnonzero(self.is_leaf)
+        self.leaves = leaves[np.argsort(self.start[leaves])]
+        # The points in tree order, and a padding point of multiplicity 0 at
+        # index n (any finite point will do).
+        self.points = np.append(z[perm], z[:1])
+        self._geometry(self.points[:n])
+        self.weights = self.moments = self.bound = None
+        if mult is not None:
+            self.weights = np.append(mult[perm], 0).astype(float)
+            self._upward(self.points[:n], self.weights[:n])
 
-    def _geometry(self, z, mult):
-        zs = z[self.perm]
+    def _geometry(self, zs):
         n_cells = self.start.size
         self.center = np.empty(n_cells, complex)
         self.rho = np.empty(n_cells)
-        p1 = ORDER + 1
-        self.moments = None if mult is None else np.empty((n_cells, p1), complex)
-        ms = None if mult is None else mult[self.perm].astype(float)
         for level in range(int(self.level.max()) + 1):
             cells = np.flatnonzero(self.level == level)
             st, ct = self.start[cells], self.count[cells]
@@ -201,18 +268,67 @@ class _Tree:
             cx = 0.5 * (np.minimum.reduceat(zz.real, offs) + np.maximum.reduceat(zz.real, offs))
             cy = 0.5 * (np.minimum.reduceat(zz.imag, offs) + np.maximum.reduceat(zz.imag, offs))
             c = cx + 1j * cy
-            u = zz - np.repeat(c, ct)
-            rho = np.maximum.reduceat(np.abs(u), offs)
             self.center[cells] = c
-            self.rho[cells] = rho
-            if ms is None:
+            self.rho[cells] = np.maximum.reduceat(np.abs(zz - np.repeat(c, ct)), offs)
+        self.scale = np.where(self.rho > 0, self.rho, 1.0)
+
+    def _upward(self, zs, ms):
+        """Moments by an upward pass, and the bound on their rounding.
+
+        A leaf's moments are power sums over its points, one power at a time:
+        with |u| <= 1, u^k and the count-term sum round by at most
+        eps (8 (p + 1) + count) of the mass.  A parent's moments translate its
+        children's: about center c with scale S, a child's point
+        c' + S' u is c + S (a u + beta) with a = S' / S and beta = (c' - c) / S,
+        so moment k is sum_j C(k, j) a^j beta^(k-j) moment'_j.  The parent's
+        scale is the largest S' + |c' - c| of its children, so a + |beta| <= 1:
+        the map passes each child's rounding on at most once, and its own
+        arithmetic (a^j, p shift steps, the rounding of a and beta, the
+        children's sum) adds at most eps 16 (p + 1) of the mass.  A cell whose
+        points coincide has exact moments: u = 0, beta = 0, a = 0.
+        """
+        n_cells = self.start.size
+        p1 = ORDER + 1
+        self.moments = np.empty((p1, n_cells), complex)
+        self.bound = np.zeros(n_cells)
+        leaves = self.leaves
+        own = np.repeat(leaves, self.count[leaves])
+        u = (zs - self.center[own]) / self.scale[own]
+        offs = self.start[leaves]
+        pw = ms.astype(complex)
+        for k in range(p1):
+            self.moments[k, leaves] = np.add.reduceat(pw, offs)
+            pw *= u
+        mass = self.moments[0].real
+        spread = self.rho > 0
+        self.bound[leaves] = np.where(spread[leaves], _EPS * (8 * p1 + self.count[leaves])
+                                      * mass[leaves], 0.0)
+        inner = ~self.is_leaf
+        for level in range(int(self.level.max()) - 1, -1, -1):
+            cells = np.flatnonzero(inner & (self.level == level))
+            if not cells.size:
                 continue
-            u /= np.repeat(np.where(rho > 0, rho, 1.0), ct)
-            pw = np.empty((pos.size, p1), complex)
-            pw[:, 0] = ms[pos]
+            kids = self.nchild[cells]
+            ch = _ranges(self.first[cells], kids)
+            offs = np.cumsum(kids) - kids
+            off = self.center[ch] - np.repeat(self.center[cells], kids)
+            reach = np.where(spread[ch], self.scale[ch], 0.0) + np.abs(off)
+            s = np.maximum.reduceat(reach, offs) * (1 + 8 * _EPS)
+            s = np.where(s > 0, s, 1.0)
+            self.scale[cells] = s
+            s = np.repeat(s, kids)
+            a = np.where(spread[ch], self.scale[ch] / s, 0.0)
+            beta = off / s
+            t = self.moments[:, ch]
+            ak = a.copy()
             for k in range(1, p1):
-                np.multiply(pw[:, k - 1], u, out=pw[:, k])
-            self.moments[cells] = np.add.reduceat(pw, offs, axis=0)
+                t[k] *= ak
+                ak *= a
+            for i in range(1, p1):
+                t[i:] += beta * t[i - 1:-1]
+            self.moments[:, cells] = np.add.reduceat(t, offs, axis=1)
+            self.bound[cells] = np.add.reduceat(self.bound[ch], offs) + np.where(
+                spread[cells], _EPS * 16 * p1 * self.moments[0, cells].real, 0.0)
 
     @property
     def is_leaf(self):
@@ -220,21 +336,21 @@ class _Tree:
 
 
 class _Groups:
-    """Targets grouped into the leaves of a quadtree: group g holds the
-    targets order[start[g]:start[g] + count[g]], inside the disk of center
-    center[g] and radius rho[g]."""
+    """The targets, the first n points of a tree, grouped by its leaves:
+    group g holds the slots start[g]:start[g] + count[g], slot i is target
+    order[i], of[i] is its group, and each target of g lies within rho[g] of
+    center[g]."""
 
-    def __init__(self, z):
-        tree = _Tree(z, np.zeros(z.size, np.int64), LEAF)
-        leaves = np.flatnonzero(tree.is_leaf)
-        leaves = leaves[np.argsort(tree.start[leaves])]
-        self.order = tree.perm
-        self.start = tree.start[leaves]
-        self.count = tree.count[leaves]
-        self.center = tree.center[leaves]
-        self.rho = tree.rho[leaves]
-        self.of = np.empty(z.size, np.int64)
-        self.of[self.order] = np.repeat(np.arange(leaves.size), self.count)
+    def __init__(self, tree, n):
+        member = tree.perm < n
+        count = np.add.reduceat(member.astype(np.int64), tree.start[tree.leaves])
+        held = count > 0
+        self.order = tree.perm[member]
+        self.count = count[held]
+        self.start = np.cumsum(self.count) - self.count
+        self.center = tree.center[tree.leaves[held]]
+        self.rho = tree.rho[tree.leaves[held]]
+        self.of = np.repeat(np.arange(self.count.size), self.count)
 
 
 def _traverse(groups, tree, region=None):
@@ -275,11 +391,12 @@ def _powers(r):
     return out
 
 
-def _local(moments, rho_s, rho_t, d, matrix):
+def _local(moments, scale_s, rho_t, d, matrix):
     """Local coefficients about the group center of the moment expansions
-    about centers at offset d, scaled to targets v = (z - t) / rho_t, less
-    the log(-d) term of the log kernel (added by the caller)."""
-    gamma = moments * _powers(-rho_s / d)
+    (scaled by scale_s) about centers at offset d, scaled to targets
+    v = (z - t) / rho_t, less the log(-d) term of the log kernel (added by the
+    caller)."""
+    gamma = moments * _powers(-scale_s / d)
     # Two real einsums: a small threaded BLAS matmul costs far more here.
     local = (np.einsum("nk,kl->nl", gamma.real, matrix)
              + 1j * np.einsum("nk,kl->nl", gamma.imag, matrix))
@@ -287,8 +404,8 @@ def _local(moments, rho_s, rho_t, d, matrix):
 
 
 def _far_pairs(groups, tree, g, c, kind):
-    """Local coefficients, truncation bounds and magnitude scales of the far
-    pairs.
+    """Local coefficients, truncation and moment rounding bounds, and
+    magnitude scales of the far pairs.
 
     For sources within rho_s of s, targets within rho_t of t and d = s - t,
     with x = rho_s/|d|, y = rho_t/|d|, th = rho_s/(|d| - rho_t) and
@@ -299,10 +416,13 @@ def _far_pairs(groups, tree, g, c, kind):
       Cauchy kernel: th^(p+1)/((|d|-rho_t)(1-th)) + q^(p+1)/(|d|(1-x)(1-q))
     (the multipole tail, the local tail of the log, and the local tail of the
     moment terms, bounded by summing the binomial series in closed form).
+    Moment k, of scale S, enters the value through at most (S/(|d|-rho_t))^k / k
+    (log) or (S/(|d|-rho_t))^k / (|d|-rho_t) (Cauchy), so the cell's moment
+    rounding bound enters through the same series.
     """
     t, s = groups.center[g], tree.center[c]
-    rho_t, rho_s = groups.rho[g], tree.rho[c]
-    mom = tree.moments[c]
+    rho_t, rho_s, scale_s = groups.rho[g], tree.rho[c], tree.scale[c]
+    mom = tree.moments[:, c].T
     mass = mom[:, 0].real
     d = s - t
     dist = np.abs(d)
@@ -311,30 +431,70 @@ def _far_pairs(groups, tree, g, c, kind):
     x, y = rho_s / dist, rho_t / dist
     th, q = rho_s / (dist - rho_t), rho_t / (dist - rho_s)
     moment_tail = x / (1 - x) * q ** p1 / (1 - q)
+    rounding = tree.bound[c] * _series(scale_s / (dist - rho_t))
     if kind == "cauchy":
-        beta = -_local(mom, rho_s, rho_t, d, _M2L_CAUCHY) / d[:, None]
+        beta = -_local(mom, scale_s, rho_t, d, _M2L_CAUCHY) / d[:, None]
         trunc = th ** p1 / ((dist - rho_t) * (1 - th)) + q ** p1 / (dist * (1 - x) * (1 - q))
-        return beta, mass * trunc, mass / (dist - rho)
+        return beta, mass * trunc + rounding / (dist - rho_t), mass / (dist - rho)
     trunc = (th ** p1 / (1 - th) + y ** p1 / (1 - y)) / p1 + moment_tail
     if kind == "log":
-        beta = _local(mom, rho_s, rho_t, d, _M2L_LOG)
+        beta = _local(mom, scale_s, rho_t, d, _M2L_LOG)
         beta[:, 0] += mass * np.log(dist)
         logs = np.maximum(np.abs(np.log(dist - rho)), np.abs(np.log(dist + rho)))
-        return beta, mass * trunc, mass * (1 + logs)
+        return beta, mass * trunc + rounding, mass * (1 + logs)
     # log-rho: the kernel with sources conj(lambda) less the kernel with lambda.
     dc = np.conj(s) - t
-    beta = (_local(np.conj(mom), rho_s, rho_t, dc, _M2L_LOG)
-            - _local(mom, rho_s, rho_t, d, _M2L_LOG))
+    beta = (_local(np.conj(mom), scale_s, rho_t, dc, _M2L_LOG)
+            - _local(mom, scale_s, rho_t, d, _M2L_LOG))
     beta[:, 0] += 0.5 * mass * np.log1p(4 * t.imag * s.imag / (dist * dist))
     top = 0.5 * np.log1p(4 * (t.imag + rho_t) * (s.imag + rho_s) / (dist - rho) ** 2)
-    return beta, 2 * mass * trunc, mass * (1 + top)
+    return beta, 2 * (mass * trunc + rounding), mass * (1 + top)
 
 
-def _near_sums(kind, z, src, m, r, include_center):
+def _far_field(kind, groups, tree, far_g, far_c, z, r, n_bands):
+    """Per slot and band: the far pairs' value, truncation bound and
+    magnitude scale, (slots, n_bands) each, and the far pairs per slot."""
+    n_groups = groups.count.size
+    size = n_groups * n_bands
+    key = far_g * n_bands + tree.band[far_c]
+    order = np.argsort(key, kind="stable")
+    key, far_g, far_c = key[order], far_g[order], far_c[order]
+    local = np.zeros((ORDER + 1, size), complex)
+    sums = np.zeros((3, size))  # truncation bound, scale, far mass
+    for lo in range(0, key.size, _FAR_CHUNK):
+        blk = slice(lo, lo + _FAR_CHUNK)
+        beta, trunc, scale = _far_pairs(groups, tree, far_g[blk], far_c[blk], kind)
+        k = key[blk]
+        heads = np.concatenate([[0], np.flatnonzero(np.diff(k)) + 1])
+        local[:, k[heads]] += np.add.reduceat(beta, heads, axis=0).T
+        for row, w in zip(sums, (trunc, scale, tree.moments[0, far_c[blk]].real)):
+            row[k[heads]] += np.add.reduceat(w, heads)
+
+    g_of = groups.of
+    rho_t = groups.rho[g_of]
+    v = ((z - groups.center[g_of]) / np.where(rho_t > 0, rho_t, 1.0))[:, None]
+    local = local.reshape(ORDER + 1, n_groups, n_bands)
+    acc = local[ORDER][g_of]
+    for k in range(ORDER - 1, -1, -1):
+        acc *= v
+        acc += local[k][g_of]
+    trunc, scale, mass = (s.reshape(n_groups, n_bands)[g_of] for s in sums)
+    if kind == "cauchy":
+        value = acc.imag.copy()
+    elif kind == "log-rho":
+        value = acc.real.copy()
+    else:
+        log_r = np.log(np.where(r > 0, r, 1.0))[:, None]
+        value = mass * log_r - acc.real
+        scale += mass * (1 + np.abs(log_r))
+    return value, trunc, scale, np.bincount(far_g, minlength=n_groups)[g_of]
+
+
+def _near_sums(kind, z, src, m):
     """Direct sums of targets z[..., i] against sources src[..., j] over j,
     and the sums of their magnitude scales, with the direct kernels'
-    arithmetic and membership tests.  z and src are (pairs, rows, 1) and
-    (pairs, 1, columns) blocks."""
+    arithmetic.  z and src are (pairs, rows, 1) and (pairs, 1, columns)
+    blocks."""
     if kind == "cauchy":
         dd = z.real - src.real
         dd *= dd
@@ -342,100 +502,34 @@ def _near_sums(kind, z, src, m, r, include_center):
         np.divide(m * src.imag, dd, out=dd)
         term = dd.sum(axis=2)
         return term, term
-    if kind == "log-rho":
-        dx = z.real - src.real
-        qq = z.imag - src.imag
-        qq *= qq
-        qq += dx * dx
-        t = np.divide(4.0 * z.imag * src.imag, qq, out=np.zeros_like(qq), where=qq > 0)
-        np.log1p(t, out=t)
-        t *= 0.5 * m
-        term = t.sum(axis=2)
-        return term, term + m.sum(axis=2)
-    d = np.abs(src - z)
-    log_r = np.log(np.where(r > 0, r, 1.0))[..., 0]
-    inside = (d > 0) & (d <= r)
-    mm = np.where(inside, m, 0.0)
-    np.log(d, out=d, where=inside)  # d is finite, so mm * d is 0 outside
-    mass = mm.sum(axis=2)
-    term = mass * log_r - (mm * d).sum(axis=2)
-    scale = mass * (1 + np.abs(log_r)) + (mm * np.abs(d, out=d)).sum(axis=2)
-    if include_center:
-        at = np.where(inside | (d != 0), 0.0, m).sum(axis=2)
-        term += at * log_r
-        scale += at * (1 + np.abs(log_r))
-    return term, scale
+    dx = z.real - src.real
+    qq = z.imag - src.imag
+    qq *= qq
+    qq += dx * dx
+    t = np.divide(4.0 * z.imag * src.imag, qq, out=np.zeros_like(qq), where=qq > 0)
+    np.log1p(t, out=t)
+    t *= 0.5 * m
+    term = t.sum(axis=2)
+    return term, term + m.sum(axis=2)
 
 
-def _padded(order, start, count, width):
-    """(cells, width) indices into order of each cell's members, padded with
-    its first member, and the mask of the real ones."""
+def _padded(start, count, width, pad):
+    """(cells, width) positions start + k of each cell's members, padded with
+    the position pad, and the mask of the real ones."""
     k = np.arange(width)
     real = k < count[:, None]
-    return order[start[:, None] + np.where(real, k, 0)], real
+    return np.where(real, start[:, None] + k, pad), real
 
 
-def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center=False):
-    """Approximate band sums and bounds, (n_bands, n_targets) each.
+def _near_field(kind, groups, tree, near_g, near_c, z, value, scale, ops):
+    """Add the direct sums of the near (group, leaf) pairs into the per-slot
+    value, scale and operation counts.
 
-    targets are complex points (real abscissae for the Cauchy kernel); src,
-    mult and band describe the sources in canonical order, with band
-    non-decreasing and below n_bands; radii gives each target's disk for the
-    log kernel.
-    """
-    tree = _Tree(src, band, LEAF, mult)
-    groups = _Groups(targets)
-    region = None
-    if kind == "log":
-        r_lo = np.minimum.reduceat(radii[groups.order], groups.start)
-        r_hi = np.maximum.reduceat(radii[groups.order], groups.start)
-
-        def region(g, c, dist, rho):
-            inside = dist + rho + _SLACK * (dist + rho + r_lo[g]) <= r_lo[g]
-            outside = dist - rho > r_hi[g] + _SLACK * (dist + rho + r_hi[g])
-            return inside, outside
-
-    far_g, far_c, near_g, near_c = _traverse(groups, tree, region)
-    n_groups, n_t = groups.center.size, targets.size
-    size = n_groups * n_bands
-
-    # Far pairs: local expansions per (group, band).
-    beta, trunc, scale = _far_pairs(groups, tree, far_g, far_c, kind)
-    key = far_g * n_bands + tree.band[far_c]
-    trunc, scale_far, count_far = (np.bincount(key, w, minlength=size).astype(float)
-                                   for w in (trunc, scale, tree.moments[far_c, 0].real))
-    n_far = np.bincount(far_g, minlength=n_groups)
-    local = np.zeros((size, ORDER + 1), complex)
-    if key.size:
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        heads = np.concatenate([[0], np.flatnonzero(np.diff(key)) + 1])
-        local[key[heads]] = np.add.reduceat(beta[order], heads, axis=0)
-
-    g_of = groups.of
-    rho_t = groups.rho[g_of]
-    v = (targets - groups.center[g_of]) / np.where(rho_t > 0, rho_t, 1.0)
-    coef = local.reshape(n_groups, n_bands, ORDER + 1)[g_of]
-    acc = coef[:, :, ORDER].copy()
-    for k in range(ORDER - 1, -1, -1):
-        acc *= v[:, None]
-        acc += coef[:, :, k]
-    value = (acc.imag if kind == "cauchy" else acc.real).copy()
-    if kind == "log":
-        log_r = np.log(np.where(radii > 0, radii, 1.0))
-        cnt = count_far.reshape(n_groups, n_bands)[g_of]
-        value = cnt * log_r[:, None] - value
-        scale_t = scale_far.reshape(n_groups, n_bands)[g_of] + cnt * (1 + np.abs(log_r))[:, None]
-    else:
-        scale_t = scale_far.reshape(n_groups, n_bands)[g_of]
-    trunc_t = trunc.reshape(n_groups, n_bands)[g_of]
-    value, scale_t = value.ravel(), scale_t.ravel()
-
-    # Near leaf pairs: (pair, target, source) blocks, sorted by shape so that
-    # each chunk pads its groups and leaves to nearly their own sizes; padding
-    # sources have multiplicity 0 and padding targets are dropped.
-    n_near = np.zeros(n_t)
-    order = np.lexsort((tree.count[near_c], groups.count[near_g]))
+    The pairs go in (group, leaf size) order, so each chunk covers a few
+    groups, and pads them and their leaves to nearly their own sizes; padding
+    sources have multiplicity 0 and padding targets are dropped."""
+    n_bands = value.shape[1]
+    order = np.lexsort((tree.count[near_c], near_g))
     near_g, near_c = near_g[order], near_c[order]
     lo = 0
     while lo < near_g.size:
@@ -445,23 +539,194 @@ def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center
         hi = lo + max(1, min(g.size, _CHUNK // (rows * cols)))
         g, c = near_g[lo:hi], near_c[lo:hi]
         lo = hi
-        ti, t_real = _padded(groups.order, groups.start[g], groups.count[g], rows)
-        sj, s_real = _padded(tree.perm, tree.start[c], tree.count[c], cols)
-        m = np.where(s_real, mult[sj], 0).astype(float)[:, None, :]
-        term, sc = _near_sums(kind, targets[ti][:, :, None], src[sj][:, None, :], m,
-                              None if radii is None else radii[ti][:, :, None],
-                              include_center)
+        ti, t_real = _padded(groups.start[g], groups.count[g], rows, 0)
+        sj, _ = _padded(tree.start[c], tree.count[c], cols, tree.perm.size)
+        term, sc = _near_sums(kind, z[ti][:, :, None], tree.points[sj][:, None, :],
+                              tree.weights[sj][:, None, :])
         ti = ti[t_real]
-        key = ti * n_bands + np.repeat(tree.band[c], t_real.sum(axis=1))
-        np.add.at(value, key, term[t_real])
-        np.add.at(scale_t, key, sc[t_real])
-        np.add.at(n_near, ti, np.repeat(tree.count[c], t_real.sum(axis=1)))
+        per_pair = t_real.sum(axis=1)
+        _add_at((value.ravel(), scale.ravel()),
+                ti * n_bands + np.repeat(tree.band[c], per_pair), term[t_real], sc[t_real])
+        _add_at((ops,), ti, np.repeat(tree.count[c], per_pair).astype(float))
 
-    value = value.reshape(n_t, n_bands)
-    scale_t = scale_t.reshape(n_t, n_bands)
-    ops = TREE_OPS + n_far[g_of] + n_near + log2(max(src.size, 1)) + 8 + n_bands
-    err = trunc_t + _EPS * ops[:, None] * scale_t
-    return value.T, err.T
+
+def _log_direct(tree, t, c, z, r, include_center, out):
+    """Add the direct truncated-log sums of the leaves c at the targets z with
+    radii r, one per pair, into columns t of out: the value, the term
+    magnitudes and the term count, with the direct kernel's membership test.
+
+    The pairs go in leaf size order, (pairs, leaf size) blocks padded with
+    multiplicity 0."""
+    counts = tree.count[c]
+    order = np.argsort(counts, kind="stable")
+    for blk in _blocks(counts[order], _CHUNK):
+        pairs = order[blk]
+        cols = int(counts[pairs[-1]])
+        pos, _ = _padded(tree.start[c[pairs]], counts[pairs], cols, tree.perm.size)
+        rr = r[pairs]
+        d = np.abs(tree.points[pos] - z[pairs, None])
+        m = tree.weights[pos]
+        log_r = np.log(np.where(rr > 0, rr, 1.0))
+        inside = (d > 0) & (d <= rr[:, None])
+        mm = np.where(inside, m, 0.0)
+        np.log(d, out=d, where=inside)  # d is finite, so mm * d is 0 outside
+        mass = mm.sum(axis=1)
+        mm *= d
+        term = mass * log_r - mm.sum(axis=1)
+        mag = mass * (1 + np.abs(log_r)) + np.abs(mm, out=mm).sum(axis=1)
+        if include_center:
+            at = np.where(inside | (d != 0), 0.0, m).sum(axis=1)
+            term += at * log_r
+            mag += at * (1 + np.abs(log_r))
+        _add_at(out, t[pairs], term, mag, counts[pairs].astype(float))
+
+
+def _log_bounded(tree, c, low, log_r):
+    """Half-width and term magnitude bound of the leaves c crossing circles
+    of radius r: each in-disk point is at least low > 0 and at most r away,
+    so the leaf adds a value in [0, M log(r / low)]."""
+    mass = tree.moments[0, c].real
+    log_low = np.log(low)
+    half = 0.5 * mass * np.maximum(log_r - log_low, 0.0)
+    return half, mass * (1 + np.abs(log_r) + np.maximum(np.abs(log_low), np.abs(log_r)))
+
+
+def _log_expanded(tree, coef, c, z, dist, low, log_r):
+    """Value, term magnitude bound and remainder bound of the leaves c wholly
+    inside circles of radius r about z, with x = rho / dist <= 1/SEP.
+
+    The value is M (log r - log dist) + Re sum_k (moment_k / k) w^k with
+    w = scale / (z - center), by Horner; after p terms the remainder is at
+    most M x^(p+1) / ((p+1)(1-x)), and the moment rounding bound enters
+    through sum_k x^k / k <= x / (1 - x).
+    """
+    mass = tree.moments[0, c].real
+    w = tree.scale[c] / (z - tree.center[c])
+    acc = coef[ORDER - 1, c]
+    for j in range(ORDER - 2, -1, -1):
+        acc *= w
+        acc += coef[j, c]
+    acc *= w
+    x = tree.rho[c] / dist
+    logs = np.maximum(np.abs(np.log(low)), np.abs(log_r))
+    return (mass * (log_r - np.log(dist)) + acc.real, mass * (1 + np.abs(log_r) + logs),
+            mass * x ** (ORDER + 1) / ((ORDER + 1) * (1 - x)) + tree.bound[c] * x / (1 - x))
+
+
+def _log_near(tree, groups, near, coef, z, r, include_center, slots, first):
+    """The truncated log's near field at the given slots, decided leaf by
+    leaf against each target's own circle (see the module docstring).
+
+    near is (start, count, leaves) of each group's near leaves.  The first
+    pass returns (value, scale, ops, trunc) of the leaves expanded or summed
+    directly and (mid, scale, ops, half) of the crossing leaves bounded; a
+    refine pass returns (value, scale, ops) of the crossing leaves summed
+    directly.
+    """
+    near_start, near_count, near_c = near
+    out = np.zeros((4, slots.size))
+    cross = np.zeros((4, slots.size))
+    k = near_count[groups.of[slots]]
+    for blk in _blocks(k, _TARGET_PAIRS):
+        t = np.repeat(np.arange(blk.stop - blk.start), k[blk])
+        c = near_c[_ranges(near_start[groups.of[slots[blk]]], k[blk])]
+        zt, rt = z[slots[blk]][t], r[slots[blk]][t]
+        dist = np.abs(tree.center[c] - zt)
+        rho = tree.rho[c]
+        slack = _SLACK * (dist + rho + rt)
+        inside = dist + rho + slack <= rt
+        outside = dist - rho > rt + slack
+        low = dist - rho - _SLACK * (dist + rho)  # below every point's distance
+        expand = inside & (SEP * rho <= dist) & (dist > 0)
+        bound = ~(inside | outside) & (low > 0)
+        i = np.flatnonzero(bound if not first else ~(expand | bound | outside))
+        _log_direct(tree, t[i], c[i], zt[i], rt[i], include_center, out[:3, blk])
+        if not first:
+            continue
+        log_r = np.log(np.where(r[slots[blk]] > 0, r[slots[blk]], 1.0))
+        i = np.flatnonzero(bound)
+        half, mag = _log_bounded(tree, c[i], low[i], log_r[t[i]])
+        _add_at(cross[:, blk], t[i], half, mag, np.ones(i.size), half)
+        i = np.flatnonzero(expand)
+        value, mag, trunc = _log_expanded(tree, coef, c[i], zt[i], dist[i], low[i],
+                                          log_r[t[i]])
+        _add_at(out[:, blk], t[i], value, mag, np.ones(i.size), trunc)
+    return (out, cross) if first else out[:3]
+
+
+def _tree_far_field(kind, targets, src, mult, band, n_bands, radii=None):
+    """The source tree, the target groups, the slot order of the targets and
+    radii, the near leaf pairs, and the far field per slot and band: value,
+    truncation bound, magnitude scale and operation count."""
+    n_t = targets.size
+    tree = _Tree(src, band, LEAF, mult)
+    prefix = n_t <= src.size and np.array_equal(targets, src[:n_t])
+    groups = _Groups(tree if prefix else _Tree(targets, np.zeros(n_t, np.int64), LEAF), n_t)
+    z = targets[groups.order]
+    r = None if radii is None else radii[groups.order]
+    region = None
+    if kind == "log":
+        r_lo = np.minimum.reduceat(r, groups.start)
+        r_hi = np.maximum.reduceat(r, groups.start)
+
+        def region(g, c, dist, rho):
+            inside = dist + rho + _SLACK * (dist + rho + r_lo[g]) <= r_lo[g]
+            outside = dist - rho > r_hi[g] + _SLACK * (dist + rho + r_hi[g])
+            return inside, outside
+
+    far_g, far_c, near_g, near_c = _traverse(groups, tree, region)
+    value, trunc, scale, n_far = _far_field(kind, groups, tree, far_g, far_c, z, r, n_bands)
+    ops = n_far + (TREE_OPS + log2(max(src.size, 1)) + 8 + n_bands)
+    return tree, groups, z, r, near_g, near_c, value, trunc, scale, ops
+
+
+def _by_target(order, a):
+    """Per-slot rows of a as (columns, targets), in target order."""
+    out = np.empty((a.shape[1], a.shape[0]))
+    out[:, order] = a.T
+    return out
+
+
+def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center=False):
+    """Approximate band sums and bounds, (n_bands, n_targets) each.
+
+    targets are complex points (real abscissae for the Cauchy kernel); src,
+    mult and band describe the sources in canonical order, with band
+    non-decreasing and below n_bands; radii gives each target's disk for the
+    log kernel, whose one band comes back as (value, err, refine) of 1-d
+    arrays (see truncated_log_enclosures).
+    """
+    tree, groups, z, r, near_g, near_c, value, trunc, scale, ops = _tree_far_field(
+        kind, targets, src, mult, band, n_bands, radii)
+    if kind != "log":
+        _near_field(kind, groups, tree, near_g, near_c, z, value, scale, ops)
+        err = trunc + _EPS * ops[:, None] * scale
+        return _by_target(groups.order, value), _by_target(groups.order, err)
+    value, trunc, scale = value[:, 0], trunc[:, 0], scale[:, 0]
+    slots = np.arange(targets.size)
+    order = np.argsort(near_g, kind="stable")
+    count = np.bincount(near_g, minlength=groups.count.size)
+    near = (np.cumsum(count) - count, count, near_c[order])
+    near_sums, cross = _log_near(tree, groups, near, tree.moments[1:] / _L[:, None], z, r,
+                                 include_center, slots, True)
+    value += near_sums[0]
+    scale += near_sums[1]
+    ops += near_sums[2]
+    trunc += near_sums[3]
+    slot_of = np.empty_like(slots)
+    slot_of[groups.order] = slots
+
+    def err(trunc, scale, ops):
+        # Widened by 2^-20 for the rounding of the bound itself.
+        return (trunc + _EPS * ops * scale) * (1 + 2.0 ** -20)
+
+    def refine(idx):
+        s = slot_of[np.asarray(idx, dtype=np.int64)]
+        more = _log_near(tree, groups, near, None, z, r, include_center, s, False)
+        return value[s] + more[0], err(trunc[s], scale[s] + more[1], ops[s] + more[2])
+
+    first = (value + cross[0], err(trunc + cross[3], scale + cross[1], ops + cross[2]))
+    return first[0][slot_of], first[1][slot_of], refine
 
 
 def _columns(value, err):
@@ -521,13 +786,18 @@ def poisson_prefix_enclosures(lam, mult, xs, ends):
 
 
 def truncated_log_enclosures(lam, mult, centers, radii, include_center=False):
-    """(value, err) of truncated_log_sums at each center; err = 0 on the
-    direct path."""
+    """(value, err, refine) of truncated_log_sums at each center.
+
+    value - err <= direct <= value + err.  On the tree path the first pass
+    bounds each circle-crossing leaf; refine(idx) returns (value, err) at the
+    centers idx with those leaves summed directly, a narrower enclosure.  On
+    the direct path err = 0 and refine returns the direct values at idx.
+    """
     centers = np.asarray(centers, dtype=complex)
     radii = np.maximum(np.asarray(radii, dtype=float), 0.0)
     if lam.size * centers.size == 0 or truncated_log_sum_terms(lam, centers, radii) <= CROSSOVER:
         sums = truncated_log_sums(lam, mult, centers, radii, include_center)
-        return sums, np.zeros(sums.size)
-    value, err = _columns(*_enclose("log", centers, lam, mult, np.zeros(lam.size, np.int64),
-                                    1, radii, include_center))
-    return value[0], err[0]
+        zero = np.zeros(sums.size)
+        return sums, zero, lambda idx: (sums[idx], zero[idx])
+    return _enclose("log", centers, lam, mult, np.zeros(lam.size, np.int64), 1, radii,
+                    include_center)

@@ -51,6 +51,16 @@ written before the tree-code (commit 4077221) with
 
 with N = 11 and 12 and W each of the WEIGHTS below, and each is pinned byte for
 byte.
+
+On dyadic 1..14 most of condition a's near field is leaves that cross a disk
+circle, which the tree bounds first and sums only for the contending centers.
+That report was written before the per-center near field (commit d453360) with
+
+    apinterp check --weight '{"family":"log_shift","a":1.0}' \\
+        --family '{"family":"dyadic_angle","n_min":1,"n_max":14}' \\
+        --out tests/data/check_dyadic_angle_14_log_shift.json
+
+and is pinned byte for byte.
 """
 
 import json
@@ -161,3 +171,10 @@ def test_profile_balayage_matches_golden_csv_above_the_crossover(tmp_path):
                      "--samples", "2049", "--out", str(out)]) == 0
     want = GOLDEN / "profile_balayage_dyadic_angle_11_log_shift.csv"
     assert out.read_bytes() == want.read_bytes()
+
+
+def test_check_matches_golden_bytes_on_dyadic_1_to_14(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--weight", WEIGHTS["log_shift"], "--family",
+                     '{"family":"dyadic_angle","n_min":1,"n_max":14}', "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "check_dyadic_angle_14_log_shift.json").read_bytes()

@@ -204,6 +204,19 @@ def test_certificate_scales(jet_setup, log_shift):
     assert c2 == pytest.approx(3 * c1, rel=1e-12)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                            allow_infinity=False), min_size=1, max_size=24),
+                min_size=1, max_size=12))
+def test_certificate_matches_the_sequential_sums(log_shift, rows):
+    # Rows of up to 24 jets, past the 8 where numpy's pairwise sum would
+    # change the bits: the certificate keeps those of the per-row generator.
+    lam = np.arange(1, len(rows) + 1) * (1.0 + 0.5j)
+    data = ap.InterpolationData(lam, tuple(map(tuple, rows)), alpha=0.1)
+    sums = np.array([sum(abs(x) for x in row) for row in rows])
+    assert data.certificate(log_shift) == float(np.max(sums * np.exp(-0.1 * log_shift.p(lam))))
+
+
 def test_singular_weight_values(lattice, log_shift):
     eps = 0.1
     assert ap.singular_weight(lattice, log_shift, eps, 0.5 + 50j) == 0.0

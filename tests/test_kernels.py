@@ -305,12 +305,129 @@ def test_truncated_log_tree_encloses_direct_sum(v, data, include_center):
     radii = [abs(c - v.lam[j]) or 0.5 if data.draw(st.booleans()) else data.draw(UPPER) * 2
              for c, j in zip(centers, to)]
     with forced_tree():
-        value, err = treecode.truncated_log_enclosures(v.lam, v.mult, centers, radii,
-                                                       include_center)
+        value, err, refine = treecode.truncated_log_enclosures(v.lam, v.mult, centers, radii,
+                                                               include_center)
+        idx = np.arange(len(centers))[::-1]
+        refined = refine(idx)
     direct = truncated_log_sums(v.lam, v.mult, centers, radii, include_center)
     for i, (c, r) in enumerate(zip(centers, radii)):
         terms, _ = direct_truncated_log(v, c, r, include_center)
         assert_enclosed(value[i], err[i], direct[i], math.fsum(terms))
+    for j, i in enumerate(idx):
+        terms, _ = direct_truncated_log(v, centers[i], radii[i], include_center)
+        assert_enclosed(refined[0][j], refined[1][j], direct[i], math.fsum(terms))
+
+
+def fsum_truncated_log(lam, mult, c, r, include_center):
+    """math.fsum of the truncated-log terms at c, with the kernel's
+    convention that a radius <= 0 gives 0."""
+    if r <= 0:
+        return 0.0
+    terms = [m * math.log(r) if d == 0 else m * math.log(r / d)
+             for d, m in ((abs(z - c), m) for z, m in zip(lam.tolist(), mult.tolist()))
+             if (d == 0 and include_center) or 0 < d <= r]
+    return math.fsum(terms)
+
+
+def log_tree_passes(lam, mult, centers, radii, include_center, leaf):
+    """First-pass and refined enclosures at every center, each checked
+    against the direct kernel and fsum; a refine of a reversed subset too.
+    Returns the two bounds."""
+    order = np.argsort(np.abs(lam), kind="stable")
+    lam, mult = lam[order], mult[order]
+    with forced_tree(LEAF=leaf):
+        value, err, refine = treecode.truncated_log_enclosures(lam, mult, centers, radii,
+                                                               include_center)
+        rvalue, rerr = refine(np.arange(centers.size))
+        sub = np.arange(centers.size)[::3][::-1]
+        svalue, serr = refine(sub)
+    direct = truncated_log_sums(lam, mult, centers, radii, include_center)
+    for i, (c, r) in enumerate(zip(centers.tolist(), radii.tolist())):
+        exact = fsum_truncated_log(lam, mult, c, r, include_center)
+        assert_enclosed(value[i], err[i], direct[i], exact)
+        assert_enclosed(rvalue[i], rerr[i], direct[i], exact)
+    for j, i in enumerate(sub):
+        assert_enclosed(svalue[j], serr[j], direct[i], direct[i])
+    return err, rerr
+
+
+def lattice_arrays(half, mult_seed=None):
+    """Integer lattice points |x|, |y| <= half, with seeded multiplicities."""
+    k = np.arange(-half, half + 1)
+    lam = (k[:, None] + 1j * k[None, :]).ravel()
+    rng = np.random.default_rng(mult_seed)
+    mult = np.ones(lam.size, np.int64) if mult_seed is None else rng.integers(1, 4, lam.size)
+    return lam, mult
+
+
+@pytest.mark.parametrize("leaf", [3, treecode.LEAF])
+@pytest.mark.parametrize("include_center", [False, True])
+def test_log_tree_bounds_points_on_the_circles(leaf, include_center):
+    # Radii 5, 13, 25 and 65 about lattice centers: their Pythagorean offsets
+    # put lattice points exactly on each circle, so leaves cross it.
+    lam, mult = lattice_arrays(30, mult_seed=5)
+    centers = np.array([0, 3 + 4j, -7 + 2j, 11 - 9j, 20 + 20j, -25 + 1j] * 4)
+    radii = np.repeat([5.0, 13.0, 25.0, 65.0], 6)
+    err, rerr = log_tree_passes(lam, mult, centers, radii, include_center, leaf)
+    assert np.any(err > 2 * rerr)  # the first pass bounded some crossing leaves
+
+
+@pytest.mark.parametrize("leaf", [3, treecode.LEAF])
+def test_log_tree_bounds_coincident_points_with_the_center_term(leaf):
+    # Five copies of some points, left unmerged, give leaves of radius 0;
+    # the centers sit on copied points and include their own terms.
+    lam, mult = lattice_arrays(12, mult_seed=9)
+    lam = np.concatenate([lam] + [lam[::7]] * 4)
+    mult = np.concatenate([mult] + [mult[::7]] * 4)
+    centers = lam[::11][:40]
+    radii = np.resize([0.5, 1.0, 3.0, 7.5, 20.0], centers.size)
+    log_tree_passes(lam, mult, centers, radii, True, leaf)
+
+
+@pytest.mark.parametrize("leaf", [3, treecode.LEAF])
+def test_log_tree_bounds_disks_smaller_than_leaves_and_empty_radii(leaf):
+    # Radii below the lattice spacing, and so below the radius of any leaf
+    # holding more than one point, exactly 1 (four neighbours on the circle),
+    # and 0, next to large disks that make the sweep take the tree.
+    lam, mult = lattice_arrays(20, mult_seed=2)
+    centers = lam[::5]
+    radii = np.resize([0.3, 0.0, 1.0, 0.0, 18.0, 1e-9], centers.size)
+    for include_center in (False, True):
+        log_tree_passes(lam, mult, centers, radii, include_center, leaf)
+
+
+@pytest.mark.parametrize("leaf", [3, treecode.LEAF])
+def test_upward_moments_match_the_power_sums(leaf):
+    # Clusters at several scales, copied points and two bands: every cell's
+    # moments from the upward pass lie within its rounding bound of the
+    # power sums of its own points (fsum of each term, which itself rounds
+    # u^k by at most about 8 (p + 1) eps of the mass).
+    rng = np.random.default_rng(17)
+    z = np.concatenate([rng.normal(size=300) + 1j * rng.normal(size=300),
+                        50 + 1e-6 * (rng.normal(size=100) + 1j * rng.normal(size=100)),
+                        rng.uniform(-200, 200, 200) + 1j * rng.uniform(0, 5, 200)])
+    z = np.concatenate([z, z[:60], z[:60]])
+    mult = rng.integers(1, 4, z.size)
+    band = np.repeat([0, 1], [400, z.size - 400])
+    tree = treecode._Tree(z, band, leaf, mult)
+    zs, ms = z[tree.perm], mult[tree.perm].astype(float)
+    worst = 0.0
+    for c in range(tree.start.size):
+        pts = slice(tree.start[c], tree.start[c] + tree.count[c])
+        mass = ms[pts].sum()
+        u = (zs[pts] - tree.center[c]) / tree.scale[c]
+        assert np.all(np.abs(u) <= 1 + 4 * EPS)  # the scale holds every point
+        assert tree.moments[0, c] == mass
+        for k in range(1, treecode.ORDER + 1):
+            terms = ms[pts] * u ** k
+            exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            miss = abs(tree.moments[k, c] - exact)
+            assert miss <= tree.bound[c] + 8 * (treecode.ORDER + 1) * EPS * mass
+            if tree.rho[c] == 0:
+                assert tree.moments[k, c] == 0 and tree.bound[c] == 0
+            worst = max(worst, miss / mass)
+        assert tree.bound[c] <= 1e-11 * mass
+    assert worst < 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,7 +474,9 @@ def test_tree_prunes_dyadic_sweeps_to_the_mirror_pair(log_shift):
         keep = treecode.contenders(value, err, p[:e])
         assert keep.size == 2 and v.lam[keep[0]] == -np.conj(v.lam[keep[1]])
     centers = v.lam[:ends[-1]]
-    value, err = treecode.truncated_log_enclosures(v.lam, v.mult, centers, log_shift.p(centers))
+    value, err, refine = treecode.truncated_log_enclosures(v.lam, v.mult, centers,
+                                                           log_shift.p(centers))
+    value, err = refine(np.arange(centers.size))
     assert 0 < err.max() < 1e-9 * value.max()
     keep = treecode.contenders(value, err, p[:ends[-1]])
     assert keep.size == 2 and v.lam[keep[0]] == -np.conj(v.lam[keep[1]])

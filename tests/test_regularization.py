@@ -34,6 +34,28 @@ def test_constant_profile_gives_unit_intervals(constant_weight):
     assert all(iv.right - iv.left == pytest.approx(1.0, abs=1e-12) for iv in pos)
 
 
+@pytest.mark.parametrize("profile", [
+    ap.OmegaProfile.log_shift(1.0),
+    ap.OmegaProfile.log_square(),
+    ap.OmegaProfile.power(0.5),
+    ap.OmegaProfile.tabulated([(0, 0), (1, 0.5), (10, 2), (100, 4), (1000, 6), (100000, 10)]),
+], ids=["log_shift", "log_square", "power", "tabulated"])
+@pytest.mark.parametrize("t_extent", [5.0, 100.0, 1e4])
+def test_partition_start_equals_the_full_bisection(profile, t_extent):
+    # The bisection stops once lo and hi are adjacent; the 200 steps it used
+    # to run always, kept here as the oracle, give the same t0 bits.
+    w = ap.BeurlingWeight(profile)
+    assert w.omega(0.0) < reg.OMEGA_FLOOR
+    lo, hi = 0.0, t_extent
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if w.omega(mid) >= reg.OMEGA_FLOOR:
+            hi = mid
+        else:
+            lo = mid
+    assert ap.build_partition(w, t_extent).t_inner == hi
+
+
 def test_partition_tiling_and_centers(log_shift):
     part = ap.build_partition(log_shift, 100.0)
     audit = part.audit()
