@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .numutil import (golden_section_max, poisson_prefix_sums, poisson_sums,
-                      truncated_log_sums)
+from .numutil import golden_section_max, poisson_sum_at, poisson_sums, truncated_log_sums
 from .treecode import contenders, poisson_prefix_enclosures, truncated_log_enclosures
 from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
@@ -170,41 +169,43 @@ def _refine(lam, mult, cands, vals, tol: float) -> tuple[float, float]:
     left = cands[k - 1] if k > 0 else cands[k] - 1.0
     right = cands[k + 1] if k + 1 < cands.size else cands[k] + 1.0
     span = max(best_x - left, right - best_x, 1e-9)
-
-    def phi(x):
-        return float(poisson_sums(lam, mult, [x])[0])
-
-    rx, rv = golden_section_max(phi, best_x - span, best_x + span, tol=tol)
+    rx, rv = golden_section_max(poisson_sum_at(lam, mult), best_x - span, best_x + span,
+                                tol=tol)
     if rv > best_v:
         return float(rx), float(rv)
     return best_x, best_v
 
 
-def _balayage_maxima(lam, mult, grid, ends, tol: float) -> list:
-    """balayage_sup of each prefix lam[:n], n in ends, with its grid values.
+def _balayage_maxima(lam, mult, grid, ends, tol: float, grid_vals=None) -> list:
+    """(x_star, sup) of balayage_sup for each prefix lam[:n], n in ends.
 
-    Entry k is (x_star, sup, grid values) for n = ends[k] > 0 and None for
-    n = 0.  The candidates of a prefix are its real parts and the grid.  The
-    grid values are direct sums.  The real parts off the grid get tree
-    enclosures, and only those that can hold the first maximum are summed
-    directly; the others enter _refine as -inf, strictly below the maximum,
-    so its argmax and every reported bit are unchanged.
+    Entry k is None for n = ends[k] = 0.  The candidates of a prefix are its
+    real parts and the grid.  They get tree enclosures, and only those that
+    can hold the first maximum are summed directly; the others enter _refine
+    as -inf, strictly below the maximum, so its argmax and every reported
+    bit are unchanged (_refine reads only the first maximum, the positions of
+    its neighbours and direct values).  grid_vals, the direct grid values of
+    a single prefix, are used as they are: balayage_profile reports them.
     """
     reals = np.unique(lam.real)
-    off = reals[~np.isin(reals, grid)]
+    xs = reals[~np.isin(reals, grid)]
+    n_grid = 0 if grid_vals is not None else grid.size
+    if n_grid:
+        xs = np.concatenate([grid, xs])
+    floor = -np.inf if grid_vals is None else float(grid_vals.max())
     out = []
-    for n, grid_vals, (value, err) in zip(ends, poisson_prefix_sums(lam, mult, grid, ends),
-                                          poisson_prefix_enclosures(lam, mult, off, ends)):
+    for n, (value, err) in zip(ends, poisson_prefix_enclosures(lam, mult, xs, ends)):
         if n == 0:
             out.append(None)
             continue
-        own = np.flatnonzero(np.isin(off, lam[:n].real))
-        xs = off[own[contenders(value[own], err[own], floor=float(grid_vals.max()))]]
+        own = np.flatnonzero(np.isin(xs, lam[:n].real) | (np.arange(xs.size) < n_grid))
+        kept = xs[own[contenders(value[own], err[own], floor=floor)]]
         cands = np.unique(np.concatenate([lam[:n].real, grid]))
         vals = np.full(cands.size, -np.inf)
-        vals[np.searchsorted(cands, grid)] = grid_vals
-        vals[np.searchsorted(cands, xs)] = poisson_sums(lam[:n], mult[:n], xs)
-        out.append((*_refine(lam[:n], mult[:n], cands, vals, tol), grid_vals))
+        if grid_vals is not None:
+            vals[np.searchsorted(cands, grid)] = grid_vals
+        vals[np.searchsorted(cands, kept)] = poisson_sums(lam[:n], mult[:n], kept)
+        out.append(_refine(lam[:n], mult[:n], cands, vals, tol))
     return out
 
 
@@ -222,8 +223,7 @@ def balayage_sup(v_exterior: Variety, scan: ScanSpec | None = None) -> tuple[flo
     scan = scan or ScanSpec()
     lam, mult = _exterior_arrays(v_exterior)
     grid = _scan_grid(scan, v_exterior.window_radius)
-    x_star, sup, _ = _balayage_maxima(lam, mult, grid, [lam.size], scan.refine_tol)[0]
-    return x_star, sup
+    return _balayage_maxima(lam, mult, grid, [lam.size], scan.refine_tol)[0]
 
 
 @dataclass
@@ -254,7 +254,8 @@ def balayage_profile(v_exterior: Variety, scan: ScanSpec | None = None) -> Balay
     if not len(v_exterior):
         return BalayageProfile(list(map(float, xs)), [0.0] * xs.size, 0.0, 0.0, 0.0, 0.0)
     lam, mult = _exterior_arrays(v_exterior)
-    x_star, sup, values = _balayage_maxima(lam, mult, xs, [lam.size], scan.refine_tol)[0]
+    values = poisson_sums(lam, mult, xs)
+    x_star, sup = _balayage_maxima(lam, mult, xs, [lam.size], scan.refine_tol, values)[0]
     slope_bound = float((0.6495 * mult / (lam.imag * lam.imag)).sum())
     spacing = (xs[-1] - xs[0]) / (xs.size - 1)
     return BalayageProfile(list(map(float, xs)), list(map(float, values)),

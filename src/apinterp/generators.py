@@ -109,6 +109,11 @@ def _strip_random(count: int = 200, strip_height: float = 1.0, seed: int = 0,
                   half_width: float = 100.0) -> Variety:
     if count < 0 or seed < 0:
         raise DomainError("count and seed must be non-negative")
+    # The sampled intervals have widths 2 * half_width and 2 * strip_height.
+    if not (0 <= half_width and 0 <= strip_height
+            and math.isfinite(2.0 * max(half_width, strip_height))):
+        raise DomainError("half_width and strip_height must be non-negative and "
+                          "below half the largest float")
     _check_count(count)
     rng = np.random.default_rng(seed)
     re = rng.uniform(-half_width, half_width, count)

@@ -137,9 +137,20 @@ def close_pair_arrays(lam: np.ndarray, cutoff: float):
 # computed alone or in a batch, and its error is at most about
 # eps * log2(n) * sum |terms|.
 
-#: Centers per block: bounds the (block x points) temporaries; no value
-#: depends on it.
+#: Centers per block of truncated_log_sums: bounds the (block x points)
+#: temporaries; no value depends on it.
 _ROWS = 64
+
+#: Terms per block of a nested-prefix sweep (_prefix_row_sums), written into
+#: one reused 1 MB scratch buffer that stays in a 2 MB L2 cache: 16 rows at
+#: 8190 points.  No value depends on it.  On a 2-core x86-64 VM the
+#: 4096 x 8190 balayage grid of dyadic 1..12 took 57 to 61 ms at 2^16 and
+#: 2^17 terms, 68 ms at 2^18 and 78 ms at 2^19 (min and median of 12); fresh
+#: 64-row blocks took about 100 ms.  2^16 left glibc's heap trim threshold so
+#: low that condition a, run next in the same process, page-faulted about
+#: 5 300 times a call (2 000 at 2^17, 150 with 4 MB blocks), and whole
+#: check-dyadic jobs ran fastest at 2^17.
+_PREFIX_TERMS = 1 << 17
 
 #: Terms per block of a point evaluation (row_blocks): bounds its
 #: (points x terms) temporaries; no value depends on it.
@@ -224,42 +235,54 @@ def _prefix_row_sums(terms, row_ends, col_ends) -> list:
     """Row sums of a term matrix over nested prefixes, one block of rows at a
     time.
 
-    terms(lo, hi, n) returns the (hi - lo) x n terms of rows lo:hi against
-    columns :n.  Entry k of the result holds, for each row i < row_ends[k],
-    the sum of its first col_ends[k] terms.  Each block of terms is built
-    once, against the widest prefix any entry needs, and every entry sums its
-    own column prefix of it; a row sum depends only on its own terms, so each
-    entry is the same bits as a call with that one prefix.
+    terms(lo, out) fills out, a (rows x n) view of one reused scratch buffer,
+    with the terms of rows lo:lo + rows against columns :n, and returns it.
+    Entry k of the result holds, for each row i < row_ends[k], the sum of its
+    first col_ends[k] terms.  A block holds about _PREFIX_TERMS terms; each is
+    built once, against the widest prefix any entry needs, and every entry
+    sums its own column prefix of it; a row sum depends only on its own
+    terms, so each entry is the same bits as a call with that one prefix.
     """
     row_ends = [int(e) for e in row_ends]
     col_ends = [int(e) for e in col_ends]
     out = [np.zeros(e) for e in row_ends]
     n_rows = max(row_ends, default=0)
-    for lo in range(0, n_rows, _ROWS):
+    width = max(col_ends, default=0)
+    step = max(1, _PREFIX_TERMS // max(width, 1))
+    scratch = np.empty(min(step, n_rows) * width)
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
         live = [k for k, e in enumerate(row_ends) if e > lo]
-        t = terms(lo, min(lo + _ROWS, n_rows), max(col_ends[k] for k in live))
+        n = max(col_ends[k] for k in live)
+        t = terms(lo, scratch[:(hi - lo) * n].reshape(hi - lo, n))
         for k in live:
-            out[k][lo:lo + _ROWS] = t[:row_ends[k] - lo, :col_ends[k]].sum(axis=1)
+            t[:row_ends[k] - lo, :col_ends[k]].sum(axis=1,
+                                                   out=out[k][lo:min(hi, row_ends[k])])
     return out
 
 
 def _log_rho(lam, mult, centers, row_ends, col_ends) -> list:
     """Exclusion sums of centers[:row_ends[k]] against lam[:col_ends[k]]."""
     centers = np.asarray(centers, dtype=complex)
+    re, im = lam.real.copy(), lam.imag.copy()  # contiguous: strided reads took twice as long
 
-    def terms(lo, hi, n):
-        c = centers[lo:hi, None]
-        pts = lam[:n]
-        dx = c.real - pts.real
-        q = c.imag - pts.imag
+    def terms(lo, q):
+        c = centers[lo:lo + q.shape[0], None]
+        n = q.shape[1]
+        np.subtract(c.imag, im[:n], out=q)
         q *= q
-        q += dx * dx
-        t = np.divide((4.0 * c.imag) * pts.imag, q, out=np.zeros_like(q), where=q > 0)
-        np.log1p(t, out=t)
-        t *= mult[:n]
-        return t
+        dx = c.real - re[:n]
+        dx *= dx
+        q += dx
+        np.multiply(4.0 * c.imag, im[:n], out=dx)
+        # q = 0 (a point at the center) keeps its exact 0.
+        np.divide(dx, q, out=q, where=q > 0)
+        np.log1p(q, out=q)
+        q *= mult[:n]
+        return q
 
-    return [0.5 * s for s in _prefix_row_sums(terms, row_ends, col_ends)]
+    with np.errstate(over="ignore"):
+        return [0.5 * s for s in _prefix_row_sums(terms, row_ends, col_ends)]
 
 
 def log_rho_sums(lam: np.ndarray, mult: np.ndarray, centers) -> np.ndarray:
@@ -271,7 +294,11 @@ def log_rho_sums(lam: np.ndarray, mult: np.ndarray, centers) -> np.ndarray:
     (1/2) log1p(4 Im c Im lambda / |c - lambda|^2), with no cancellation when
     rho is near 1.  A point at c_i contributes an exact 0 in its slot, so
     rows stay dense (a ragged gather made the full sweep much slower) and
-    still give the same bits batched or alone.
+    still give the same bits batched or alone.  Overflow raises no warning:
+    a squared distance that overflows to inf gives the term 0, whose
+    absolute error is below weight / DBL_MAX for the weight
+    mult * 2 Im c Im lambda (log1p(t) <= t), and a value that overflows is
+    inf.
     """
     return _log_rho(lam, mult, centers, [np.size(centers)], [lam.size])[0]
 
@@ -287,7 +314,10 @@ def log_rho_prefix_sums(lam: np.ndarray, mult: np.ndarray, ends) -> list:
 
 def poisson_sums(lam: np.ndarray, mult: np.ndarray, xs) -> np.ndarray:
     """Poisson balayage at each real abscissa x: the sum of
-    mult * |Im lambda| / |x - lambda|^2.  No point may be real."""
+    mult * |Im lambda| / |x - lambda|^2.  No point may be real.  Overflow
+    raises no warning: a squared distance that overflows to inf gives the
+    term 0, whose absolute error is below weight / DBL_MAX for the weight
+    mult * |Im lambda|, and a value that overflows is inf."""
     return poisson_prefix_sums(lam, mult, xs, [lam.size])[0]
 
 
@@ -298,14 +328,41 @@ def poisson_prefix_sums(lam: np.ndarray, mult: np.ndarray, xs, ends) -> list:
     for bit, while each term is evaluated once for all entries.
     """
     xs = np.asarray(xs, dtype=float)
-    weight = mult * np.abs(lam.imag)
-    im2 = lam.imag * lam.imag
+    terms = _poisson_terms(lam, mult)
+    with np.errstate(over="ignore"):
+        return _prefix_row_sums(lambda lo, d: terms(xs[lo:lo + d.shape[0], None], d),
+                                [xs.size] * len(ends), ends)
 
-    def terms(lo, hi, n):
-        d = xs[lo:hi, None] - lam.real[:n]
+
+def poisson_sum_at(lam: np.ndarray, mult: np.ndarray):
+    """The function x -> float(poisson_sums(lam, mult, [x])[0]), bit for bit,
+    with the per-point arrays built once: a golden-section search calls it
+    some 35 times."""
+    terms = _poisson_terms(lam, mult)
+    d = np.empty(lam.size)
+
+    def phi(x: float) -> float:
+        with np.errstate(over="ignore"):
+            return float(terms(x, d).sum())
+
+    return phi
+
+
+def _poisson_terms(lam, mult):
+    """terms(x, d) fills d, of shape (rows, n) or (n,), with the balayage
+    terms of the abscissae x (rows x 1, or one x) against the points
+    lam[:n], and returns it."""
+    re = lam.real.copy()  # contiguous: strided reads took twice as long
+    weight = mult * np.abs(lam.imag)
+    with np.errstate(over="ignore"):
+        im2 = lam.imag * lam.imag
+
+    def terms(x, d):
+        n = d.shape[-1]
+        np.subtract(x, re[:n], out=d)
         d *= d
         d += im2[:n]
         np.divide(weight[:n], d, out=d)
         return d
 
-    return _prefix_row_sums(terms, [xs.size] * len(ends), ends)
+    return terms

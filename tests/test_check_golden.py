@@ -52,6 +52,17 @@ written before the tree-code (commit 4077221) with
 with N = 11 and 12 and W each of the WEIGHTS below, and each is pinned byte for
 byte.
 
+The profile of dyadic 1..12 sends its real parts off the grid through the
+tree and keeps its grid values direct.  Its file was written before the
+balayage grid of condition b went through the tree (commit c406672) with
+
+    apinterp profile-balayage --weight '{"family":"log_shift","a":1.0}' \\
+        --family '{"family":"dyadic_angle","n_min":1,"n_max":12}' \\
+        --xmin=-4100.0 --xmax=4110.0 --samples 1025 \\
+        --out tests/data/profile_balayage_dyadic_angle_12_log_shift.csv
+
+and is pinned byte for byte.
+
 On dyadic 1..14 most of condition a's near field is leaves that cross a disk
 circle, which the tree bounds first and sums only for the contending centers.
 That report was written before the per-center near field (commit d453360) with
@@ -170,6 +181,15 @@ def test_profile_balayage_matches_golden_csv_above_the_crossover(tmp_path):
                      *LARGE["dyadic_angle_11"], "--xmin", "-2100", "--xmax", "2100",
                      "--samples", "2049", "--out", str(out)]) == 0
     want = GOLDEN / "profile_balayage_dyadic_angle_11_log_shift.csv"
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_profile_balayage_matches_golden_csv_on_dyadic_1_to_12(tmp_path):
+    out = tmp_path / "profile.csv"
+    assert cli.main(["profile-balayage", "--weight", WEIGHTS["log_shift"],
+                     *LARGE["dyadic_angle_12"], "--xmin=-4100.0", "--xmax=4110.0",
+                     "--samples", "1025", "--out", str(out)]) == 0
+    want = GOLDEN / "profile_balayage_dyadic_angle_12_log_shift.csv"
     assert out.read_bytes() == want.read_bytes()
 
 

@@ -261,6 +261,11 @@ FAMILY = '{"family":"integer_lattice","window":16}'
     (["generate", "--family", '{"family":"geometric_ray","count":1000000000000}'], "points"),
     (["check", "--weight", WEIGHT, "--family", '{"family":"integer_lattice","window":1e300}'],
      "points"),
+    (["generate", "--family", '{"family":"strip_random","half_width":-1}'], "half_width"),
+    (["generate", "--family", '{"family":"strip_random","strip_height":-0.5}'],
+     "strip_height"),
+    (["check", "--weight", WEIGHT, "--family", '{"family":"strip_random","half_width":1e308}'],
+     "half_width"),
 ])
 def test_malformed_specs_exit_1_with_one_line(args, key, capsys):
     assert run(args) == 1
@@ -300,6 +305,25 @@ def test_non_finite_point_exits_1_with_one_line(name, command, tmp_path, capsys)
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "non-finite" in lines[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["profile-balayage", "--family", '{"family":"dyadic_angle","n_min":1,"n_max":4}',
+     "--xmin", "0", "--xmax", "1e308", "--samples", "3"],
+    ["check", "--input", "points.csv"],
+])
+def test_overflowing_distances_run_without_warnings(command, tmp_path, capsys):
+    # Squared distances to x = 1e308 and to the point at re = 1e200 overflow
+    # in the Poisson and log-rho terms; each such term is 0, and no
+    # RuntimeWarning (an error under the test configuration) is raised.
+    (tmp_path / "points.csv").write_text(
+        "re,im,mult\n1e200,1.0,1\n1.0,2.0,1\n3.0,-5.0,1\n-2.0,7.0,2\n4.0,0.5,1\n")
+    command = [str(tmp_path / a) if a == "points.csv" else a for a in command]
+    out = tmp_path / "out.txt"
+    assert run([command[0], "--weight", WEIGHT, *command[1:], "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if command[0] == "profile-balayage":
+        assert out.read_text().splitlines()[2:4] == ["5e+307,0.0", "1e+308,0.0"]
 
 
 # Run in a fresh interpreter: conftest.py imports scipy into this one.

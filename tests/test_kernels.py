@@ -11,6 +11,7 @@ tree must report the direct kernels' first maximum, bit for bit.
 """
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from apinterp.numutil import (log_rho_prefix_sums, log_rho_sums, poisson_prefix_
                               poisson_sums, truncated_log_sums)
 
 EPS = np.finfo(float).eps
+DBL_MAX = np.finfo(float).max
 
 # Quarter-grid coordinates: sums and squares of differences are exact, so a
 # point placed on a disk boundary is at distance exactly r.
@@ -142,11 +144,44 @@ def exterior_configs(draw):
 def test_poisson_sums_match_direct_sum(cfg):
     v, xs = cfg
     batch = poisson_sums(v.lam, v.mult, xs)
+    at = numutil.poisson_sum_at(v.lam, v.mult)
     for value, x in zip(batch, xs):
         terms = [m * abs(lam.imag) / ((x - lam.real) ** 2 + lam.imag ** 2)
                  for lam, m in zip(v.lam.tolist(), v.mult.tolist())]
         assert abs(value - math.fsum(terms)) <= pairwise_bound(terms)
-        assert value == ap.balayage_value(v, x)
+        assert value == ap.balayage_value(v, x) == at(x)
+
+
+def test_dense_kernels_give_overflowing_distances_zero_terms():
+    # Squared distances above DBL_MAX overflow to inf in the Poisson and the
+    # log-rho terms.  Such a term is 0, within weight / DBL_MAX of its exact
+    # value, and no RuntimeWarning is raised (the test configuration turns
+    # one into an error).  The oracle is math.fsum of terms computed exactly
+    # in fractions.
+    lam = np.array([1e200 + 1j, 1 + 2j, 3 - 5j, -2 + 7j, -1e300 + 0.5j, 4e307 + 1e150j])
+    mult = np.array([1, 2, 1, 3, 1, 2])
+    pts = [(Fraction(z.real), Fraction(z.imag), m) for z, m in zip(lam.tolist(), mult.tolist())]
+    xs = [0.0, 1e200, 5e307, -1e308]
+    for value, x in zip(poisson_sums(lam, mult, xs), xs):
+        weights = [m * abs(y) for _, y, m in pts]
+        terms = [float(wt / ((Fraction(x) - re) ** 2 + y * y))
+                 for wt, (re, y, _) in zip(weights, pts)]
+        slack = float(sum(weights)) / DBL_MAX
+        assert abs(value - math.fsum(terms)) <= pairwise_bound(terms) + slack
+    # At x = 1e200 only the point at re = 1e200 is nearer than 1e154.
+    assert poisson_sums(lam, mult, xs)[1] == 1.0
+    upper = lam[lam.imag > 0]
+    for value, c in zip(log_rho_sums(lam[lam.imag > 0], mult[lam.imag > 0], upper),
+                        upper.tolist()):
+        cx, cy = Fraction(c.real), Fraction(c.imag)
+        weights, terms = [], []
+        for re, y, m in pts:
+            q = (cx - re) ** 2 + (cy - y) ** 2
+            if y > 0 and q > 0:
+                weights.append(2 * m * cy * y)
+                terms.append(m * math.log1p(float(4 * cy * y / q)) / 2)
+        slack = float(sum(weights)) / DBL_MAX
+        assert abs(value - math.fsum(terms)) <= pairwise_bound(terms) + slack
 
 
 @settings(max_examples=80, deadline=None)
@@ -161,8 +196,9 @@ def test_prefix_sums_equal_single_prefix_kernels(cfg, data):
     lam = v.lam.real + 1j * (np.abs(v.lam.imag) + 0.25)  # same order, Im > 0
     off = data.draw(st.lists(st.floats(-20.0, 20.0), max_size=6))
     xs = np.concatenate([lam.real, off])
-    # Blocks of 4 rows, so ends fall inside, on and past block edges.
-    with mock.patch.object(numutil, "_ROWS", 4):
+    # Blocks of 4 rows (the widest prefix is max(ends) terms), so ends fall
+    # inside, on and past block edges.
+    with mock.patch.object(numutil, "_PREFIX_TERMS", 4 * max(ends)):
         rho = log_rho_prefix_sums(lam, v.mult, ends)
         pois = poisson_prefix_sums(lam, v.mult, xs, ends)
     for e, got_rho, got_pois in zip(ends, rho, pois):
@@ -568,6 +604,38 @@ def test_balayage_tree_sweeps_keep_the_direct_first_maximum(v):
     vals = poisson_sums(ext.lam, ext.mult, cands)
     assert prof.values == poisson_sums(ext.lam, ext.mult, xs).tolist()
     assert (prof.x_star, prof.sup) == conditions._refine(ext.lam, ext.mult, cands, vals, 1e-6)
+
+
+def test_balayage_tree_sweeps_keep_a_tie_between_grid_point_and_real_part():
+    # A mirror-symmetric sample whose balayage peaks at -3 and 3 with the
+    # same bits.  The grid starts at -3, which is a real part too; 3 is a
+    # real part off the grid.  The first radius holds no exterior point.
+    pts = [(complex(k, 3.0), 1) for k in range(-8, 9)]
+    pts += [(complex(k, -5.0), 2) for k in range(-8, 9, 2)]
+    pts += [(complex(-3, 0.5), 3), (complex(3, 0.5), 3)]
+    v = ap.Variety(pts)
+    w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(0.01))
+    scan = ap.ScanSpec(xmin=-3.0, xmax=25.0, samples=41)
+    grid = conditions._scan_grid(scan, v.window_radius)
+    assert -3.0 in grid and 3.0 not in grid
+    radii = [1.0, 3.1, 5.0, 8.5, 9.0]
+    ext = ap.split_regions(v, w).exterior()
+    assert len(ext) == len(v) and len(ext.restrict(radii[0])) == 0
+    cands = np.unique(np.concatenate([ext.lam.real, grid]))
+    vals = poisson_sums(ext.lam, ext.mult, cands)
+    assert np.flatnonzero(vals == vals.max()).tolist() == np.searchsorted(cands, [-3, 3]).tolist()
+    with forced_tree(), mock.patch.object(treecode, "_enclose", wraps=treecode._enclose) as tree:
+        sweep = ap.condition_b_constants(v, w, radii, scan)
+        sups = [ap.balayage_sup(ext.restrict(r), scan) for r in radii]
+    assert tree.call_count == len(radii)  # no call for the empty radius
+    assert sweep.witnesses[0] is None and sweep.constants[0] == 0.0
+    for r, c, x, sup in zip(radii[1:], sweep.constants[1:], sweep.witnesses[1:], sups[1:]):
+        sub = ext.restrict(r)
+        cands = np.unique(np.concatenate([sub.lam.real, grid]))
+        vals = poisson_sums(sub.lam, sub.mult, cands)
+        want = conditions._refine(sub.lam, sub.mult, cands, vals, scan.refine_tol)
+        assert (x, c) == want and sup == want
+    assert sweep.witnesses[-1] < 0  # the first of the tied maxima
 
 
 def _weight_layer():
