@@ -68,10 +68,6 @@ def _parse_radii(args, window: float) -> list[float]:
         _require_finite("radii", *radii)
         if len(radii) < 4:
             raise InputError("at least 4 radii are needed for a trend fit")
-        if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-            raise InputError("radii must be strictly increasing")
-        if radii[-1] > window / 2 * (1 + 1e-12):
-            raise InputError("radii must stay within window_radius / 2")
         return radii
     return conditions.default_radii(window)
 

@@ -162,12 +162,16 @@ def _scan_grid(scan: ScanSpec, window_radius: float) -> np.ndarray:
 
 
 def _refine(lam, mult, cands, vals, tol: float) -> tuple[float, float]:
-    """Golden-section refinement of the best candidate between its
-    neighbours; the result is never below the best candidate value."""
+    """Golden-section refinement of the best candidate between its nearest
+    neighbours at least tol away (a neighbour within rounding of it would
+    collapse the bracket); the result is never below the best candidate
+    value."""
     k = int(np.argmax(vals))
     best_x, best_v = float(cands[k]), float(vals[k])
-    left = cands[k - 1] if k > 0 else cands[k] - 1.0
-    right = cands[k + 1] if k + 1 < cands.size else cands[k] + 1.0
+    lo = int(np.searchsorted(cands, best_x - tol, side="right")) - 1
+    hi = int(np.searchsorted(cands, best_x + tol, side="left"))
+    left = cands[lo] if lo >= 0 else best_x - 1.0
+    right = cands[hi] if hi < cands.size else best_x + 1.0
     span = max(best_x - left, right - best_x, 1e-9)
     rx, rv = golden_section_max(poisson_sum_at(lam, mult), best_x - span, best_x + span,
                                 tol=tol)

@@ -1,6 +1,8 @@
 """Small numeric helpers: 1-D search, the quadrature wrapper, the close-pair
 search (a sort-and-sweep over rows, returning arrays), the dense pairwise
-kernels and point blocks.  Only numpy is imported; scipy loads in adaptive_quad."""
+kernels, whose Poisson and log-rho terms (poisson_terms, log_rho_terms) the
+tree code's near field shares, and point blocks.  Only numpy is imported;
+scipy loads in adaptive_quad."""
 
 import math
 
@@ -250,39 +252,63 @@ def _prefix_row_sums(terms, row_ends, col_ends) -> list:
     width = max(col_ends, default=0)
     step = max(1, _PREFIX_TERMS // max(width, 1))
     scratch = np.empty(min(step, n_rows) * width)
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        live = [k for k, e in enumerate(row_ends) if e > lo]
-        n = max(col_ends[k] for k in live)
-        t = terms(lo, scratch[:(hi - lo) * n].reshape(hi - lo, n))
-        for k in live:
-            t[:row_ends[k] - lo, :col_ends[k]].sum(axis=1,
-                                                   out=out[k][lo:min(hi, row_ends[k])])
+    with np.errstate(over="ignore"):  # see the term functions; a sum that overflows is inf
+        for lo in range(0, n_rows, step):
+            hi = min(lo + step, n_rows)
+            live = [k for k, e in enumerate(row_ends) if e > lo]
+            n = max(col_ends[k] for k in live)
+            t = terms(lo, scratch[:(hi - lo) * n].reshape(hi - lo, n))
+            for k in live:
+                t[:row_ends[k] - lo, :col_ends[k]].sum(axis=1,
+                                                       out=out[k][lo:min(hi, row_ends[k])])
+    return out
+
+
+def log_rho_terms(cre, cim, re, im, m, out):
+    """Fill out with the log-rho terms m log1p(4 Im c Im lambda / |c - lambda|^2)
+    of the centers c = cre + i cim against the points lambda = re + i im
+    (Im >= 0, each broadcast to out's shape) and return it; a point at its
+    center gives an exact 0.  Where the squared distance or the numerator
+    overflows, both are recomputed from scaled coordinates, so the term keeps
+    its accuracy and every other term its bits.  A ratio that itself
+    overflows (two points far closer than their heights) gives inf.  The
+    caller silences overflow warnings (np.errstate) once per sweep.
+    """
+    np.subtract(cim, im, out=out)
+    out *= out
+    num = cre - re
+    num *= num
+    out += num
+    np.multiply(4.0 * cim, im, out=num)
+    if np.isinf(out.max(initial=0.0)) or np.isinf(num.max(initial=0.0)):
+        # The pair's coordinates times 2^-(E + 1), with 2^E above the largest:
+        # an overflow needs one above 2^510, so the scaling is exact for every
+        # coordinate above 2^-1021 of it, and no scaled square or product
+        # overflows.
+        bad = np.isinf(out) | np.isinf(num)
+        pts = [np.broadcast_to(a, out.shape)[bad] for a in (cre, cim, re, im)]
+        e = -1 - np.frexp(np.max(np.abs(pts), axis=0))[1]
+        x0, y0, x1, y1 = (np.ldexp(a, e) for a in pts)
+        out[bad] = (y0 - y1) ** 2 + (x0 - x1) ** 2
+        num[bad] = 4.0 * y0 * y1
+    # q = 0 (a point at the center) keeps its exact 0.
+    np.divide(num, out, out=out, where=out > 0)
+    np.log1p(out, out=out)
+    out *= m
     return out
 
 
 def _log_rho(lam, mult, centers, row_ends, col_ends) -> list:
     """Exclusion sums of centers[:row_ends[k]] against lam[:col_ends[k]]."""
     centers = np.asarray(centers, dtype=complex)
+    cre, cim = centers.real.copy(), centers.imag.copy()
     re, im = lam.real.copy(), lam.imag.copy()  # contiguous: strided reads took twice as long
 
     def terms(lo, q):
-        c = centers[lo:lo + q.shape[0], None]
-        n = q.shape[1]
-        np.subtract(c.imag, im[:n], out=q)
-        q *= q
-        dx = c.real - re[:n]
-        dx *= dx
-        q += dx
-        np.multiply(4.0 * c.imag, im[:n], out=dx)
-        # q = 0 (a point at the center) keeps its exact 0.
-        np.divide(dx, q, out=q, where=q > 0)
-        np.log1p(q, out=q)
-        q *= mult[:n]
-        return q
+        rows, n = slice(lo, lo + q.shape[0]), q.shape[1]
+        return log_rho_terms(cre[rows, None], cim[rows, None], re[:n], im[:n], mult[:n], q)
 
-    with np.errstate(over="ignore"):
-        return [0.5 * s for s in _prefix_row_sums(terms, row_ends, col_ends)]
+    return [0.5 * s for s in _prefix_row_sums(terms, row_ends, col_ends)]
 
 
 def log_rho_sums(lam: np.ndarray, mult: np.ndarray, centers) -> np.ndarray:
@@ -295,10 +321,8 @@ def log_rho_sums(lam: np.ndarray, mult: np.ndarray, centers) -> np.ndarray:
     rho is near 1.  A point at c_i contributes an exact 0 in its slot, so
     rows stay dense (a ragged gather made the full sweep much slower) and
     still give the same bits batched or alone.  Overflow raises no warning:
-    a squared distance that overflows to inf gives the term 0, whose
-    absolute error is below weight / DBL_MAX for the weight
-    mult * 2 Im c Im lambda (log1p(t) <= t), and a value that overflows is
-    inf.
+    a term whose squared distance or numerator overflows is computed from
+    scaled coordinates (see log_rho_terms), and a value that overflows is inf.
     """
     return _log_rho(lam, mult, centers, [np.size(centers)], [lam.size])[0]
 
@@ -328,41 +352,44 @@ def poisson_prefix_sums(lam: np.ndarray, mult: np.ndarray, xs, ends) -> list:
     for bit, while each term is evaluated once for all entries.
     """
     xs = np.asarray(xs, dtype=float)
-    terms = _poisson_terms(lam, mult)
-    with np.errstate(over="ignore"):
-        return _prefix_row_sums(lambda lo, d: terms(xs[lo:lo + d.shape[0], None], d),
-                                [xs.size] * len(ends), ends)
+    re, im2, weight = poisson_points(lam, mult)
+
+    def terms(lo, d):
+        n = d.shape[1]
+        return poisson_terms(xs[lo:lo + d.shape[0], None], re[:n], im2[:n], weight[:n], d)
+
+    return _prefix_row_sums(terms, [xs.size] * len(ends), ends)
 
 
 def poisson_sum_at(lam: np.ndarray, mult: np.ndarray):
     """The function x -> float(poisson_sums(lam, mult, [x])[0]), bit for bit,
     with the per-point arrays built once: a golden-section search calls it
     some 35 times."""
-    terms = _poisson_terms(lam, mult)
+    re, im2, weight = poisson_points(lam, mult)
     d = np.empty(lam.size)
 
     def phi(x: float) -> float:
         with np.errstate(over="ignore"):
-            return float(terms(x, d).sum())
+            return float(poisson_terms(x, re, im2, weight, d).sum())
 
     return phi
 
 
-def _poisson_terms(lam, mult):
-    """terms(x, d) fills d, of shape (rows, n) or (n,), with the balayage
-    terms of the abscissae x (rows x 1, or one x) against the points
-    lam[:n], and returns it."""
-    re = lam.real.copy()  # contiguous: strided reads took twice as long
-    weight = mult * np.abs(lam.imag)
+def poisson_points(lam, mult):
+    """(re, im2, weight) of poisson_terms for the points lam with
+    multiplicities mult: contiguous arrays (strided reads took twice as long)."""
     with np.errstate(over="ignore"):
         im2 = lam.imag * lam.imag
+    return lam.real.copy(), im2, mult * np.abs(lam.imag)
 
-    def terms(x, d):
-        n = d.shape[-1]
-        np.subtract(x, re[:n], out=d)
-        d *= d
-        d += im2[:n]
-        np.divide(weight[:n], d, out=d)
-        return d
 
-    return terms
+def poisson_terms(x, re, im2, weight, out):
+    """Fill out with the balayage terms weight / ((x - re)^2 + im2) of the
+    abscissae x against the points with real parts re, squared imaginary parts
+    im2 and weights mult |Im lambda| (each broadcast to out's shape) and
+    return it.  A squared distance that overflows gives the term 0; the
+    caller silences overflow warnings (np.errstate) once per sweep."""
+    np.subtract(x, re, out=out)
+    out *= out
+    out += im2
+    return np.divide(weight, out, out=out)

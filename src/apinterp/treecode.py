@@ -20,15 +20,19 @@ A cell that is near, or that crosses a disk circle of the group, is opened
 down to its leaves; a cell wholly outside every disk of the group is skipped
 (Barnes & Hut, Nature 324, 1986, for the traversal).
 
-Near leaves are summed directly for the Blaschke and Poisson kernels.  For
-the truncated log, each near (group, leaf) pair is decided again for each
+One routine, ``_direct``, computes every direct near-field sum, over (target
+run, leaf) pairs in padded blocks, with numutil's Poisson and log-rho term
+functions or the truncated log's own membership test.  For the Blaschke and
+Poisson kernels each near (group, leaf) pair is one run: the group's targets.
+For the truncated log, each near (group, leaf) pair is decided again for each
 target against its own circle.  A leaf wholly outside is skipped.  A leaf
 wholly inside and well separated from the target, ``SEP * rho <= dist``, is
 one multipole-to-point term from its moments.  A leaf wholly inside but close
-is summed directly.  A leaf that crosses the circle at ``dist > rho`` adds a
-value in ``[0, M log(r / (dist - rho))]``: the first pass adds its midpoint
-and puts its half-width in the bound, and ``refine`` sums it directly for the
-targets the first pass leaves in contention (bound, then refine).
+is summed directly, a run of one target.  A leaf that crosses the circle at
+``dist > rho`` adds a value in ``[0, M log(r / (dist - rho))]``: the first
+pass adds its midpoint and puts its half-width in the bound, and ``refine``
+sums it directly for the targets the first pass leaves in contention (bound,
+then refine).
 
 Moments come from an upward pass: power sums over the points of each leaf,
 then each level's children translated to their parent (M2M).  A parent's
@@ -61,8 +65,8 @@ from math import comb, log2
 
 import numpy as np
 
-from .numutil import (log_rho_prefix_sums, poisson_prefix_sums, truncated_log_sum_terms,
-                      truncated_log_sums)
+from .numutil import (log_rho_prefix_sums, log_rho_terms, poisson_points, poisson_prefix_sums,
+                      poisson_terms, truncated_log_sum_terms, truncated_log_sums)
 
 _EPS = np.finfo(float).eps
 
@@ -490,29 +494,6 @@ def _far_field(kind, groups, tree, far_g, far_c, z, r, n_bands):
     return value, trunc, scale, np.bincount(far_g, minlength=n_groups)[g_of]
 
 
-def _near_sums(kind, z, src, m):
-    """Direct sums of targets z[..., i] against sources src[..., j] over j,
-    and the sums of their magnitude scales, with the direct kernels'
-    arithmetic.  z and src are (pairs, rows, 1) and (pairs, 1, columns)
-    blocks."""
-    if kind == "cauchy":
-        dd = z.real - src.real
-        dd *= dd
-        dd += src.imag * src.imag
-        np.divide(m * src.imag, dd, out=dd)
-        term = dd.sum(axis=2)
-        return term, term
-    dx = z.real - src.real
-    qq = z.imag - src.imag
-    qq *= qq
-    qq += dx * dx
-    t = np.divide(4.0 * z.imag * src.imag, qq, out=np.zeros_like(qq), where=qq > 0)
-    np.log1p(t, out=t)
-    t *= 0.5 * m
-    term = t.sum(axis=2)
-    return term, term + m.sum(axis=2)
-
-
 def _padded(start, count, width, pad):
     """(cells, width) positions start + k of each cell's members, padded with
     the position pad, and the mask of the real ones."""
@@ -521,64 +502,68 @@ def _padded(start, count, width, pad):
     return np.where(real, start[:, None] + k, pad), real
 
 
-def _near_field(kind, groups, tree, near_g, near_c, z, value, scale, ops):
-    """Add the direct sums of the near (group, leaf) pairs into the per-slot
-    value, scale and operation counts.
+def _direct(kind, tree, z, start, count, c, out, n_bands=1, r=None, include_center=False):
+    """Add the direct sums of (target run, leaf) pairs into out: pair k sums
+    the targets z[start[k]:start[k] + count[k]] against the points of leaf
+    c[k].  The flat (targets, n_bands) rows of out get each target's sum, the
+    sum of its term magnitudes and the leaf's size at (target, band of the
+    leaf).  For the truncated log, r holds each target's radius.  The terms are numutil's, from contiguous copies of
+    the coordinates, or the truncated log's (with its membership test).
 
-    The pairs go in (group, leaf size) order, so each chunk covers a few
-    groups, and pads them and their leaves to nearly their own sizes; padding
-    sources have multiplicity 0 and padding targets are dropped."""
-    n_bands = value.shape[1]
-    order = np.lexsort((tree.count[near_c], near_g))
-    near_g, near_c = near_g[order], near_c[order]
+    The pairs go in (run length, leaf size) order, in (pairs, rows, columns)
+    blocks of about _CHUNK elements padded to the block's longest run and
+    largest leaf; padding sources have multiplicity 0 and padding targets are
+    dropped.
+    """
+    if kind == "cauchy":
+        rows, cols = (z.real.copy(),), poisson_points(tree.points, tree.weights)
+    elif kind == "log-rho":
+        rows = z.real.copy(), z.imag.copy()
+        cols = tree.points.real.copy(), tree.points.imag.copy(), tree.weights
+    else:
+        rows, cols = (z, r), (tree.points, tree.weights)
+    sizes = tree.count[c]
+    order = np.lexsort((sizes, count))
     lo = 0
-    while lo < near_g.size:
-        hi = lo + 1 + _CHUNK // (groups.count[near_g[lo]] * tree.count[near_c[lo]])
-        g, c = near_g[lo:hi], near_c[lo:hi]
-        rows, cols = int(groups.count[g].max()), int(tree.count[c].max())
-        hi = lo + max(1, min(g.size, _CHUNK // (rows * cols)))
-        g, c = near_g[lo:hi], near_c[lo:hi]
-        lo = hi
-        ti, t_real = _padded(groups.start[g], groups.count[g], rows, 0)
-        sj, _ = _padded(tree.start[c], tree.count[c], cols, tree.perm.size)
-        term, sc = _near_sums(kind, z[ti][:, :, None], tree.points[sj][:, None, :],
-                              tree.weights[sj][:, None, :])
-        ti = ti[t_real]
-        per_pair = t_real.sum(axis=1)
-        _add_at((value.ravel(), scale.ravel()),
-                ti * n_bands + np.repeat(tree.band[c], per_pair), term[t_real], sc[t_real])
-        _add_at((ops,), ti, np.repeat(tree.count[c], per_pair).astype(float))
+    while lo < order.size:
+        p = order[lo:lo + 1 + _CHUNK // (count[order[lo]] * sizes[order[lo]])]
+        p = p[:max(1, _CHUNK // int(count[p].max() * sizes[p].max()))]
+        lo += p.size
+        ti, real = _padded(start[p], count[p], int(count[p].max()), 0)
+        sj, _ = _padded(tree.start[c[p]], sizes[p], int(sizes[p].max()), tree.perm.size)
+        tgt = [a[ti][:, :, None] for a in rows]
+        src = [a[sj][:, None, :] for a in cols]
+        block = np.empty((p.size, ti.shape[1], sj.shape[1]))
+        if kind == "cauchy":
+            term = mag = poisson_terms(*tgt, *src, block).sum(axis=2)
+        elif kind == "log-rho":
+            term = 0.5 * log_rho_terms(*tgt, *src, block).sum(axis=2)
+            mag = term + src[2].sum(axis=2)
+        else:
+            term, mag = _log_block(*tgt, *src, include_center, block)
+        ti = ti[real]
+        _add_at(out, ti * n_bands + np.repeat(tree.band[c[p]], count[p]), term[real],
+                mag[real], np.repeat(sizes[p], count[p]).astype(float))
 
 
-def _log_direct(tree, t, c, z, r, include_center, out):
-    """Add the direct truncated-log sums of the leaves c at the targets z with
-    radii r, one per pair, into columns t of out: the value, the term
-    magnitudes and the term count, with the direct kernel's membership test.
-
-    The pairs go in leaf size order, (pairs, leaf size) blocks padded with
-    multiplicity 0."""
-    counts = tree.count[c]
-    order = np.argsort(counts, kind="stable")
-    for blk in _blocks(counts[order], _CHUNK):
-        pairs = order[blk]
-        cols = int(counts[pairs[-1]])
-        pos, _ = _padded(tree.start[c[pairs]], counts[pairs], cols, tree.perm.size)
-        rr = r[pairs]
-        d = np.abs(tree.points[pos] - z[pairs, None])
-        m = tree.weights[pos]
-        log_r = np.log(np.where(rr > 0, rr, 1.0))
-        inside = (d > 0) & (d <= rr[:, None])
-        mm = np.where(inside, m, 0.0)
-        np.log(d, out=d, where=inside)  # d is finite, so mm * d is 0 outside
-        mass = mm.sum(axis=1)
-        mm *= d
-        term = mass * log_r - mm.sum(axis=1)
-        mag = mass * (1 + np.abs(log_r)) + np.abs(mm, out=mm).sum(axis=1)
-        if include_center:
-            at = np.where(inside | (d != 0), 0.0, m).sum(axis=1)
-            term += at * log_r
-            mag += at * (1 + np.abs(log_r))
-        _add_at(out, t[pairs], term, mag, counts[pairs].astype(float))
+def _log_block(z, r, points, m, include_center, d):
+    """Truncated-log sums and term magnitudes over the last axis of a block
+    of targets z with radii r against points with multiplicities m
+    (broadcast); d is scratch of the block's shape."""
+    np.abs(points - z, out=d)
+    inside = (d > 0) & (d <= r)
+    log_r = np.log(np.where(r > 0, r, 1.0))[:, :, 0]
+    mm = np.where(inside, m, 0.0)
+    np.log(d, out=d, where=inside)  # d is finite, so mm * d is 0 outside
+    mass = mm.sum(axis=2)
+    mm *= d
+    term = mass * log_r - mm.sum(axis=2)
+    mag = mass * (1 + np.abs(log_r)) + np.abs(mm, out=mm).sum(axis=2)
+    if include_center:
+        at = np.where(inside | (d != 0), 0.0, m).sum(axis=2)
+        term += at * log_r
+        mag += at * (1 + np.abs(log_r))
+    return term, mag
 
 
 def _log_bounded(tree, c, low, log_r):
@@ -630,7 +615,8 @@ def _log_near(tree, groups, near, coef, z, r, include_center, slots, first):
     for blk in _blocks(k, _TARGET_PAIRS):
         t = np.repeat(np.arange(blk.stop - blk.start), k[blk])
         c = near_c[_ranges(near_start[groups.of[slots[blk]]], k[blk])]
-        zt, rt = z[slots[blk]][t], r[slots[blk]][t]
+        zb, rb = z[slots[blk]], r[slots[blk]]
+        zt, rt = zb[t], rb[t]
         dist = np.abs(tree.center[c] - zt)
         rho = tree.rho[c]
         slack = _SLACK * (dist + rho + rt)
@@ -640,10 +626,11 @@ def _log_near(tree, groups, near, coef, z, r, include_center, slots, first):
         expand = inside & (SEP * rho <= dist) & (dist > 0)
         bound = ~(inside | outside) & (low > 0)
         i = np.flatnonzero(bound if not first else ~(expand | bound | outside))
-        _log_direct(tree, t[i], c[i], zt[i], rt[i], include_center, out[:3, blk])
+        _direct("log", tree, zb, t[i], np.ones(i.size, np.int64), c[i], out[:3, blk], r=rb,
+                include_center=include_center)
         if not first:
             continue
-        log_r = np.log(np.where(r[slots[blk]] > 0, r[slots[blk]], 1.0))
+        log_r = np.log(np.where(rb > 0, rb, 1.0))
         i = np.flatnonzero(bound)
         half, mag = _log_bounded(tree, c[i], low[i], log_r[t[i]])
         _add_at(cross[:, blk], t[i], half, mag, np.ones(i.size), half)
@@ -654,18 +641,27 @@ def _log_near(tree, groups, near, coef, z, r, include_center, slots, first):
     return (out, cross) if first else out[:3]
 
 
-def _tree_far_field(kind, targets, src, mult, band, n_bands, radii=None):
-    """The source tree, the target groups, the slot order of the targets and
-    radii, the near leaf pairs, and the far field per slot and band: value,
-    truncation bound, magnitude scale and operation count."""
+@np.errstate(over="ignore")  # once per sweep, for numutil's term functions
+def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center=False):
+    """Approximate band sums and bounds, (n_bands, n_targets) each.
+
+    targets are complex points (real abscissae for the Cauchy kernel); src,
+    mult and band describe the sources in canonical order, with band
+    non-decreasing and below n_bands; radii gives each target's disk for the
+    log kernel, whose one band comes back as (value, err, refine) of 1-d
+    arrays (see truncated_log_enclosures).  Internally the targets sit in
+    slot order, group by group; slot_of maps each target to its slot.
+    """
     n_t = targets.size
     tree = _Tree(src, band, LEAF, mult)
     prefix = n_t <= src.size and np.array_equal(targets, src[:n_t])
     groups = _Groups(tree if prefix else _Tree(targets, np.zeros(n_t, np.int64), LEAF), n_t)
     z = targets[groups.order]
-    r = None if radii is None else radii[groups.order]
-    region = None
+    slot_of = np.empty(n_t, np.int64)
+    slot_of[groups.order] = np.arange(n_t)
+    r = region = None
     if kind == "log":
+        r = radii[groups.order]
         r_lo = np.minimum.reduceat(r, groups.start)
         r_hi = np.maximum.reduceat(r, groups.start)
 
@@ -677,44 +673,19 @@ def _tree_far_field(kind, targets, src, mult, band, n_bands, radii=None):
     far_g, far_c, near_g, near_c = _traverse(groups, tree, region)
     value, trunc, scale, n_far = _far_field(kind, groups, tree, far_g, far_c, z, r, n_bands)
     ops = n_far + (TREE_OPS + log2(max(src.size, 1)) + 8 + n_bands)
-    return tree, groups, z, r, near_g, near_c, value, trunc, scale, ops
-
-
-def _by_target(order, a):
-    """Per-slot rows of a as (columns, targets), in target order."""
-    out = np.empty((a.shape[1], a.shape[0]))
-    out[:, order] = a.T
-    return out
-
-
-def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center=False):
-    """Approximate band sums and bounds, (n_bands, n_targets) each.
-
-    targets are complex points (real abscissae for the Cauchy kernel); src,
-    mult and band describe the sources in canonical order, with band
-    non-decreasing and below n_bands; radii gives each target's disk for the
-    log kernel, whose one band comes back as (value, err, refine) of 1-d
-    arrays (see truncated_log_enclosures).
-    """
-    tree, groups, z, r, near_g, near_c, value, trunc, scale, ops = _tree_far_field(
-        kind, targets, src, mult, band, n_bands, radii)
     if kind != "log":
-        _near_field(kind, groups, tree, near_g, near_c, z, value, scale, ops)
-        err = trunc + _EPS * ops[:, None] * scale
-        return _by_target(groups.order, value), _by_target(groups.order, err)
+        terms = np.zeros_like(value)
+        _direct(kind, tree, z, groups.start[near_g], groups.count[near_g], near_c,
+                (value.ravel(), scale.ravel(), terms.ravel()), n_bands)
+        err = trunc + _EPS * (ops + terms.sum(axis=1))[:, None] * scale
+        return value[slot_of].T, err[slot_of].T
     value, trunc, scale = value[:, 0], trunc[:, 0], scale[:, 0]
-    slots = np.arange(targets.size)
     order = np.argsort(near_g, kind="stable")
     count = np.bincount(near_g, minlength=groups.count.size)
     near = (np.cumsum(count) - count, count, near_c[order])
     near_sums, cross = _log_near(tree, groups, near, tree.moments[1:] / _L[:, None], z, r,
-                                 include_center, slots, True)
-    value += near_sums[0]
-    scale += near_sums[1]
-    ops += near_sums[2]
-    trunc += near_sums[3]
-    slot_of = np.empty_like(slots)
-    slot_of[groups.order] = slots
+                                 include_center, np.arange(n_t), True)
+    value, scale, ops, trunc = (a + b for a, b in zip((value, scale, ops, trunc), near_sums))
 
     def err(trunc, scale, ops):
         # Widened by 2^-20 for the rounding of the bound itself.

@@ -311,14 +311,18 @@ def test_non_finite_point_exits_1_with_one_line(name, command, tmp_path, capsys)
     ["profile-balayage", "--family", '{"family":"dyadic_angle","n_min":1,"n_max":4}',
      "--xmin", "0", "--xmax", "1e308", "--samples", "3"],
     ["check", "--input", "points.csv"],
+    ["check", "--input", "high.csv"],
 ])
 def test_overflowing_distances_run_without_warnings(command, tmp_path, capsys):
     # Squared distances to x = 1e308 and to the point at re = 1e200 overflow
     # in the Poisson and log-rho terms; each such term is 0, and no
-    # RuntimeWarning (an error under the test configuration) is raised.
+    # RuntimeWarning (an error under the test configuration) is raised.  In
+    # high.csv both the squared distance and 4 Im c Im lambda of the two high
+    # points overflow; their log-rho term is log 9 / 2.
     (tmp_path / "points.csv").write_text(
         "re,im,mult\n1e200,1.0,1\n1.0,2.0,1\n3.0,-5.0,1\n-2.0,7.0,2\n4.0,0.5,1\n")
-    command = [str(tmp_path / a) if a == "points.csv" else a for a in command]
+    (tmp_path / "high.csv").write_text("re,im,mult\n1,1e160,1\n2,2e160,1\n3,5,1\n")
+    command = [str(tmp_path / a) if a.endswith(".csv") else a for a in command]
     out = tmp_path / "out.txt"
     assert run([command[0], "--weight", WEIGHT, *command[1:], "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apinterp as ap
@@ -82,6 +82,10 @@ def test_balayage_reflection_invariance(pts, x):
 @settings(max_examples=25, deadline=None)
 @given(point_lists(min_size=1, max_size=12, min_im=0.2, max_im=5.0),
        st.integers(2, 5))
+# The best candidate's neighbours lie within 1e-16 of it: the refine bracket
+# must reach the nearest candidates at least refine_tol away.
+@example([(0.5j, 2), (0.359375j, 1), (0.021484375 + 0.34375j, 1), (1.29e-126 + 5j, 1),
+          (-2.22e-16 + 1j, 1)], 3)
 def test_multiplicity_scaling_equivariance(pts, k):
     v = ap.Variety(pts)
     scaled = v.scale_mult(k)

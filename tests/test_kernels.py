@@ -184,6 +184,31 @@ def test_dense_kernels_give_overflowing_distances_zero_terms():
         assert abs(value - math.fsum(terms)) <= pairwise_bound(terms) + slack
 
 
+def test_log_rho_terms_keep_their_accuracy_where_heights_overflow():
+    # Where |c - lambda|^2 or the numerator 4 Im c Im lambda overflows, the
+    # log-rho term is computed from coordinates scaled by a power of 2, so it
+    # stays finite and accurate, with no slack for the overflow.  The oracle
+    # is math.log1p of the ratio computed exactly in fractions.
+    lam = np.array([3 + 5j, 1 + 1e160j, 2 + 2e160j, 1e155j, 1.1e155j, 1e300 + 1e300j,
+                    -1e308 + 2e307j])
+    mult = np.array([1, 1, 2, 1, 3, 1, 2])
+    pts = [(Fraction(z.real), Fraction(z.imag), m) for z, m in zip(lam.tolist(), mult.tolist())]
+    for value, c in zip(log_rho_sums(lam, mult, lam), lam.tolist()):
+        cx, cy = Fraction(c.real), Fraction(c.imag)
+        terms = [m * math.log1p(float(4 * cy * y / q)) / 2
+                 for q, y, m in (((cx - re) ** 2 + (cy - y) ** 2, y, m) for re, y, m in pts)
+                 if q > 0]
+        assert abs(value - math.fsum(terms)) <= pairwise_bound(terms)
+    assert log_rho_sums(lam[3:4], mult[3:4], lam[4:5])[0] == pytest.approx(
+        math.log1p(4 * 1.1 * 100) / 2, rel=1e-15)
+    # The tree's near field sums these terms too (its geometry does not reach
+    # the points near DBL_MAX).
+    lam, mult = lam[:5], mult[:5]
+    with forced_tree():
+        ((value, err),) = treecode.log_rho_prefix_enclosures(lam, mult, [lam.size])
+    assert np.all(np.abs(value - log_rho_sums(lam, mult, lam)) <= err)
+
+
 @settings(max_examples=80, deadline=None)
 @given(disk_configs(), st.data())
 def test_prefix_sums_equal_single_prefix_kernels(cfg, data):
@@ -292,6 +317,11 @@ def forced_tree(**overrides):
     return mock.patch.multiple(treecode, **{**TREE, **overrides})
 
 
+# Direct near-field block sizes: the default, and blocks of one (target run,
+# leaf) pair, whose edges fall inside groups.
+CHUNKS = (treecode._CHUNK, 1)
+
+
 FINE = st.integers(-6, 6).map(lambda k: k / 64)
 
 
@@ -371,19 +401,21 @@ def log_tree_passes(lam, mult, centers, radii, include_center, leaf):
     Returns the two bounds."""
     order = np.argsort(np.abs(lam), kind="stable")
     lam, mult = lam[order], mult[order]
-    with forced_tree(LEAF=leaf):
-        value, err, refine = treecode.truncated_log_enclosures(lam, mult, centers, radii,
-                                                               include_center)
-        rvalue, rerr = refine(np.arange(centers.size))
-        sub = np.arange(centers.size)[::3][::-1]
-        svalue, serr = refine(sub)
     direct = truncated_log_sums(lam, mult, centers, radii, include_center)
-    for i, (c, r) in enumerate(zip(centers.tolist(), radii.tolist())):
-        exact = fsum_truncated_log(lam, mult, c, r, include_center)
-        assert_enclosed(value[i], err[i], direct[i], exact)
-        assert_enclosed(rvalue[i], rerr[i], direct[i], exact)
-    for j, i in enumerate(sub):
-        assert_enclosed(svalue[j], serr[j], direct[i], direct[i])
+    exact = [fsum_truncated_log(lam, mult, c, r, include_center)
+             for c, r in zip(centers.tolist(), radii.tolist())]
+    sub = np.arange(centers.size)[::3][::-1]
+    for chunk in CHUNKS[::-1]:  # the default last: its bounds are returned
+        with forced_tree(LEAF=leaf, _CHUNK=chunk):
+            value, err, refine = treecode.truncated_log_enclosures(lam, mult, centers, radii,
+                                                                   include_center)
+            rvalue, rerr = refine(np.arange(centers.size))
+            svalue, serr = refine(sub)
+        for i in range(centers.size):
+            assert_enclosed(value[i], err[i], direct[i], exact[i])
+            assert_enclosed(rvalue[i], rerr[i], direct[i], exact[i])
+        for j, i in enumerate(sub):
+            assert_enclosed(svalue[j], serr[j], direct[i], direct[i])
     return err, rerr
 
 
@@ -471,13 +503,15 @@ def test_upward_moments_match_the_power_sums(leaf):
 def test_log_rho_tree_encloses_direct_sum(v, data):
     hv = ap.HalfPlaneVariety.from_variety(v)
     ends = prefix_ends(data, hv)
-    with forced_tree():
-        got = treecode.log_rho_prefix_enclosures(hv.lam, hv.mult, ends)
-    for e, (value, err), direct in zip(ends, got, log_rho_prefix_sums(hv.lam, hv.mult, ends)):
-        sub = ap.HalfPlaneVariety.from_arrays(hv.lam[:e], hv.mult[:e], hv.window_radius)
-        for i in range(e):
-            terms, _ = direct_log_rho(sub, complex(hv.lam[i]))
-            assert_enclosed(value[i], err[i], direct[i], math.fsum(terms))
+    for chunk in CHUNKS:
+        with forced_tree(_CHUNK=chunk):
+            got = treecode.log_rho_prefix_enclosures(hv.lam, hv.mult, ends)
+        for e, (value, err), direct in zip(ends, got,
+                                           log_rho_prefix_sums(hv.lam, hv.mult, ends)):
+            sub = ap.HalfPlaneVariety.from_arrays(hv.lam[:e], hv.mult[:e], hv.window_radius)
+            for i in range(e):
+                terms, _ = direct_log_rho(sub, complex(hv.lam[i]))
+                assert_enclosed(value[i], err[i], direct[i], math.fsum(terms))
 
 
 @settings(max_examples=60, deadline=None)
@@ -488,13 +522,15 @@ def test_poisson_tree_encloses_direct_sum(v, data):
         return
     ends = prefix_ends(data, v)
     xs = np.unique(np.concatenate([v.lam.real, data.draw(st.lists(QUARTER, max_size=6))]))
-    with forced_tree():
-        got = treecode.poisson_prefix_enclosures(v.lam, v.mult, xs, ends)
-    for e, (value, err), direct in zip(ends, got, poisson_prefix_sums(v.lam, v.mult, xs, ends)):
-        for i, x in enumerate(xs):
-            terms = [m * abs(lam.imag) / ((x - lam.real) ** 2 + lam.imag ** 2)
-                     for lam, m in zip(v.lam[:e].tolist(), v.mult[:e].tolist())]
-            assert_enclosed(value[i], err[i], direct[i], math.fsum(terms))
+    for chunk in CHUNKS:
+        with forced_tree(_CHUNK=chunk):
+            got = treecode.poisson_prefix_enclosures(v.lam, v.mult, xs, ends)
+        for e, (value, err), direct in zip(ends, got,
+                                           poisson_prefix_sums(v.lam, v.mult, xs, ends)):
+            for i, x in enumerate(xs):
+                terms = [m * abs(lam.imag) / ((x - lam.real) ** 2 + lam.imag ** 2)
+                         for lam, m in zip(v.lam[:e].tolist(), v.mult[:e].tolist())]
+                assert_enclosed(value[i], err[i], direct[i], math.fsum(terms))
 
 
 def test_tree_prunes_dyadic_sweeps_to_the_mirror_pair(log_shift):
