@@ -197,19 +197,18 @@ def _balayage_maxima(lam, mult, grid, ends, tol: float, grid_vals=None) -> list:
     if n_grid:
         xs = np.concatenate([grid, xs])
     floor = -np.inf if grid_vals is None else float(grid_vals.max())
-    out = []
+    out, best, done = [], None, 0
     for n, (value, err) in zip(ends, poisson_prefix_enclosures(lam, mult, xs, ends)):
-        if n == 0:
-            out.append(None)
-            continue
-        own = np.flatnonzero(np.isin(xs, lam[:n].real) | (np.arange(xs.size) < n_grid))
-        kept = xs[own[contenders(value[own], err[own], floor=floor)]]
-        cands = np.unique(np.concatenate([lam[:n].real, grid]))
-        vals = np.full(cands.size, -np.inf)
-        if grid_vals is not None:
-            vals[np.searchsorted(cands, grid)] = grid_vals
-        vals[np.searchsorted(cands, kept)] = poisson_sums(lam[:n], mult[:n], kept)
-        out.append(_refine(lam[:n], mult[:n], cands, vals, tol))
+        if n != done:  # a prefix equal to the previous one has the same maximum
+            own = np.flatnonzero(np.isin(xs, lam[:n].real) | (np.arange(xs.size) < n_grid))
+            kept = xs[own[contenders(value[own], err[own], floor=floor)]]
+            cands = np.unique(np.concatenate([lam[:n].real, grid]))
+            vals = np.full(cands.size, -np.inf)
+            if grid_vals is not None:
+                vals[np.searchsorted(cands, grid)] = grid_vals
+            vals[np.searchsorted(cands, kept)] = poisson_sums(lam[:n], mult[:n], kept)
+            best, done = _refine(lam[:n], mult[:n], cands, vals, tol), n
+        out.append(best)
     return out
 
 

@@ -143,7 +143,7 @@ def close_pair_arrays(lam: np.ndarray, cutoff: float):
 #: temporaries; no value depends on it.
 _ROWS = 64
 
-#: Terms per block of a nested-prefix sweep (_prefix_row_sums), written into
+#: Terms per block of a dense sweep (_dense_row_sums), written into
 #: one reused 1 MB scratch buffer that stays in a 2 MB L2 cache: 16 rows at
 #: 8190 points.  No value depends on it.  On a 2-core x86-64 VM the
 #: 4096 x 8190 balayage grid of dyadic 1..12 took 57 to 61 ms at 2^16 and
@@ -196,14 +196,6 @@ def _disk_blocks(abs_lam, centers, radii):
         yield lo, a, b
 
 
-def truncated_log_sum_terms(lam: np.ndarray, centers, radii) -> int:
-    """Number of center-point distances truncated_log_sums builds."""
-    centers = np.asarray(centers, dtype=complex)
-    radii = np.maximum(np.asarray(radii, dtype=float), 0.0)
-    return sum((min(lo + _ROWS, centers.size) - lo) * (b - a)
-               for lo, a, b in _disk_blocks(np.abs(lam), centers, radii))
-
-
 def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
                        include_center: bool = False) -> np.ndarray:
     """Integrated count at each center with its own radius.
@@ -233,34 +225,22 @@ def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
     return out
 
 
-def _prefix_row_sums(terms, row_ends, col_ends) -> list:
-    """Row sums of a term matrix over nested prefixes, one block of rows at a
-    time.
+def _dense_row_sums(terms, n_rows: int, width: int) -> np.ndarray:
+    """Row sums of an (n_rows x width) term matrix, one block of rows at a time.
 
-    terms(lo, out) fills out, a (rows x n) view of one reused scratch buffer,
-    with the terms of rows lo:lo + rows against columns :n, and returns it.
-    Entry k of the result holds, for each row i < row_ends[k], the sum of its
-    first col_ends[k] terms.  A block holds about _PREFIX_TERMS terms; each is
-    built once, against the widest prefix any entry needs, and every entry
-    sums its own column prefix of it; a row sum depends only on its own
-    terms, so each entry is the same bits as a call with that one prefix.
+    terms(lo, out) fills out, a (rows x width) view of one reused scratch
+    buffer, with the terms of rows lo:lo + rows, and returns it.  A block
+    holds about _PREFIX_TERMS terms; a row sum depends only on its own terms,
+    so it is the same bits in any block.
     """
-    row_ends = [int(e) for e in row_ends]
-    col_ends = [int(e) for e in col_ends]
-    out = [np.zeros(e) for e in row_ends]
-    n_rows = max(row_ends, default=0)
-    width = max(col_ends, default=0)
+    out = np.zeros(n_rows)
     step = max(1, _PREFIX_TERMS // max(width, 1))
     scratch = np.empty(min(step, n_rows) * width)
     with np.errstate(over="ignore"):  # see the term functions; a sum that overflows is inf
         for lo in range(0, n_rows, step):
             hi = min(lo + step, n_rows)
-            live = [k for k, e in enumerate(row_ends) if e > lo]
-            n = max(col_ends[k] for k in live)
-            t = terms(lo, scratch[:(hi - lo) * n].reshape(hi - lo, n))
-            for k in live:
-                t[:row_ends[k] - lo, :col_ends[k]].sum(axis=1,
-                                                       out=out[k][lo:min(hi, row_ends[k])])
+            terms(lo, scratch[:(hi - lo) * width].reshape(hi - lo, width)).sum(
+                axis=1, out=out[lo:hi])
     return out
 
 
@@ -298,19 +278,6 @@ def log_rho_terms(cre, cim, re, im, m, out):
     return out
 
 
-def _log_rho(lam, mult, centers, row_ends, col_ends) -> list:
-    """Exclusion sums of centers[:row_ends[k]] against lam[:col_ends[k]]."""
-    centers = np.asarray(centers, dtype=complex)
-    cre, cim = centers.real.copy(), centers.imag.copy()
-    re, im = lam.real.copy(), lam.imag.copy()  # contiguous: strided reads took twice as long
-
-    def terms(lo, q):
-        rows, n = slice(lo, lo + q.shape[0]), q.shape[1]
-        return log_rho_terms(cre[rows, None], cim[rows, None], re[:n], im[:n], mult[:n], q)
-
-    return [0.5 * s for s in _prefix_row_sums(terms, row_ends, col_ends)]
-
-
 def log_rho_sums(lam: np.ndarray, mult: np.ndarray, centers) -> np.ndarray:
     """Blaschke exclusion sum at each center of the upper half-plane.
 
@@ -324,16 +291,15 @@ def log_rho_sums(lam: np.ndarray, mult: np.ndarray, centers) -> np.ndarray:
     a term whose squared distance or numerator overflows is computed from
     scaled coordinates (see log_rho_terms), and a value that overflows is inf.
     """
-    return _log_rho(lam, mult, centers, [np.size(centers)], [lam.size])[0]
+    centers = np.asarray(centers, dtype=complex)
+    cre, cim = centers.real.copy(), centers.imag.copy()
+    re, im = lam.real.copy(), lam.imag.copy()  # contiguous: strided reads took twice as long
 
+    def terms(lo, q):
+        rows = slice(lo, lo + q.shape[0])
+        return log_rho_terms(cre[rows, None], cim[rows, None], re, im, mult, q)
 
-def log_rho_prefix_sums(lam: np.ndarray, mult: np.ndarray, ends) -> list:
-    """Exclusion sums within nested prefixes of the points themselves.
-
-    Entry k equals log_rho_sums(lam[:e], mult[:e], lam[:e]) for e = ends[k],
-    bit for bit, while each term is evaluated once for all entries.
-    """
-    return _log_rho(lam, mult, lam, ends, ends)
+    return 0.5 * _dense_row_sums(terms, centers.size, lam.size)
 
 
 def poisson_sums(lam: np.ndarray, mult: np.ndarray, xs) -> np.ndarray:
@@ -342,23 +308,13 @@ def poisson_sums(lam: np.ndarray, mult: np.ndarray, xs) -> np.ndarray:
     raises no warning: a squared distance that overflows to inf gives the
     term 0, whose absolute error is below weight / DBL_MAX for the weight
     mult * |Im lambda|, and a value that overflows is inf."""
-    return poisson_prefix_sums(lam, mult, xs, [lam.size])[0]
-
-
-def poisson_prefix_sums(lam: np.ndarray, mult: np.ndarray, xs, ends) -> list:
-    """Balayage of nested prefixes of the points at every abscissa.
-
-    Entry k equals poisson_sums(lam[:e], mult[:e], xs) for e = ends[k], bit
-    for bit, while each term is evaluated once for all entries.
-    """
     xs = np.asarray(xs, dtype=float)
     re, im2, weight = poisson_points(lam, mult)
 
     def terms(lo, d):
-        n = d.shape[1]
-        return poisson_terms(xs[lo:lo + d.shape[0], None], re[:n], im2[:n], weight[:n], d)
+        return poisson_terms(xs[lo:lo + d.shape[0], None], re, im2, weight, d)
 
-    return _prefix_row_sums(terms, [xs.size] * len(ends), ends)
+    return _dense_row_sums(terms, xs.size, lam.size)
 
 
 def poisson_sum_at(lam: np.ndarray, mult: np.ndarray):

@@ -9,30 +9,32 @@ reported bit is still a direct kernel's bit (see ``contenders``).
 
 The sources sit in an adaptive quadtree, one root per band of the canonical
 order (the points between two radius ends), so that every radius column is a
-sum over whole bands.  The targets are grouped into leaves: the source tree's
-own leaves when the targets are a prefix of the sources (condition a, the
-Blaschke sweep), else the leaves of a quadtree over the targets.  A (group,
-cell) pair that is well separated, ``SEP * (rho_group + rho_cell) <=
-distance``, and wholly inside the summation region becomes a p-term local
-expansion about the group center: the cell's moments go through one
-multipole-to-local matrix (Greengard & Rokhlin, J. Comput. Phys. 73, 1987).
+sum over whole bands.  The targets are grouped: by the source tree's own
+leaves when the targets are a prefix of the sources (condition a, the
+Blaschke sweep), else in runs of LEAF targets in Morton order, which for the
+Cauchy kernel's real abscissae is increasing order.  A (group, cell) pair
+that is well separated, ``SEP * (rho_group + rho_cell) <= distance``, and
+wholly inside the summation region becomes a p-term local expansion about the
+group center: the cell's moments go through one multipole-to-local matrix
+(Greengard & Rokhlin, J. Comput. Phys. 73, 1987).
 A cell that is near, or that crosses a disk circle of the group, is opened
 down to its leaves; a cell wholly outside every disk of the group is skipped
 (Barnes & Hut, Nature 324, 1986, for the traversal).
 
-One routine, ``_direct``, computes every direct near-field sum, over (target
-run, leaf) pairs in padded blocks, with numutil's Poisson and log-rho term
-functions or the truncated log's own membership test.  For the Blaschke and
-Poisson kernels each near (group, leaf) pair is one run: the group's targets.
-For the truncated log, each near (group, leaf) pair is decided again for each
-target against its own circle.  A leaf wholly outside is skipped.  A leaf
-wholly inside and well separated from the target, ``SEP * rho <= dist``, is
-one multipole-to-point term from its moments.  A leaf wholly inside but close
-is summed directly, a run of one target.  A leaf that crosses the circle at
+For the Blaschke and Poisson kernels each near (group, leaf) pair is summed
+directly for the group's targets as one run, by ``_direct`` in padded blocks
+with numutil's Poisson and log-rho term functions.  For the truncated log,
+each near (group, leaf) pair is decided again for each target against its own
+circle.  A leaf wholly outside is skipped.  A leaf wholly inside and well
+separated from the target, ``SEP * rho <= dist``, is one multipole-to-point
+term from its moments.  A leaf wholly inside but close is summed directly for
+that target by ``_log_direct``, which sums such (target, leaf) pairs as one
+ragged run of the leaves' points.  A leaf that crosses the circle at
 ``dist > rho`` adds a value in ``[0, M log(r / (dist - rho))]``: the first
 pass adds its midpoint and puts its half-width in the bound, and ``refine``
 sums it directly for the targets the first pass leaves in contention (bound,
-then refine).
+then refine).  Points beyond every disk are dropped before the tree is
+built.
 
 Moments come from an upward pass: power sums over the points of each leaf,
 then each level's children translated to their parent (M2M).  A parent's
@@ -65,8 +67,7 @@ from math import comb, log2
 
 import numpy as np
 
-from .numutil import (log_rho_prefix_sums, log_rho_terms, poisson_points, poisson_prefix_sums,
-                      poisson_terms, truncated_log_sum_terms, truncated_log_sums)
+from .numutil import log_rho_terms, poisson_points, poisson_terms
 
 _EPS = np.finfo(float).eps
 
@@ -86,21 +87,6 @@ SEP = 3.0
 #: equally fast, and 32 ran the strip's Blaschke sweep 20% faster; groups of 64
 #: were 10% to 15% slower.
 LEAF = 32
-
-#: Pair terms the direct path would build, above which the tree path runs.
-#: The tree's gain depends on how much of the sum is far field.  Measured on a
-#: 2-core x86-64 VM: the Blaschke sweep breaks even near 1e6 terms (dyadic
-#: 1..10, 1022^2: 11 ms direct, 8 ms tree) and gains 2.5x at 4.2e6 (dyadic
-#: 1..11); the integrated count gains 1.5x at 3.8e6 terms on dyadic 1..11,
-#: whose disks hold most points.  On a 6000-point strip_random sample (3.5e6
-#: to 3.6e6 terms over seeds) every in-disk term is near field and the tree is
-#: 1.5x to 2x slower (55 to 68 ms direct, 98 ms or more tree); 4e6 keeps it
-#: direct with 10% to spare.  With the per-center near field, condition a on
-#: the 6000-point strip (seed 3, best of 3, three runs) ties: log_square
-#: (6.0e6 terms) 114 to 128 ms tree against 115 to 128 ms direct, power(0.5)
-#: (5.6e6 terms) 113 to 126 ms against 114 to 123 ms; log_shift (3.6e6 terms,
-#: direct) 80 to 83 ms against 101 to 133 ms tree.
-CROSSOVER = 4_000_000
 
 #: Sequential floating-point operations of one expansion, from the moments to
 #: the value: p powers, a (p+1)-term product sum, p scalings and a p-step
@@ -176,6 +162,30 @@ def _spread(v):
     return v
 
 
+def _morton(z, b_start, b_count):
+    """Morton keys of z, each band b_start[k]:b_start[k] + b_count[k]
+    quantized to a 2^DEPTH grid over its own bounding square."""
+    x, y = z.real, z.imag
+    x0 = np.minimum.reduceat(x, b_start)
+    y0 = np.minimum.reduceat(y, b_start)
+    side = np.maximum(np.maximum.reduceat(x, b_start) - x0, np.maximum.reduceat(y, b_start) - y0)
+    top = 2 ** _Tree.DEPTH - 1
+    scale = np.repeat(np.where(side > 0, (top + 1) / np.where(side > 0, side, 1), 0), b_count)
+    ix = np.minimum((x - np.repeat(x0, b_count)) * scale, top).astype(np.int64)
+    iy = np.minimum((y - np.repeat(y0, b_count)) * scale, top).astype(np.int64)
+    return _spread(ix) | (_spread(iy) << np.uint64(1))
+
+
+def _boxes(z, count):
+    """Center of the bounding box of each consecutive run of count[k] points
+    of z, and the largest distance of its points from it."""
+    heads = np.cumsum(count) - count
+    cx = 0.5 * (np.minimum.reduceat(z.real, heads) + np.maximum.reduceat(z.real, heads))
+    cy = 0.5 * (np.minimum.reduceat(z.imag, heads) + np.maximum.reduceat(z.imag, heads))
+    c = cx + 1j * cy
+    return c, np.maximum.reduceat(np.abs(z - np.repeat(c, count)), heads)
+
+
 def _series(th):
     """An upper bound of sum_{k=1}^{p} th^k for th >= 0."""
     return np.where(th < 0.5, 2 * th, ORDER * np.maximum(th, 1.0) ** ORDER)
@@ -190,7 +200,7 @@ class _Tree:
     bounding box of its points and their largest distance from it.  leaves
     lists the leaves by start, so their points tile perm; points and weights
     hold the points and multiplicities in that order, and one padding point
-    of multiplicity 0 after them.  With mult,
+    of multiplicity 0 after them.
     moments[k, c] = sum m ((z - center[c]) / scale[c])^k, where every point
     lies within scale[c] of center[c], and bound[c] bounds the rounding of
     moments[k, c] for k >= 1; moments[0] is the mass, a sum of integers.
@@ -198,23 +208,12 @@ class _Tree:
 
     DEPTH = 20
 
-    def __init__(self, z, band, leaf, mult=None):
+    def __init__(self, z, band, leaf, mult):
         n = z.size
         cuts = np.flatnonzero(np.diff(band)) + 1
         b_start = np.concatenate([[0], cuts]).astype(np.int64)
         b_count = np.diff(np.append(b_start, n))
-        # Quantize each band to a 2^DEPTH grid over its own bounding square.
-        x, y = z.real, z.imag
-        x0 = np.minimum.reduceat(x, b_start)
-        y0 = np.minimum.reduceat(y, b_start)
-        side = np.maximum(np.maximum.reduceat(x, b_start) - x0,
-                          np.maximum.reduceat(y, b_start) - y0)
-        top = 2 ** self.DEPTH - 1
-        scale = np.repeat(np.where(side > 0, (top + 1) / np.where(side > 0, side, 1), 0),
-                          b_count)
-        ix = np.minimum((x - np.repeat(x0, b_count)) * scale, top).astype(np.int64)
-        iy = np.minimum((y - np.repeat(y0, b_count)) * scale, top).astype(np.int64)
-        morton = _spread(ix) | (_spread(iy) << np.uint64(1))
+        morton = _morton(z, b_start, b_count)
         self.perm = perm = np.lexsort((morton, band))
         morton = morton[perm]
 
@@ -254,10 +253,8 @@ class _Tree:
         # index n (any finite point will do).
         self.points = np.append(z[perm], z[:1])
         self._geometry(self.points[:n])
-        self.weights = self.moments = self.bound = None
-        if mult is not None:
-            self.weights = np.append(mult[perm], 0).astype(float)
-            self._upward(self.points[:n], self.weights[:n])
+        self.weights = np.append(mult[perm], 0).astype(float)
+        self._upward(self.points[:n], self.weights[:n])
 
     def _geometry(self, zs):
         n_cells = self.start.size
@@ -266,14 +263,7 @@ class _Tree:
         for level in range(int(self.level.max()) + 1):
             cells = np.flatnonzero(self.level == level)
             st, ct = self.start[cells], self.count[cells]
-            pos = _ranges(st, ct)
-            offs = np.cumsum(ct) - ct
-            zz = zs[pos]
-            cx = 0.5 * (np.minimum.reduceat(zz.real, offs) + np.maximum.reduceat(zz.real, offs))
-            cy = 0.5 * (np.minimum.reduceat(zz.imag, offs) + np.maximum.reduceat(zz.imag, offs))
-            c = cx + 1j * cy
-            self.center[cells] = c
-            self.rho[cells] = np.maximum.reduceat(np.abs(zz - np.repeat(c, ct)), offs)
+            self.center[cells], self.rho[cells] = _boxes(zs[_ranges(st, ct)], ct)
         self.scale = np.where(self.rho > 0, self.rho, 1.0)
 
     def _upward(self, zs, ms):
@@ -323,11 +313,7 @@ class _Tree:
             s = np.repeat(s, kids)
             a = np.where(spread[ch], self.scale[ch] / s, 0.0)
             beta = off / s
-            t = self.moments[:, ch]
-            ak = a.copy()
-            for k in range(1, p1):
-                t[k] *= ak
-                ak *= a
+            t = np.take(self.moments, ch, axis=1) * a ** _K[:, None]
             for i in range(1, p1):
                 t[i:] += beta * t[i - 1:-1]
             self.moments[:, cells] = np.add.reduceat(t, offs, axis=1)
@@ -340,21 +326,31 @@ class _Tree:
 
 
 class _Groups:
-    """The targets, the first n points of a tree, grouped by its leaves:
-    group g holds the slots start[g]:start[g] + count[g], slot i is target
-    order[i], of[i] is its group, and each target of g lies within rho[g] of
-    center[g]."""
+    """The targets in groups: group g holds the slots start[g]:start[g] +
+    count[g], slot i is target order[i], of[i] is its group, and each target
+    of g lies within rho[g] of center[g]."""
 
-    def __init__(self, tree, n):
-        member = tree.perm < n
-        count = np.add.reduceat(member.astype(np.int64), tree.start[tree.leaves])
-        held = count > 0
-        self.order = tree.perm[member]
-        self.count = count[held]
-        self.start = np.cumsum(self.count) - self.count
-        self.center = tree.center[tree.leaves[held]]
-        self.rho = tree.rho[tree.leaves[held]]
-        self.of = np.repeat(np.arange(self.count.size), self.count)
+    def __init__(self, order, count, center, rho):
+        self.order, self.count, self.center, self.rho = order, count, center, rho
+        self.start = np.cumsum(count) - count
+        self.of = np.repeat(np.arange(count.size), count)
+
+
+def _leaf_groups(tree, n):
+    """The first n points of tree, grouped by its leaves."""
+    member = tree.perm < n
+    count = np.add.reduceat(member.astype(np.int64), tree.start[tree.leaves])
+    held = tree.leaves[count > 0]
+    return _Groups(tree.perm[member], count[count > 0], tree.center[held], tree.rho[held])
+
+
+def _run_groups(z):
+    """The points z in Morton order, cut into runs of LEAF; points on a line
+    come in increasing order, so each run is an interval of neighbours."""
+    n = z.size
+    order = np.argsort(_morton(z, np.zeros(1, np.int64), np.array([n])), kind="stable")
+    count = np.diff(np.append(np.arange(0, n, LEAF), n))
+    return _Groups(order, count, *_boxes(z[order], count))
 
 
 def _traverse(groups, tree, region=None):
@@ -426,7 +422,7 @@ def _far_pairs(groups, tree, g, c, kind):
     """
     t, s = groups.center[g], tree.center[c]
     rho_t, rho_s, scale_s = groups.rho[g], tree.rho[c], tree.scale[c]
-    mom = tree.moments[:, c].T
+    mom = np.take(tree.moments, c, axis=1).T
     mass = mom[:, 0].real
     d = s - t
     dist = np.abs(d)
@@ -450,8 +446,13 @@ def _far_pairs(groups, tree, g, c, kind):
     dc = np.conj(s) - t
     beta = (_local(np.conj(mom), scale_s, rho_t, dc, _M2L_LOG)
             - _local(mom, scale_s, rho_t, d, _M2L_LOG))
-    beta[:, 0] += 0.5 * mass * np.log1p(4 * t.imag * s.imag / (dist * dist))
-    top = 0.5 * np.log1p(4 * (t.imag + rho_t) * (s.imag + rho_s) / (dist - rho) ** 2)
+    # The monopole is numutil's term of the cell's mass at the group center;
+    # top bounds the term over the pair's points, 4 a b / D^2 formed, as there,
+    # from exactly scaled lengths, so that no square or product overflows.
+    beta[:, 0] += 0.5 * log_rho_terms(t.real, t.imag, s.real, s.imag, mass, np.empty(g.size))
+    a, b, gap = t.imag + rho_t, s.imag + rho_s, dist - rho
+    e = -1 - np.frexp(np.maximum(np.maximum(a, b), gap))[1]
+    top = 0.5 * np.log1p(4 * np.ldexp(a, e) * np.ldexp(b, e) / np.ldexp(gap, e) ** 2)
     return beta, 2 * (mass * trunc + rounding), mass * (1 + top)
 
 
@@ -502,13 +503,13 @@ def _padded(start, count, width, pad):
     return np.where(real, start[:, None] + k, pad), real
 
 
-def _direct(kind, tree, z, start, count, c, out, n_bands=1, r=None, include_center=False):
-    """Add the direct sums of (target run, leaf) pairs into out: pair k sums
-    the targets z[start[k]:start[k] + count[k]] against the points of leaf
-    c[k].  The flat (targets, n_bands) rows of out get each target's sum, the
-    sum of its term magnitudes and the leaf's size at (target, band of the
-    leaf).  For the truncated log, r holds each target's radius.  The terms are numutil's, from contiguous copies of
-    the coordinates, or the truncated log's (with its membership test).
+def _direct(kind, tree, z, start, count, c, out, n_bands):
+    """Add the Cauchy or log-rho direct sums of (target run, leaf) pairs into
+    out: pair k sums the targets z[start[k]:start[k] + count[k]] against the
+    points of leaf c[k].  The flat (targets, n_bands) rows of out get each
+    target's sum, the sum of its term magnitudes and the leaf's size at
+    (target, band of the leaf).  The terms are numutil's, from contiguous
+    copies of the coordinates.
 
     The pairs go in (run length, leaf size) order, in (pairs, rows, columns)
     blocks of about _CHUNK elements padded to the block's longest run and
@@ -517,11 +518,9 @@ def _direct(kind, tree, z, start, count, c, out, n_bands=1, r=None, include_cent
     """
     if kind == "cauchy":
         rows, cols = (z.real.copy(),), poisson_points(tree.points, tree.weights)
-    elif kind == "log-rho":
+    else:
         rows = z.real.copy(), z.imag.copy()
         cols = tree.points.real.copy(), tree.points.imag.copy(), tree.weights
-    else:
-        rows, cols = (z, r), (tree.points, tree.weights)
     sizes = tree.count[c]
     order = np.lexsort((sizes, count))
     lo = 0
@@ -536,34 +535,45 @@ def _direct(kind, tree, z, start, count, c, out, n_bands=1, r=None, include_cent
         block = np.empty((p.size, ti.shape[1], sj.shape[1]))
         if kind == "cauchy":
             term = mag = poisson_terms(*tgt, *src, block).sum(axis=2)
-        elif kind == "log-rho":
+        else:
             term = 0.5 * log_rho_terms(*tgt, *src, block).sum(axis=2)
             mag = term + src[2].sum(axis=2)
-        else:
-            term, mag = _log_block(*tgt, *src, include_center, block)
         ti = ti[real]
         _add_at(out, ti * n_bands + np.repeat(tree.band[c[p]], count[p]), term[real],
                 mag[real], np.repeat(sizes[p], count[p]).astype(float))
 
 
-def _log_block(z, r, points, m, include_center, d):
-    """Truncated-log sums and term magnitudes over the last axis of a block
-    of targets z with radii r against points with multiplicities m
-    (broadcast); d is scratch of the block's shape."""
-    np.abs(points - z, out=d)
-    inside = (d > 0) & (d <= r)
-    log_r = np.log(np.where(r > 0, r, 1.0))[:, :, 0]
-    mm = np.where(inside, m, 0.0)
-    np.log(d, out=d, where=inside)  # d is finite, so mm * d is 0 outside
-    mass = mm.sum(axis=2)
-    mm *= d
-    term = mass * log_r - mm.sum(axis=2)
-    mag = mass * (1 + np.abs(log_r)) + np.abs(mm, out=mm).sum(axis=2)
-    if include_center:
-        at = np.where(inside | (d != 0), 0.0, m).sum(axis=2)
-        term += at * log_r
-        mag += at * (1 + np.abs(log_r))
-    return term, mag
+def _log_direct(tree, z, r, t, c, include_center, out):
+    """Add the truncated-log direct sums of (target, leaf) pairs into out:
+    pair k sums the points of leaf c[k] in the disk of radius r[t[k]] about
+    z[t[k]], and the rows (value, term magnitude, ops) of out get, at t[k],
+    that sum, the sum of its term magnitudes and the leaf's size.  The pairs'
+    points form one ragged run, cut into blocks of about _CHUNK points, and
+    each pair's terms are summed by np.add.reduceat.
+    """
+    sizes = tree.count[c]
+    for blk in _blocks(sizes, _CHUNK):
+        t_b, size = t[blk], sizes[blk]
+        pos = _ranges(tree.start[c[blk]], size)
+        d = np.take(tree.points, pos)
+        d -= np.repeat(z[t_b], size)
+        d = np.abs(d)
+        r_b = r[t_b]
+        inside = d <= np.repeat(r_b, size)
+        inside &= d > 0
+        m = np.take(tree.weights, pos)
+        sums = np.zeros((3, d.size))  # in-disk mass, m log d and |m log d|
+        np.multiply(m, inside, out=sums[0])
+        np.log(d, out=sums[1], where=inside)
+        sums[1] *= sums[0]
+        np.abs(sums[1], out=sums[2])
+        heads = np.cumsum(size) - size
+        mass, logs, mag = np.add.reduceat(sums, heads, axis=1)
+        if include_center:  # the point at the center adds m log r
+            mass += np.add.reduceat(np.where(d == 0, m, 0.0), heads)
+        log_r = np.log(np.where(r_b > 0, r_b, 1.0))
+        _add_at(out, t_b, mass * log_r - logs, mass * (1 + np.abs(log_r)) + mag,
+                size.astype(float))
 
 
 def _log_bounded(tree, c, low, log_r):
@@ -587,10 +597,11 @@ def _log_expanded(tree, coef, c, z, dist, low, log_r):
     """
     mass = tree.moments[0, c].real
     w = tree.scale[c] / (z - tree.center[c])
-    acc = coef[ORDER - 1, c]
+    coef = np.take(coef, c, axis=1)
+    acc = coef[ORDER - 1]
     for j in range(ORDER - 2, -1, -1):
         acc *= w
-        acc += coef[j, c]
+        acc += coef[j]
     acc *= w
     x = tree.rho[c] / dist
     logs = np.maximum(np.abs(np.log(low)), np.abs(log_r))
@@ -598,47 +609,50 @@ def _log_expanded(tree, coef, c, z, dist, low, log_r):
             mass * x ** (ORDER + 1) / ((ORDER + 1) * (1 - x)) + tree.bound[c] * x / (1 - x))
 
 
-def _log_near(tree, groups, near, coef, z, r, include_center, slots, first):
-    """The truncated log's near field at the given slots, decided leaf by
-    leaf against each target's own circle (see the module docstring).
+def _log_near(tree, groups, near, z, r, include_center):
+    """The truncated log's near field, decided leaf by leaf against each
+    target's own circle (see the module docstring).
 
-    near is (start, count, leaves) of each group's near leaves.  The first
-    pass returns (value, scale, ops, trunc) of the leaves expanded or summed
-    directly and (mid, scale, ops, half) of the crossing leaves bounded; a
-    refine pass returns (value, scale, ops) of the crossing leaves summed
-    directly.
+    near is (start, count, leaves) of each group's near leaves.  Returns, per
+    slot, (value, scale, ops, trunc) of the leaves expanded or summed
+    directly and (mid, scale, ops, half) of the crossing leaves bounded, and
+    the (slot, leaf) pairs of those crossing leaves, in slot order.
     """
     near_start, near_count, near_c = near
-    out = np.zeros((4, slots.size))
-    cross = np.zeros((4, slots.size))
-    k = near_count[groups.of[slots]]
+    coef = tree.moments[1:] / _L[:, None]
+    log_r = np.log(np.where(r > 0, r, 1.0))
+    out = np.zeros((4, z.size))
+    cross = np.zeros((4, z.size))
+    cross_t, cross_c = [], []
+    k = near_count[groups.of]
     for blk in _blocks(k, _TARGET_PAIRS):
-        t = np.repeat(np.arange(blk.stop - blk.start), k[blk])
-        c = near_c[_ranges(near_start[groups.of[slots[blk]]], k[blk])]
-        zb, rb = z[slots[blk]], r[slots[blk]]
-        zt, rt = zb[t], rb[t]
-        dist = np.abs(tree.center[c] - zt)
-        rho = tree.rho[c]
-        slack = _SLACK * (dist + rho + rt)
-        inside = dist + rho + slack <= rt
-        outside = dist - rho > rt + slack
-        low = dist - rho - _SLACK * (dist + rho)  # below every point's distance
+        kb = k[blk]
+        t = np.repeat(np.arange(blk.start, blk.stop), kb)
+        c = near_c[_ranges(near_start[groups.of[blk]], kb)]
+        rt = np.repeat(r[blk], kb)
+        dist = np.take(tree.center, c)
+        dist -= np.repeat(z[blk], kb)
+        dist = np.abs(dist)
+        rho = np.take(tree.rho, c)
+        reach, low = dist + rho, dist - rho
+        slack = _SLACK * (reach + rt)
+        inside = reach + slack <= rt
+        outside = low > rt + slack
+        low -= _SLACK * reach  # below every point's distance
         expand = inside & (SEP * rho <= dist) & (dist > 0)
         bound = ~(inside | outside) & (low > 0)
-        i = np.flatnonzero(bound if not first else ~(expand | bound | outside))
-        _direct("log", tree, zb, t[i], np.ones(i.size, np.int64), c[i], out[:3, blk], r=rb,
-                include_center=include_center)
-        if not first:
-            continue
-        log_r = np.log(np.where(rb > 0, rb, 1.0))
+        i = np.flatnonzero(~(expand | bound | outside))
+        _log_direct(tree, z, r, t[i], c[i], include_center, out[:3])
         i = np.flatnonzero(bound)
+        cross_t.append(t[i])
+        cross_c.append(c[i])
         half, mag = _log_bounded(tree, c[i], low[i], log_r[t[i]])
-        _add_at(cross[:, blk], t[i], half, mag, np.ones(i.size), half)
+        _add_at(cross, t[i], half, mag, np.ones(i.size), half)
         i = np.flatnonzero(expand)
-        value, mag, trunc = _log_expanded(tree, coef, c[i], zt[i], dist[i], low[i],
+        value, mag, trunc = _log_expanded(tree, coef, c[i], z[t[i]], dist[i], low[i],
                                           log_r[t[i]])
-        _add_at(out[:, blk], t[i], value, mag, np.ones(i.size), trunc)
-    return (out, cross) if first else out[:3]
+        _add_at(out, t[i], value, mag, np.ones(i.size), trunc)
+    return out, cross, np.concatenate(cross_t), np.concatenate(cross_c)
 
 
 @np.errstate(over="ignore")  # once per sweep, for numutil's term functions
@@ -655,7 +669,7 @@ def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center
     n_t = targets.size
     tree = _Tree(src, band, LEAF, mult)
     prefix = n_t <= src.size and np.array_equal(targets, src[:n_t])
-    groups = _Groups(tree if prefix else _Tree(targets, np.zeros(n_t, np.int64), LEAF), n_t)
+    groups = _leaf_groups(tree, n_t) if prefix else _run_groups(targets)
     z = targets[groups.order]
     slot_of = np.empty(n_t, np.int64)
     slot_of[groups.order] = np.arange(n_t)
@@ -683,9 +697,10 @@ def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center
     order = np.argsort(near_g, kind="stable")
     count = np.bincount(near_g, minlength=groups.count.size)
     near = (np.cumsum(count) - count, count, near_c[order])
-    near_sums, cross = _log_near(tree, groups, near, tree.moments[1:] / _L[:, None], z, r,
-                                 include_center, np.arange(n_t), True)
+    near_sums, cross, cross_t, cross_c = _log_near(tree, groups, near, z, r, include_center)
     value, scale, ops, trunc = (a + b for a, b in zip((value, scale, ops, trunc), near_sums))
+    cross_count = np.bincount(cross_t, minlength=n_t)
+    cross_start = np.cumsum(cross_count) - cross_count
 
     def err(trunc, scale, ops):
         # Widened by 2^-20 for the rounding of the bound itself.
@@ -693,7 +708,9 @@ def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center
 
     def refine(idx):
         s = slot_of[np.asarray(idx, dtype=np.int64)]
-        more = _log_near(tree, groups, near, None, z, r, include_center, s, False)
+        more = np.zeros((3, s.size))
+        _log_direct(tree, z[s], r[s], np.repeat(np.arange(s.size), cross_count[s]),
+                    cross_c[_ranges(cross_start[s], cross_count[s])], include_center, more)
         return value[s] + more[0], err(trunc[s], scale[s] + more[1], ops[s] + more[2])
 
     first = (value + cross[0], err(trunc + cross[3], scale + cross[1], ops + cross[2]))
@@ -729,27 +746,25 @@ def contenders(value, err, scale=1.0, floor=-np.inf) -> np.ndarray:
 
 
 def log_rho_prefix_enclosures(lam, mult, ends):
-    """Entry k: (value, err) over the centers lam[:ends[k]] of the exclusion
-    sums of log_rho_prefix_sums; err = 0 on the direct path."""
+    """Entry k: (value, err) at each center of lam[:ends[k]] of its exclusion
+    sum over lam[:ends[k]] (log_rho_sums)."""
     ends = [int(e) for e in ends]
     n = max(ends, default=0)
-    if n == 0 or n * n <= CROSSOVER:
-        sums = log_rho_prefix_sums(lam, mult, ends)
-        return [(s, np.zeros(s.size)) for s in sums]
+    if n == 0:
+        return [(np.zeros(0), np.zeros(0)) for _ in ends]
     value, err = _columns(*_enclose("log-rho", lam[:n], lam[:n], mult[:n], _bands(n, ends),
                                     len(ends)))
     return [(value[k, :e], err[k, :e]) for k, e in enumerate(ends)]
 
 
 def poisson_prefix_enclosures(lam, mult, xs, ends):
-    """Entry k: (value, err) at every abscissa of the balayage of lam[:ends[k]],
-    as poisson_prefix_sums; err = 0 on the direct path."""
+    """Entry k: (value, err) at every abscissa of the balayage of lam[:ends[k]]
+    (poisson_sums)."""
     ends = [int(e) for e in ends]
     xs = np.asarray(xs, dtype=float)
     n = max(ends, default=0)
-    if n * xs.size == 0 or n * xs.size <= CROSSOVER:
-        sums = poisson_prefix_sums(lam, mult, xs, ends)
-        return [(s, np.zeros(s.size)) for s in sums]
+    if n * xs.size == 0:
+        return [(np.zeros(xs.size), np.zeros(xs.size)) for _ in ends]
     src = lam[:n].real + 1j * np.abs(lam[:n].imag)
     value, err = _columns(*_enclose("cauchy", xs.astype(complex), src, mult[:n],
                                     _bands(n, ends), len(ends)))
@@ -757,18 +772,20 @@ def poisson_prefix_enclosures(lam, mult, xs, ends):
 
 
 def truncated_log_enclosures(lam, mult, centers, radii, include_center=False):
-    """(value, err, refine) of truncated_log_sums at each center.
+    """(value, err, refine) of truncated_log_sums at each center, with lam
+    sorted by modulus as there.
 
-    value - err <= direct <= value + err.  On the tree path the first pass
-    bounds each circle-crossing leaf; refine(idx) returns (value, err) at the
-    centers idx with those leaves summed directly, a narrower enclosure.  On
-    the direct path err = 0 and refine returns the direct values at idx.
+    value - err <= direct <= value + err.  The first pass bounds each
+    circle-crossing leaf; refine(idx) returns (value, err) at the centers idx
+    with those leaves summed directly, a narrower enclosure.
     """
     centers = np.asarray(centers, dtype=complex)
     radii = np.maximum(np.asarray(radii, dtype=float), 0.0)
-    if lam.size * centers.size == 0 or truncated_log_sum_terms(lam, centers, radii) <= CROSSOVER:
-        sums = truncated_log_sums(lam, mult, centers, radii, include_center)
-        zero = np.zeros(sums.size)
-        return sums, zero, lambda idx: (sums[idx], zero[idx])
-    return _enclose("log", centers, lam, mult, np.zeros(lam.size, np.int64), 1, radii,
+    # lam is sorted by modulus: the points beyond every disk add nothing.
+    reach = np.max(np.abs(centers) + radii, initial=0.0) * (1 + _SLACK)
+    n = int(np.searchsorted(np.abs(lam), reach, side="right"))
+    if n * centers.size == 0:
+        zero = np.zeros(centers.size)
+        return zero, zero, lambda idx: (zero[idx], zero[idx])
+    return _enclose("log", centers, lam[:n], mult[:n], np.zeros(n, np.int64), 1, radii,
                     include_center)

@@ -32,11 +32,10 @@ and is pinned byte for byte.  The weight enters only through the split, and
 all 510 dyadic points lie above every one of these strips, so the four files
 are the same bytes.
 
-The larger inputs below run sweeps above the tree-code crossover
-(treecode.CROSSOVER): the Blaschke sweeps of all of them, the profile, and
-on dyadic 1..12 condition a and condition b too; on the 6000-point strip
-condition a stays direct under log_shift and tabulated.  Their files were
-written before the tree-code (commit 4077221) with
+Every sweep selects through the tree code (treecode), and its reported
+numbers are the direct kernels' bits.  The larger inputs below were the
+first whose sweeps took the tree, when it ran only above a term count; their
+files were written before the tree-code (commit 4077221) with
 
     apinterp generate --family '{"family":"strip_random","count":6000,"seed":3}' \\
         --out strip6000.csv

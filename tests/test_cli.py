@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import apinterp as ap
@@ -312,16 +313,23 @@ def test_non_finite_point_exits_1_with_one_line(name, command, tmp_path, capsys)
      "--xmin", "0", "--xmax", "1e308", "--samples", "3"],
     ["check", "--input", "points.csv"],
     ["check", "--input", "high.csv"],
+    ["check", "--input", "spread.csv"],
 ])
 def test_overflowing_distances_run_without_warnings(command, tmp_path, capsys):
     # Squared distances to x = 1e308 and to the point at re = 1e200 overflow
     # in the Poisson and log-rho terms; each such term is 0, and no
     # RuntimeWarning (an error under the test configuration) is raised.  In
     # high.csv both the squared distance and 4 Im c Im lambda of the two high
-    # points overflow; their log-rho term is log 9 / 2.
+    # points overflow; their log-rho term is log 9 / 2.  In spread.csv the
+    # tree expands the cells of those points and of -1e306+2e305i about far
+    # group centers, where the same products overflow.
     (tmp_path / "points.csv").write_text(
         "re,im,mult\n1e200,1.0,1\n1.0,2.0,1\n3.0,-5.0,1\n-2.0,7.0,2\n4.0,0.5,1\n")
     (tmp_path / "high.csv").write_text("re,im,mult\n1,1e160,1\n2,2e160,1\n3,5,1\n")
+    spread = np.random.default_rng(0).uniform(-50.0, 50.0, (5000, 2)).tolist()
+    (tmp_path / "spread.csv").write_text("".join(
+        ["re,im,mult\n"] + [f"{x!r},{y!r},1\n" for x, y in spread]
+        + ["1,1e160,1\n2,2e160,1\n-1e306,2e305,1\n"]))
     command = [str(tmp_path / a) if a.endswith(".csv") else a for a in command]
     out = tmp_path / "out.txt"
     assert run([command[0], "--weight", WEIGHT, *command[1:], "--out", str(out)]) == 0

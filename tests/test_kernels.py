@@ -4,10 +4,10 @@ enclosures in treecode.
 Each kernel value is checked against a plain-Python math.fsum direct sum
 within the pairwise-summation bound, and every value computed in a batch
 must equal the same value computed alone, bit for bit, including through
-the public scalar and sweep functions and the nested-prefix forms the
-sweeps use, and through the point evaluations of the weight layer.  Each tree value must lie within its bound of both the fsum
-direct sum and the direct kernel, and each sweep that selects through the
-tree must report the direct kernels' first maximum, bit for bit.
+the public scalar and sweep functions and through the point evaluations of
+the weight layer.  Each tree value must lie within its bound of both the
+fsum direct sum and the direct kernel, and each sweep that selects through
+the tree must report the direct kernels' first maximum, bit for bit.
 """
 
 import math
@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 
 import apinterp as ap
 from apinterp import conditions, numutil, treecode
-from apinterp.numutil import (log_rho_prefix_sums, log_rho_sums, poisson_prefix_sums,
-                              poisson_sums, truncated_log_sums)
+from apinterp.numutil import log_rho_sums, poisson_sums, truncated_log_sums
 
 EPS = np.finfo(float).eps
 DBL_MAX = np.finfo(float).max
@@ -209,30 +208,6 @@ def test_log_rho_terms_keep_their_accuracy_where_heights_overflow():
     assert np.all(np.abs(value - log_rho_sums(lam, mult, lam)) <= err)
 
 
-@settings(max_examples=80, deadline=None)
-@given(disk_configs(), st.data())
-def test_prefix_sums_equal_single_prefix_kernels(cfg, data):
-    v, _, _ = cfg
-    abs_lam = np.abs(v.lam)
-    # An end at a point's modulus takes every point tied with it (quarter-grid
-    # points such as 5 and 3+4i share moduli); 0 and repeats are drawn too.
-    tied = np.searchsorted(abs_lam, abs_lam, side="right").tolist()
-    ends = data.draw(st.lists(st.sampled_from(tied + [0]), min_size=1, max_size=8))
-    lam = v.lam.real + 1j * (np.abs(v.lam.imag) + 0.25)  # same order, Im > 0
-    off = data.draw(st.lists(st.floats(-20.0, 20.0), max_size=6))
-    xs = np.concatenate([lam.real, off])
-    # Blocks of 4 rows (the widest prefix is max(ends) terms), so ends fall
-    # inside, on and past block edges.
-    with mock.patch.object(numutil, "_PREFIX_TERMS", 4 * max(ends)):
-        rho = log_rho_prefix_sums(lam, v.mult, ends)
-        pois = poisson_prefix_sums(lam, v.mult, xs, ends)
-    for e, got_rho, got_pois in zip(ends, rho, pois):
-        alone = log_rho_sums(lam[:e], v.mult[:e], lam[:e])
-        assert got_rho.tobytes() == alone.tobytes()
-        alone = poisson_sums(lam[:e], v.mult[:e], xs)
-        assert got_pois.tobytes() == alone.tobytes()
-
-
 def test_condition_b_sweep_equals_per_radius_balayage_sup(log_shift):
     # Exterior points in both half-planes with ties at |z| = 5, inside a
     # random strip.  The first radius holds no exterior point; the second ends
@@ -308,9 +283,9 @@ def test_balayage_profile_equals_single_abscissa_values(log_shift):
         assert prof.sup == ap.balayage_value(ext, prof.x_star)
 
 
-# The tree-code enclosures.  CROSSOVER = -1 forces the tree path and a leaf
-# of 3 points gives deep trees with far pairs even on small inputs.
-TREE = dict(CROSSOVER=-1, LEAF=3)
+# The tree-code enclosures.  A leaf of 3 points gives deep trees with far
+# pairs even on small inputs.
+TREE = dict(LEAF=3)
 
 
 def forced_tree(**overrides):
@@ -506,8 +481,8 @@ def test_log_rho_tree_encloses_direct_sum(v, data):
     for chunk in CHUNKS:
         with forced_tree(_CHUNK=chunk):
             got = treecode.log_rho_prefix_enclosures(hv.lam, hv.mult, ends)
-        for e, (value, err), direct in zip(ends, got,
-                                           log_rho_prefix_sums(hv.lam, hv.mult, ends)):
+        for e, (value, err) in zip(ends, got):
+            direct = log_rho_sums(hv.lam[:e], hv.mult[:e], hv.lam[:e])
             sub = ap.HalfPlaneVariety.from_arrays(hv.lam[:e], hv.mult[:e], hv.window_radius)
             for i in range(e):
                 terms, _ = direct_log_rho(sub, complex(hv.lam[i]))
@@ -525,8 +500,8 @@ def test_poisson_tree_encloses_direct_sum(v, data):
     for chunk in CHUNKS:
         with forced_tree(_CHUNK=chunk):
             got = treecode.poisson_prefix_enclosures(v.lam, v.mult, xs, ends)
-        for e, (value, err), direct in zip(ends, got,
-                                           poisson_prefix_sums(v.lam, v.mult, xs, ends)):
+        for e, (value, err) in zip(ends, got):
+            direct = poisson_sums(v.lam[:e], v.mult[:e], xs)
             for i, x in enumerate(xs):
                 terms = [m * abs(lam.imag) / ((x - lam.real) ** 2 + lam.imag ** 2)
                          for lam, m in zip(v.lam[:e].tolist(), v.mult[:e].tolist())]
@@ -534,9 +509,8 @@ def test_poisson_tree_encloses_direct_sum(v, data):
 
 
 def test_tree_prunes_dyadic_sweeps_to_the_mirror_pair(log_shift):
-    # At the default order and leaf size, dyadic 1..12 is above the crossover
-    # in every kernel, and each sweep keeps only the mirror pair (x, y),
-    # (-x, y) of its maximum.
+    # At the default order and leaf size, each sweep of dyadic 1..12 keeps
+    # only the mirror pair (x, y), (-x, y) of its maximum.
     v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 12}))
     radii = ap.default_radii(v.window_radius)
     ends = np.searchsorted(np.abs(v.lam), radii, side="right")
@@ -557,6 +531,40 @@ def test_tree_prunes_dyadic_sweeps_to_the_mirror_pair(log_shift):
     assert 0 < err.max() < 1e-9 * value.max()
     keep = treecode.contenders(value, err)
     assert keep.size == 2 and xs[keep[0]] == -xs[keep[1]]
+
+
+EMPTY = np.array([0.5 + 1j, -2 + 0.5j, 3 + 2j, 3 + 2.5j]), np.array([1, 2, 1, 3])
+
+
+@pytest.mark.parametrize("case", [
+    "log-rho, ends [0]", "poisson, ends [0]", "poisson, no abscissae",
+    "truncated log, no centers", "truncated log, no points", "truncated log, radius 0"])
+def test_tree_enclosures_of_empty_inputs(case):
+    # An empty input answers before a tree is built (a tree needs a point);
+    # radius 0 runs the tree, whose disks then hold no point but the center.
+    # Each enclosure (and the refined one) holds the direct kernel's 0s.
+    lam, mult = EMPTY
+    if case.startswith("log-rho"):
+        got = treecode.log_rho_prefix_enclosures(lam, mult, [0])
+        want = [log_rho_sums(lam[:0], mult[:0], lam[:0])]
+    elif case.startswith("poisson"):
+        xs, e = ([], lam.size) if "abscissae" in case else ([0.0, 1.5], 0)
+        got = treecode.poisson_prefix_enclosures(lam, mult, xs, [e])
+        want = [poisson_sums(lam[:e], mult[:e], xs)]
+    else:
+        if "points" in case:
+            lam, mult = lam[:0], mult[:0]
+        centers = EMPTY[0][:0 if "centers" in case else 3]
+        radii = np.full(centers.size, 0.0 if "radius" in case else 2.0)
+        value, err, refine = treecode.truncated_log_enclosures(lam, mult, centers, radii, True)
+        idx = np.arange(centers.size)[::-1]
+        got = [(value, err), refine(idx)]
+        direct = truncated_log_sums(lam, mult, centers, radii, True)
+        want = [direct, direct[idx]]
+    assert len(got) == len(want)
+    for (value, err), direct in zip(got, want):
+        assert value.shape == err.shape == direct.shape and np.all(direct == 0)
+        assert np.all(np.abs(value - direct) <= err)
 
 
 def direct_first_max(ratios, ends):
