@@ -12,12 +12,14 @@ schedule of truncation radii and the growth trend of the per-radius
 constants is classified from a log-log slope fit.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .numutil import golden_section_max, poisson_sum_at, poisson_sums, truncated_log_sums
+from .numutil import (binary_scaled, golden_section_max, poisson_sum_at, poisson_sums,
+                      truncated_log_sums)
 from .treecode import contenders, poisson_prefix_enclosures, truncated_log_enclosures
 from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
@@ -158,7 +160,10 @@ def _scan_grid(scan: ScanSpec, window_radius: float) -> np.ndarray:
     """The uniform scan grid, over the whole window unless bounds are set."""
     xmin = scan.xmin if scan.xmin is not None else -window_radius
     xmax = scan.xmax if scan.xmax is not None else window_radius
-    return np.linspace(xmin, xmax, max(2, scan.samples))
+    if math.isfinite(float(xmax) - float(xmin)):
+        return np.linspace(xmin, xmax, max(2, scan.samples))
+    (lo, hi), e = binary_scaled(xmin, xmax)  # the span overflows; scale it exactly
+    return np.ldexp(np.linspace(lo, hi, max(2, scan.samples)), -e)
 
 
 def _refine(lam, mult, cands, vals, tol: float) -> tuple[float, float]:
@@ -259,7 +264,8 @@ def balayage_profile(v_exterior: Variety, scan: ScanSpec | None = None) -> Balay
     lam, mult = _exterior_arrays(v_exterior)
     values = poisson_sums(lam, mult, xs)
     x_star, sup = _balayage_maxima(lam, mult, xs, [lam.size], scan.refine_tol, values)[0]
-    slope_bound = float((0.6495 * mult / (lam.imag * lam.imag)).sum())
+    with np.errstate(over="ignore", divide="ignore"):  # a bound above DBL_MAX is inf
+        slope_bound = float((0.6495 * mult / (lam.imag * lam.imag)).sum())
     spacing = (xs[-1] - xs[0]) / (xs.size - 1)
     return BalayageProfile(list(map(float, xs)), list(map(float, values)),
                            x_star, sup, slope_bound, slope_bound * spacing / 2)

@@ -1,8 +1,8 @@
 """Small numeric helpers: 1-D search, the quadrature wrapper, the close-pair
 search (a sort-and-sweep over rows, returning arrays), the dense pairwise
-kernels, whose Poisson and log-rho terms (poisson_terms, log_rho_terms) the
-tree code's near field shares, and point blocks.  Only numpy is imported;
-scipy loads in adaptive_quad."""
+kernels, whose terms (poisson_terms, log_rho_terms), disk slack and exact
+rescaling (DISK_SLACK, binary_scaled) the tree code shares, and point
+blocks.  Only numpy is imported; scipy loads in adaptive_quad."""
 
 import math
 
@@ -158,9 +158,12 @@ _PREFIX_TERMS = 1 << 17
 #: (points x terms) temporaries; no value depends on it.
 _BLOCK_TERMS = 1 << 14
 
-#: Relative widening of the modulus window in truncated_log_sums, so that
-#: rounding in |lambda|, |c| and |lambda - c| never drops an in-disk point.
-_WINDOW_SLACK = 8 * np.finfo(float).eps
+#: Relative slack of every disk-membership decision made before the exact
+#: test d <= r: the modulus window of truncated_log_sums, and the tree code's
+#: cut of the points and its inside/outside tests of cells.  Rounding in the
+#: moduli, distances, cell centers and cell radii cannot move a point across a
+#: circle by more.
+DISK_SLACK = 16 * np.finfo(float).eps
 
 
 def row_blocks(n_rows: int, width: int) -> list:
@@ -190,7 +193,7 @@ def _disk_blocks(abs_lam, centers, radii):
     ones whose modulus the block's disks can reach."""
     for lo in range(0, centers.size, _ROWS):
         abs_c, r = np.abs(centers[lo:lo + _ROWS]), radii[lo:lo + _ROWS]
-        slack = _WINDOW_SLACK * np.max(abs_c + r)
+        slack = DISK_SLACK * np.max(abs_c + r)
         a = int(np.searchsorted(abs_lam, np.min(abs_c - r) - slack, side="left"))
         b = int(np.searchsorted(abs_lam, np.max(abs_c + r) + slack, side="right"))
         yield lo, a, b
@@ -244,13 +247,22 @@ def _dense_row_sums(terms, n_rows: int, width: int) -> np.ndarray:
     return out
 
 
+def binary_scaled(*parts):
+    """(parts times 2^e, e), with one exponent e = -(E + 1) per position and
+    2^E above the largest |part| there: every scaled part is below 1/2, so no
+    square or product of two overflows, and the scaling is exact for every
+    part at least 2^-1021 times the largest (scale before squaring)."""
+    e = -1 - np.frexp(np.max(np.abs(parts), axis=0))[1]
+    return [np.ldexp(a, e) for a in parts], e
+
+
 def log_rho_terms(cre, cim, re, im, m, out):
     """Fill out with the log-rho terms m log1p(4 Im c Im lambda / |c - lambda|^2)
     of the centers c = cre + i cim against the points lambda = re + i im
     (Im >= 0, each broadcast to out's shape) and return it; a point at its
     center gives an exact 0.  Where the squared distance or the numerator
-    overflows, both are recomputed from scaled coordinates, so the term keeps
-    its accuracy and every other term its bits.  A ratio that itself
+    overflows, both are recomputed from binary_scaled coordinates, so the
+    term keeps its accuracy and every other term its bits.  A ratio that itself
     overflows (two points far closer than their heights) gives inf.  The
     caller silences overflow warnings (np.errstate) once per sweep.
     """
@@ -261,14 +273,9 @@ def log_rho_terms(cre, cim, re, im, m, out):
     out += num
     np.multiply(4.0 * cim, im, out=num)
     if np.isinf(out.max(initial=0.0)) or np.isinf(num.max(initial=0.0)):
-        # The pair's coordinates times 2^-(E + 1), with 2^E above the largest:
-        # an overflow needs one above 2^510, so the scaling is exact for every
-        # coordinate above 2^-1021 of it, and no scaled square or product
-        # overflows.
         bad = np.isinf(out) | np.isinf(num)
-        pts = [np.broadcast_to(a, out.shape)[bad] for a in (cre, cim, re, im)]
-        e = -1 - np.frexp(np.max(np.abs(pts), axis=0))[1]
-        x0, y0, x1, y1 = (np.ldexp(a, e) for a in pts)
+        (x0, y0, x1, y1), _ = binary_scaled(
+            *(np.broadcast_to(a, out.shape)[bad] for a in (cre, cim, re, im)))
         out[bad] = (y0 - y1) ** 2 + (x0 - x1) ** 2
         num[bad] = 4.0 * y0 * y1
     # q = 0 (a point at the center) keeps its exact 0.
@@ -309,10 +316,10 @@ def poisson_sums(lam: np.ndarray, mult: np.ndarray, xs) -> np.ndarray:
     term 0, whose absolute error is below weight / DBL_MAX for the weight
     mult * |Im lambda|, and a value that overflows is inf."""
     xs = np.asarray(xs, dtype=float)
-    re, im2, weight = poisson_points(lam, mult)
+    pts = poisson_points(lam, mult)
 
     def terms(lo, d):
-        return poisson_terms(xs[lo:lo + d.shape[0], None], re, im2, weight, d)
+        return poisson_terms(xs[lo:lo + d.shape[0], None], pts, d)
 
     return _dense_row_sums(terms, xs.size, lam.size)
 
@@ -321,31 +328,47 @@ def poisson_sum_at(lam: np.ndarray, mult: np.ndarray):
     """The function x -> float(poisson_sums(lam, mult, [x])[0]), bit for bit,
     with the per-point arrays built once: a golden-section search calls it
     some 35 times."""
-    re, im2, weight = poisson_points(lam, mult)
+    pts = poisson_points(lam, mult)
     d = np.empty(lam.size)
 
     def phi(x: float) -> float:
         with np.errstate(over="ignore"):
-            return float(poisson_terms(x, re, im2, weight, d).sum())
+            return float(poisson_terms(x, pts, d).sum())
 
     return phi
 
 
 def poisson_points(lam, mult):
     """(re, im2, weight) of poisson_terms for the points lam with
-    multiplicities mult: contiguous arrays (strided reads took twice as long)."""
+    multiplicities mult: contiguous arrays (strided reads took twice as long).
+    If some Im lambda squares below the smallest normal number, the heights
+    |Im lambda| follow as a fourth array; that is decided here, once per
+    sweep, so that other inputs take no extra pass."""
     with np.errstate(over="ignore"):
         im2 = lam.imag * lam.imag
-    return lam.real.copy(), im2, mult * np.abs(lam.imag)
+    pts = lam.real.copy(), im2, mult * np.abs(lam.imag)
+    tiny = np.finfo(float).tiny
+    return pts + (np.abs(lam.imag),) if im2.min(initial=tiny) < tiny else pts
 
 
-def poisson_terms(x, re, im2, weight, out):
+def poisson_terms(x, pts, out):
     """Fill out with the balayage terms weight / ((x - re)^2 + im2) of the
-    abscissae x against the points with real parts re, squared imaginary parts
-    im2 and weights mult |Im lambda| (each broadcast to out's shape) and
-    return it.  A squared distance that overflows gives the term 0; the
-    caller silences overflow warnings (np.errstate) once per sweep."""
+    abscissae x against the points pts = (re, im2, weight[, im]) of
+    poisson_points (each broadcast to out's shape) and return it.  A squared
+    distance that overflows gives the term 0; the caller silences overflow
+    warnings (np.errstate) once per sweep.  Given the heights im, a term
+    whose denominator is below the smallest normal number (the squares lost
+    bits) is recomputed from the binary_scaled pair (x - re, im): with the
+    scaled denominator D', it is (weight 2^e / D') 2^e."""
+    re, im2, weight, *im = pts
     np.subtract(x, re, out=out)
     out *= out
     out += im2
-    return np.divide(weight, out, out=out)
+    if not im:
+        return np.divide(weight, out, out=out)
+    bad = out < np.finfo(float).tiny
+    np.divide(weight, out, out=out, where=~bad)
+    x, re, h, weight = (np.broadcast_to(a, out.shape)[bad] for a in (x, re, *im, weight))
+    (dx, h), e = binary_scaled(x - re, h)
+    out[bad] = np.ldexp(np.ldexp(weight, e) / (dx * dx + h * h), e)
+    return out

@@ -67,7 +67,7 @@ from math import comb, log2
 
 import numpy as np
 
-from .numutil import log_rho_terms, poisson_points, poisson_terms
+from .numutil import DISK_SLACK, binary_scaled, log_rho_terms, poisson_points, poisson_terms
 
 _EPS = np.finfo(float).eps
 
@@ -93,11 +93,6 @@ LEAF = 32
 #: Horner evaluation, with a factor 2 to spare, which also covers forming
 #: value -/+ err and dividing it in contenders.
 TREE_OPS = 8 * (ORDER + 2)
-
-#: Relative slack of the disk membership decisions: a cell is wholly inside
-#: (outside) a disk only if rounding in the center distance and cell radii
-#: cannot move any point across the circle.
-_SLACK = 16 * _EPS
 
 #: Element pairs per near-field chunk: bounds the temporaries, and keeps them
 #: in cache (2^15 ran the near field about 1.5x faster than 2^17).
@@ -169,6 +164,8 @@ def _morton(z, b_start, b_count):
     x0 = np.minimum.reduceat(x, b_start)
     y0 = np.minimum.reduceat(y, b_start)
     side = np.maximum(np.maximum.reduceat(x, b_start) - x0, np.maximum.reduceat(y, b_start) - y0)
+    if np.isinf(side).any():  # an extent overflows: key the halved points instead
+        return _morton(0.5 * z, b_start, b_count)
     top = 2 ** _Tree.DEPTH - 1
     scale = np.repeat(np.where(side > 0, (top + 1) / np.where(side > 0, side, 1), 0), b_count)
     ix = np.minimum((x - np.repeat(x0, b_count)) * scale, top).astype(np.int64)
@@ -176,13 +173,19 @@ def _morton(z, b_start, b_count):
     return _spread(ix) | (_spread(iy) << np.uint64(1))
 
 
+def _mid(v, heads):
+    """Midpoint of the extent of each run of v that starts at heads; where
+    the ends' sum overflows, they are halved before they are added."""
+    lo, hi = np.minimum.reduceat(v, heads), np.maximum.reduceat(v, heads)
+    mid = 0.5 * (lo + hi)
+    return np.where(np.isinf(mid), 0.5 * lo + 0.5 * hi, mid)
+
+
 def _boxes(z, count):
     """Center of the bounding box of each consecutive run of count[k] points
     of z, and the largest distance of its points from it."""
     heads = np.cumsum(count) - count
-    cx = 0.5 * (np.minimum.reduceat(z.real, heads) + np.maximum.reduceat(z.real, heads))
-    cy = 0.5 * (np.minimum.reduceat(z.imag, heads) + np.maximum.reduceat(z.imag, heads))
-    c = cx + 1j * cy
+    c = _mid(z.real, heads) + 1j * _mid(z.imag, heads)
     return c, np.maximum.reduceat(np.abs(z - np.repeat(c, count)), heads)
 
 
@@ -353,13 +356,23 @@ def _run_groups(z):
     return _Groups(order, count, *_boxes(z[order], count))
 
 
-def _traverse(groups, tree, region=None):
+def _sides(dist, rho, r_lo, r_hi):
+    """(inside, outside): whether the disk of radius rho at distance dist from
+    a center lies, with DISK_SLACK to spare, inside every disk about that
+    center of radius r_lo or more, or outside every one of radius r_hi or
+    less."""
+    reach = dist + rho
+    return (reach + DISK_SLACK * (reach + r_lo) <= r_lo,
+            dist - rho > r_hi + DISK_SLACK * (reach + r_hi))
+
+
+def _traverse(groups, tree, radii=None):
     """Split the (group, cell) pairs below the roots into far pairs, to expand,
     and near leaf pairs, to sum directly.
 
-    region(g, c, dist, rho) returns (inside, outside): the pairs whose cell
-    is wholly inside, or wholly outside, the summation region of every target
-    of the group; None means every source is summed.
+    radii is (r_lo, r_hi), the least and largest disk radius of each group's
+    targets; a cell wholly outside every disk of its group is skipped, and one
+    crossing a circle is opened.  None means every source is summed.
     """
     g = np.repeat(np.arange(groups.center.size), tree.roots.size)
     c = np.tile(tree.roots, groups.center.size)
@@ -367,7 +380,8 @@ def _traverse(groups, tree, region=None):
     while g.size:
         dist = np.abs(tree.center[c] - groups.center[g])
         rho = groups.rho[g] + tree.rho[c]
-        inside, outside = (True, False) if region is None else region(g, c, dist, rho)
+        inside, outside = (True, False) if radii is None else _sides(
+            dist, rho, *(r[g] for r in radii))
         is_far = inside & (SEP * rho <= dist) & (dist > 0)
         rest = ~(is_far | outside)
         far.append((g[is_far], c[is_far]))
@@ -448,31 +462,32 @@ def _far_pairs(groups, tree, g, c, kind):
             - _local(mom, scale_s, rho_t, d, _M2L_LOG))
     # The monopole is numutil's term of the cell's mass at the group center;
     # top bounds the term over the pair's points, 4 a b / D^2 formed, as there,
-    # from exactly scaled lengths, so that no square or product overflows.
+    # from binary_scaled lengths, so that no square or product overflows.
     beta[:, 0] += 0.5 * log_rho_terms(t.real, t.imag, s.real, s.imag, mass, np.empty(g.size))
-    a, b, gap = t.imag + rho_t, s.imag + rho_s, dist - rho
-    e = -1 - np.frexp(np.maximum(np.maximum(a, b), gap))[1]
-    top = 0.5 * np.log1p(4 * np.ldexp(a, e) * np.ldexp(b, e) / np.ldexp(gap, e) ** 2)
+    (a, b, gap), _ = binary_scaled(t.imag + rho_t, s.imag + rho_s, dist - rho)
+    top = 0.5 * np.log1p(4 * a * b / gap ** 2)
     return beta, 2 * (mass * trunc + rounding), mass * (1 + top)
 
 
-def _far_field(kind, groups, tree, far_g, far_c, z, r, n_bands):
-    """Per slot and band: the far pairs' value, truncation bound and
-    magnitude scale, (slots, n_bands) each, and the far pairs per slot."""
+def _far_field(kind, groups, tree, far_g, far_c, z, n_bands):
+    """Per slot and band: the far pairs' value of the plain kernel (the
+    imaginary part of the Cauchy expansions, the real part of the log and
+    log-rho ones), truncation bound and magnitude scale, (slots, n_bands)
+    each, and the far pairs per slot."""
     n_groups = groups.count.size
     size = n_groups * n_bands
     key = far_g * n_bands + tree.band[far_c]
     order = np.argsort(key, kind="stable")
     key, far_g, far_c = key[order], far_g[order], far_c[order]
     local = np.zeros((ORDER + 1, size), complex)
-    sums = np.zeros((3, size))  # truncation bound, scale, far mass
+    sums = np.zeros((2, size))  # truncation bound, scale
     for lo in range(0, key.size, _FAR_CHUNK):
         blk = slice(lo, lo + _FAR_CHUNK)
         beta, trunc, scale = _far_pairs(groups, tree, far_g[blk], far_c[blk], kind)
         k = key[blk]
         heads = np.concatenate([[0], np.flatnonzero(np.diff(k)) + 1])
         local[:, k[heads]] += np.add.reduceat(beta, heads, axis=0).T
-        for row, w in zip(sums, (trunc, scale, tree.moments[0, far_c[blk]].real)):
+        for row, w in zip(sums, (trunc, scale)):
             row[k[heads]] += np.add.reduceat(w, heads)
 
     g_of = groups.of
@@ -483,15 +498,8 @@ def _far_field(kind, groups, tree, far_g, far_c, z, r, n_bands):
     for k in range(ORDER - 1, -1, -1):
         acc *= v
         acc += local[k][g_of]
-    trunc, scale, mass = (s.reshape(n_groups, n_bands)[g_of] for s in sums)
-    if kind == "cauchy":
-        value = acc.imag.copy()
-    elif kind == "log-rho":
-        value = acc.real.copy()
-    else:
-        log_r = np.log(np.where(r > 0, r, 1.0))[:, None]
-        value = mass * log_r - acc.real
-        scale += mass * (1 + np.abs(log_r))
+    trunc, scale = (s.reshape(n_groups, n_bands)[g_of] for s in sums)
+    value = acc.imag.copy() if kind == "cauchy" else acc.real.copy()
     return value, trunc, scale, np.bincount(far_g, minlength=n_groups)[g_of]
 
 
@@ -534,7 +542,7 @@ def _direct(kind, tree, z, start, count, c, out, n_bands):
         src = [a[sj][:, None, :] for a in cols]
         block = np.empty((p.size, ti.shape[1], sj.shape[1]))
         if kind == "cauchy":
-            term = mag = poisson_terms(*tgt, *src, block).sum(axis=2)
+            term = mag = poisson_terms(*tgt, src, block).sum(axis=2)
         else:
             term = 0.5 * log_rho_terms(*tgt, *src, block).sum(axis=2)
             mag = term + src[2].sum(axis=2)
@@ -543,13 +551,13 @@ def _direct(kind, tree, z, start, count, c, out, n_bands):
                 mag[real], np.repeat(sizes[p], count[p]).astype(float))
 
 
-def _log_direct(tree, z, r, t, c, include_center, out):
+def _log_direct(tree, z, r, log_r, t, c, include_center, out):
     """Add the truncated-log direct sums of (target, leaf) pairs into out:
-    pair k sums the points of leaf c[k] in the disk of radius r[t[k]] about
-    z[t[k]], and the rows (value, term magnitude, ops) of out get, at t[k],
-    that sum, the sum of its term magnitudes and the leaf's size.  The pairs'
-    points form one ragged run, cut into blocks of about _CHUNK points, and
-    each pair's terms are summed by np.add.reduceat.
+    pair k sums the points of leaf c[k] in the disk about z[t[k]] of radius
+    r[t[k]] (log_r its log), and the rows (value, term magnitude, ops) of out
+    get, at t[k], that sum, the sum of its term magnitudes and the leaf's
+    size.  The pairs' points form one ragged run, cut into blocks of about
+    _CHUNK points, and each pair's terms are summed by np.add.reduceat.
     """
     sizes = tree.count[c]
     for blk in _blocks(sizes, _CHUNK):
@@ -558,8 +566,7 @@ def _log_direct(tree, z, r, t, c, include_center, out):
         d = np.take(tree.points, pos)
         d -= np.repeat(z[t_b], size)
         d = np.abs(d)
-        r_b = r[t_b]
-        inside = d <= np.repeat(r_b, size)
+        inside = d <= np.repeat(r[t_b], size)
         inside &= d > 0
         m = np.take(tree.weights, pos)
         sums = np.zeros((3, d.size))  # in-disk mass, m log d and |m log d|
@@ -571,9 +578,8 @@ def _log_direct(tree, z, r, t, c, include_center, out):
         mass, logs, mag = np.add.reduceat(sums, heads, axis=1)
         if include_center:  # the point at the center adds m log r
             mass += np.add.reduceat(np.where(d == 0, m, 0.0), heads)
-        log_r = np.log(np.where(r_b > 0, r_b, 1.0))
-        _add_at(out, t_b, mass * log_r - logs, mass * (1 + np.abs(log_r)) + mag,
-                size.astype(float))
+        lr = log_r[t_b]
+        _add_at(out, t_b, mass * lr - logs, mass * (1 + np.abs(lr)) + mag, size.astype(float))
 
 
 def _log_bounded(tree, c, low, log_r):
@@ -609,7 +615,7 @@ def _log_expanded(tree, coef, c, z, dist, low, log_r):
             mass * x ** (ORDER + 1) / ((ORDER + 1) * (1 - x)) + tree.bound[c] * x / (1 - x))
 
 
-def _log_near(tree, groups, near, z, r, include_center):
+def _log_near(tree, groups, near, z, r, log_r, include_center):
     """The truncated log's near field, decided leaf by leaf against each
     target's own circle (see the module docstring).
 
@@ -620,7 +626,6 @@ def _log_near(tree, groups, near, z, r, include_center):
     """
     near_start, near_count, near_c = near
     coef = tree.moments[1:] / _L[:, None]
-    log_r = np.log(np.where(r > 0, r, 1.0))
     out = np.zeros((4, z.size))
     cross = np.zeros((4, z.size))
     cross_t, cross_c = [], []
@@ -634,15 +639,12 @@ def _log_near(tree, groups, near, z, r, include_center):
         dist -= np.repeat(z[blk], kb)
         dist = np.abs(dist)
         rho = np.take(tree.rho, c)
-        reach, low = dist + rho, dist - rho
-        slack = _SLACK * (reach + rt)
-        inside = reach + slack <= rt
-        outside = low > rt + slack
-        low -= _SLACK * reach  # below every point's distance
+        inside, outside = _sides(dist, rho, rt, rt)
+        low = dist - rho - DISK_SLACK * (dist + rho)  # below every point's distance
         expand = inside & (SEP * rho <= dist) & (dist > 0)
         bound = ~(inside | outside) & (low > 0)
         i = np.flatnonzero(~(expand | bound | outside))
-        _log_direct(tree, z, r, t[i], c[i], include_center, out[:3])
+        _log_direct(tree, z, r, log_r, t[i], c[i], include_center, out[:3])
         i = np.flatnonzero(bound)
         cross_t.append(t[i])
         cross_c.append(c[i])
@@ -673,19 +675,12 @@ def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center
     z = targets[groups.order]
     slot_of = np.empty(n_t, np.int64)
     slot_of[groups.order] = np.arange(n_t)
-    r = region = None
+    r = span = None
     if kind == "log":
         r = radii[groups.order]
-        r_lo = np.minimum.reduceat(r, groups.start)
-        r_hi = np.maximum.reduceat(r, groups.start)
-
-        def region(g, c, dist, rho):
-            inside = dist + rho + _SLACK * (dist + rho + r_lo[g]) <= r_lo[g]
-            outside = dist - rho > r_hi[g] + _SLACK * (dist + rho + r_hi[g])
-            return inside, outside
-
-    far_g, far_c, near_g, near_c = _traverse(groups, tree, region)
-    value, trunc, scale, n_far = _far_field(kind, groups, tree, far_g, far_c, z, r, n_bands)
+        span = tuple(f.reduceat(r, groups.start) for f in (np.minimum, np.maximum))
+    far_g, far_c, near_g, near_c = _traverse(groups, tree, span)
+    value, trunc, scale, n_far = _far_field(kind, groups, tree, far_g, far_c, z, n_bands)
     ops = n_far + (TREE_OPS + log2(max(src.size, 1)) + 8 + n_bands)
     if kind != "log":
         terms = np.zeros_like(value)
@@ -693,11 +688,17 @@ def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center
                 (value.ravel(), scale.ravel(), terms.ravel()), n_bands)
         err = trunc + _EPS * (ops + terms.sum(axis=1))[:, None] * scale
         return value[slot_of].T, err[slot_of].T
-    value, trunc, scale = value[:, 0], trunc[:, 0], scale[:, 0]
+    # The truncated log is M log r less the log kernel, M the far cells' mass:
+    # a sum of integer multiplicities, exact in any order.
+    log_r = np.log(np.where(r > 0, r, 1.0))
+    mass = np.bincount(far_g, tree.moments[0, far_c].real, groups.count.size)[groups.of]
+    value = mass * log_r - value[:, 0]
+    trunc, scale = trunc[:, 0], scale[:, 0] + mass * (1 + np.abs(log_r))
     order = np.argsort(near_g, kind="stable")
     count = np.bincount(near_g, minlength=groups.count.size)
     near = (np.cumsum(count) - count, count, near_c[order])
-    near_sums, cross, cross_t, cross_c = _log_near(tree, groups, near, z, r, include_center)
+    near_sums, cross, cross_t, cross_c = _log_near(tree, groups, near, z, r, log_r,
+                                                   include_center)
     value, scale, ops, trunc = (a + b for a, b in zip((value, scale, ops, trunc), near_sums))
     cross_count = np.bincount(cross_t, minlength=n_t)
     cross_start = np.cumsum(cross_count) - cross_count
@@ -709,7 +710,7 @@ def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center
     def refine(idx):
         s = slot_of[np.asarray(idx, dtype=np.int64)]
         more = np.zeros((3, s.size))
-        _log_direct(tree, z[s], r[s], np.repeat(np.arange(s.size), cross_count[s]),
+        _log_direct(tree, z[s], r[s], log_r[s], np.repeat(np.arange(s.size), cross_count[s]),
                     cross_c[_ranges(cross_start[s], cross_count[s])], include_center, more)
         return value[s] + more[0], err(trunc[s], scale[s] + more[1], ops[s] + more[2])
 
@@ -782,7 +783,7 @@ def truncated_log_enclosures(lam, mult, centers, radii, include_center=False):
     centers = np.asarray(centers, dtype=complex)
     radii = np.maximum(np.asarray(radii, dtype=float), 0.0)
     # lam is sorted by modulus: the points beyond every disk add nothing.
-    reach = np.max(np.abs(centers) + radii, initial=0.0) * (1 + _SLACK)
+    reach = np.max(np.abs(centers) + radii, initial=0.0) * (1 + DISK_SLACK)
     n = int(np.searchsorted(np.abs(lam), reach, side="right"))
     if n * centers.size == 0:
         zero = np.zeros(centers.size)

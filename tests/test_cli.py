@@ -338,6 +338,44 @@ def test_overflowing_distances_run_without_warnings(command, tmp_path, capsys):
         assert out.read_text().splitlines()[2:4] == ["5e+307,0.0", "1e+308,0.0"]
 
 
+EXTREME_INPUTS = {
+    # Im^2 = 1e-340 underflows to 0; the balayage at x = 0 is 1e170.
+    "low.csv": "re,im,mult\n0,1e-170,1\n1,1,1\n2,3,1\n3,0.5,1\n",
+    # t * t overflows in log_square's omega; omega at the first point is 921.73.
+    "far.csv": "re,im,mult\n1e200,1e200,1\n2e200,5e199,1\n3,5,1\n4,1,1\n",
+    # The window spans about +-1.6e308, so its width overflows.
+    "wide.csv": "re,im,mult\n8e307,1e307,1\n-8e307,2e307,1\n1,1,1\n",
+}
+LOG_SQUARE = '{"family":"log_square"}'
+
+
+@pytest.mark.parametrize("weight, command", [
+    (LOG_SQUARE, ["check", "--input", "low.csv"]),
+    (LOG_SQUARE, ["profile-balayage", "--input", "low.csv", "--xmin", "-5", "--xmax", "5",
+                  "--samples", "11"]),
+    (LOG_SQUARE, ["check", "--input", "far.csv"]),
+    (WEIGHT, ["check", "--input", "wide.csv"]),
+    (LOG_SQUARE, ["check", "--input", "wide.csv"]),
+])
+def test_extreme_inputs_run_without_warnings(weight, command, tmp_path, capsys):
+    # Each true value is finite, or the report does not print it.  A square
+    # that underflows or overflows is rescaled exactly where it matters, and
+    # no RuntimeWarning (an error under the test configuration) is raised.
+    for name, text in EXTREME_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    command = [str(tmp_path / a) if a.endswith(".csv") else a for a in command]
+    out = tmp_path / "out.txt"
+    assert run([command[0], "--weight", weight, *command[1:], "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if command[0] == "profile-balayage":
+        rows = dict(line.split(",") for line in out.read_text().splitlines()[1:-1])
+        assert float(rows["0.0"]) == pytest.approx(1e170, rel=1e-15)
+        return
+    report = json.loads(out.read_text())
+    if command[2].endswith("low.csv"):
+        assert report["condition_b"]["constants"] == pytest.approx([1e170] * 8, rel=1e-15)
+
+
 # Run in a fresh interpreter: conftest.py imports scipy into this one.
 SCIPY_FREE_RUN = """
 import sys

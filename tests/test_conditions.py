@@ -86,6 +86,8 @@ def test_balayage_reflection_invariance(pts, x):
 # must reach the nearest candidates at least refine_tol away.
 @example([(0.5j, 2), (0.359375j, 1), (0.021484375 + 0.34375j, 1), (1.29e-126 + 5j, 1),
           (-2.22e-16 + 1j, 1)], 3)
+# A subnormal real part: the tree's box center must be the point itself.
+@example([(5e-324 + 1j, 1)], 2)
 def test_multiplicity_scaling_equivariance(pts, k):
     v = ap.Variety(pts)
     scaled = v.scale_mult(k)

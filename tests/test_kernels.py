@@ -208,6 +208,29 @@ def test_log_rho_terms_keep_their_accuracy_where_heights_overflow():
     assert np.all(np.abs(value - log_rho_sums(lam, mult, lam)) <= err)
 
 
+def test_poisson_terms_keep_their_accuracy_where_heights_underflow():
+    # Im^2 is below the smallest normal number for heights under 1.5e-154, and
+    # 0 under 1.5e-162.  A term whose denominator (x - re)^2 + Im^2 is that
+    # small is computed from coordinates scaled by a power of 2, so it stays
+    # accurate, with no slack.  The oracle is math.fsum of terms computed
+    # exactly in fractions.
+    lam = np.array([1e-170j, 2e-170 + 3e-160j, -1e-200j, 5 + 1e-300j, 1 + 2j, 3 - 0.5j])
+    mult = np.array([1, 2, 3, 1, 1, 2])
+    pts = [(Fraction(z.real), Fraction(z.imag), m) for z, m in zip(lam.tolist(), mult.tolist())]
+    xs = [0.0, 1e-170, -3e-165, 2e-170, 5.0, 1.0, 1e-150]
+    at = numutil.poisson_sum_at(lam, mult)
+    for value, x in zip(poisson_sums(lam, mult, xs), xs):
+        terms = [float(m * abs(y) / ((Fraction(x) - re) ** 2 + y * y)) for re, y, m in pts]
+        assert abs(value - math.fsum(terms)) <= pairwise_bound(terms)
+        assert value == at(x)
+    assert poisson_sums(lam[:1], mult[:1], [0.0])[0] == pytest.approx(1e170, rel=1e-15)
+    assert ap.balayage_value(ap.Variety([(1e-170j, 1)]), 0.0) == pytest.approx(1e170, rel=1e-15)
+    # The tree's near field sums these terms too.
+    with forced_tree():
+        ((value, err),) = treecode.poisson_prefix_enclosures(lam, mult, xs, [lam.size])
+    assert np.all(np.abs(value - poisson_sums(lam, mult, xs)) <= err)
+
+
 def test_condition_b_sweep_equals_per_radius_balayage_sup(log_shift):
     # Exterior points in both half-planes with ties at |z| = 5, inside a
     # random strip.  The first radius holds no exterior point; the second ends

@@ -21,6 +21,19 @@ def test_omega_values():
     assert ap.OmegaProfile.log_square()(1.0) == pytest.approx(math.log(2), abs=1e-12)
 
 
+def test_log_square_omega_does_not_overflow():
+    # t * t overflows from t = 2^512 (about 1.34e154) on; there omega is
+    # 2 log t + log1p(t^-2), and below it keeps log1p(t * t).
+    omega = ap.OmegaProfile.log_square()
+    ts = [1e154, 2.0 ** 512 * (1 - 2.0 ** -53), 2.0 ** 512, 1e155, 1e200, 1e250, 1e300]
+    for t in ts:
+        assert omega(t) == pytest.approx(2 * math.log(t) + math.log1p(t ** -2), rel=1e-15)
+    assert np.array_equal(omega(np.array([3.0, *ts])), [omega(t) for t in [3.0, *ts]])
+    # Below 2^512 every bit is log1p(t * t)'s.
+    for t in (3.0, 1e154, 1.5 * 2.0 ** 511, 2.0 ** 512 * (1 - 2.0 ** -53)):
+        assert omega(t) == np.log1p(np.float64(t) * t)
+
+
 def test_omega_rejects_bad_arguments():
     with pytest.raises(DomainError):
         ap.OmegaProfile.log_shift(1.0)(-1.0)
