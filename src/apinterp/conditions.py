@@ -156,13 +156,19 @@ class ScanSpec:
     refine_tol: float = 1e-6
 
 
+def _ends(lo, hi):
+    """(lo, hi, e): the ends times 2^e, with e = 0 unless their span
+    overflows; then binary_scaled scales them exactly."""
+    if math.isfinite(float(hi) - float(lo)):
+        return lo, hi, 0
+    (lo, hi), e = binary_scaled(lo, hi)
+    return lo, hi, e
+
+
 def _scan_grid(scan: ScanSpec, window_radius: float) -> np.ndarray:
     """The uniform scan grid, over the whole window unless bounds are set."""
-    xmin = scan.xmin if scan.xmin is not None else -window_radius
-    xmax = scan.xmax if scan.xmax is not None else window_radius
-    if math.isfinite(float(xmax) - float(xmin)):
-        return np.linspace(xmin, xmax, max(2, scan.samples))
-    (lo, hi), e = binary_scaled(xmin, xmax)  # the span overflows; scale it exactly
+    lo, hi, e = _ends(scan.xmin if scan.xmin is not None else -window_radius,
+                      scan.xmax if scan.xmax is not None else window_radius)
     return np.ldexp(np.linspace(lo, hi, max(2, scan.samples)), -e)
 
 
@@ -264,11 +270,13 @@ def balayage_profile(v_exterior: Variety, scan: ScanSpec | None = None) -> Balay
     lam, mult = _exterior_arrays(v_exterior)
     values = poisson_sums(lam, mult, xs)
     x_star, sup = _balayage_maxima(lam, mult, xs, [lam.size], scan.refine_tol, values)[0]
+    lo, hi, e = _ends(xs[0], xs[-1])
+    spacing = np.ldexp((hi - lo) / (xs.size - 1), -e)
     with np.errstate(over="ignore", divide="ignore"):  # a bound above DBL_MAX is inf
         slope_bound = float((0.6495 * mult / (lam.imag * lam.imag)).sum())
-    spacing = (xs[-1] - xs[0]) / (xs.size - 1)
+        max_miss = slope_bound * spacing / 2
     return BalayageProfile(list(map(float, xs)), list(map(float, values)),
-                           x_star, sup, slope_bound, slope_bound * spacing / 2)
+                           x_star, sup, slope_bound, max_miss)
 
 
 def condition_b_constants(v: Variety, w: BeurlingWeight, radii,

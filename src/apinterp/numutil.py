@@ -314,7 +314,8 @@ def poisson_sums(lam: np.ndarray, mult: np.ndarray, xs) -> np.ndarray:
     mult * |Im lambda| / |x - lambda|^2.  No point may be real.  Overflow
     raises no warning: a squared distance that overflows to inf gives the
     term 0, whose absolute error is below weight / DBL_MAX for the weight
-    mult * |Im lambda|, and a value that overflows is inf."""
+    mult * |Im lambda| (heights of 2^512 or more are rescaled instead, see
+    poisson_terms), and a value that overflows is inf."""
     xs = np.asarray(xs, dtype=float)
     pts = poisson_points(lam, mult)
 
@@ -341,32 +342,36 @@ def poisson_sum_at(lam: np.ndarray, mult: np.ndarray):
 def poisson_points(lam, mult):
     """(re, im2, weight) of poisson_terms for the points lam with
     multiplicities mult: contiguous arrays (strided reads took twice as long).
-    If some Im lambda squares below the smallest normal number, the heights
-    |Im lambda| follow as a fourth array; that is decided here, once per
-    sweep, so that other inputs take no extra pass."""
+    If some Im lambda squares below the smallest normal number or above the
+    largest float, the heights |Im lambda| follow as a fourth array; that is
+    decided here, once per sweep, so that other inputs take no extra pass."""
     with np.errstate(over="ignore"):
         im2 = lam.imag * lam.imag
     pts = lam.real.copy(), im2, mult * np.abs(lam.imag)
     tiny = np.finfo(float).tiny
-    return pts + (np.abs(lam.imag),) if im2.min(initial=tiny) < tiny else pts
+    if im2.min(initial=tiny) < tiny or np.isinf(im2.max(initial=0.0)):
+        return pts + (np.abs(lam.imag),)
+    return pts
 
 
 def poisson_terms(x, pts, out):
     """Fill out with the balayage terms weight / ((x - re)^2 + im2) of the
     abscissae x against the points pts = (re, im2, weight[, im]) of
     poisson_points (each broadcast to out's shape) and return it.  A squared
-    distance that overflows gives the term 0; the caller silences overflow
-    warnings (np.errstate) once per sweep.  Given the heights im, a term
-    whose denominator is below the smallest normal number (the squares lost
-    bits) is recomputed from the binary_scaled pair (x - re, im): with the
-    scaled denominator D', it is (weight 2^e / D') 2^e."""
+    distance that overflows gives the term 0, below weight / DBL_MAX; the
+    caller silences overflow warnings (np.errstate) once per sweep.  Given
+    the heights im, a term whose denominator is below the smallest normal
+    number (the squares lost bits) or overflows is recomputed from the
+    binary_scaled pair (x - re, im): with the scaled denominator D', it is
+    (weight 2^e / D') 2^e, and it is 0, below mult / (2 DBL_MAX), only where
+    x - re itself overflows."""
     re, im2, weight, *im = pts
     np.subtract(x, re, out=out)
     out *= out
     out += im2
     if not im:
         return np.divide(weight, out, out=out)
-    bad = out < np.finfo(float).tiny
+    bad = (out < np.finfo(float).tiny) | np.isinf(out)
     np.divide(weight, out, out=out, where=~bad)
     x, re, h, weight = (np.broadcast_to(a, out.shape)[bad] for a in (x, re, *im, weight))
     (dx, h), e = binary_scaled(x - re, h)

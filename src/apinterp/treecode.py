@@ -36,9 +36,10 @@ sums it directly for the targets the first pass leaves in contention (bound,
 then refine).  Points beyond every disk are dropped before the tree is
 built.
 
-Moments come from an upward pass: power sums over the points of each leaf,
-then each level's children translated to their parent (M2M).  A parent's
-scale is the reach of its children's expansions, so every translation is a
+Geometry and moments come from one upward pass: a leaf's bounding box and
+the power sums over its points, then each level's children translated to
+their parent (M2M).  A parent's radius is the reach of its children's
+expansions, so it bounds its points' distance, every translation is a
 contraction and adds about ``eps * p`` of the cell's mass in rounding; the
 per-cell bound of that rounding enters every far-pair and multipole-to-point
 bound.
@@ -199,14 +200,15 @@ class _Tree:
 
     band must be non-decreasing.  Cells are numbered level by level; the
     points of cell c are perm[start[c]:start[c] + count[c]], its children are
-    first[c]:first[c] + nchild[c], and center/rho are the center of the
-    bounding box of its points and their largest distance from it.  leaves
-    lists the leaves by start, so their points tile perm; points and weights
-    hold the points and multiplicities in that order, and one padding point
-    of multiplicity 0 after them.
-    moments[k, c] = sum m ((z - center[c]) / scale[c])^k, where every point
-    lies within scale[c] of center[c], and bound[c] bounds the rounding of
-    moments[k, c] for k >= 1; moments[0] is the mass, a sum of integers.
+    first[c]:first[c] + nchild[c], and its points lie within rho[c] of
+    center[c]: for a leaf, the center of their bounding box and their largest
+    distance from it; for an inner cell, a bound from its children (see
+    _upward).  scale is rho, or 1 where rho is 0.  leaves lists the leaves by
+    start, so their points tile perm; points and weights hold the points and
+    multiplicities in that order, and one padding point of multiplicity 0
+    after them.  moments[k, c] = sum m ((z - center[c]) / scale[c])^k, and
+    bound[c] bounds the rounding of moments[k, c] for k >= 1; moments[0] is
+    the mass, a sum of integers.
     """
 
     DEPTH = 20
@@ -255,41 +257,38 @@ class _Tree:
         # The points in tree order, and a padding point of multiplicity 0 at
         # index n (any finite point will do).
         self.points = np.append(z[perm], z[:1])
-        self._geometry(self.points[:n])
         self.weights = np.append(mult[perm], 0).astype(float)
         self._upward(self.points[:n], self.weights[:n])
 
-    def _geometry(self, zs):
-        n_cells = self.start.size
-        self.center = np.empty(n_cells, complex)
-        self.rho = np.empty(n_cells)
-        for level in range(int(self.level.max()) + 1):
-            cells = np.flatnonzero(self.level == level)
-            st, ct = self.start[cells], self.count[cells]
-            self.center[cells], self.rho[cells] = _boxes(zs[_ranges(st, ct)], ct)
-        self.scale = np.where(self.rho > 0, self.rho, 1.0)
-
     def _upward(self, zs, ms):
-        """Moments by an upward pass, and the bound on their rounding.
+        """Geometry and moments by an upward pass, and the bound on the
+        moments' rounding.
 
-        A leaf's moments are power sums over its points, one power at a time:
-        with |u| <= 1, u^k and the count-term sum round by at most
-        eps (8 (p + 1) + count) of the mass.  A parent's moments translate its
-        children's: about center c with scale S, a child's point
-        c' + S' u is c + S (a u + beta) with a = S' / S and beta = (c' - c) / S,
-        so moment k is sum_j C(k, j) a^j beta^(k-j) moment'_j.  The parent's
-        scale is the largest S' + |c' - c| of its children, so a + |beta| <= 1:
-        the map passes each child's rounding on at most once, and its own
+        A leaf's center and rho are those of the bounding box of its points,
+        and its moments are power sums over them, one power at a time: with
+        |u| <= 1, u^k and the count-term sum round by at most
+        eps (8 (p + 1) + count) of the mass.  A parent's center c is the
+        midpoint of its children's centers c', its rho the largest
+        rho' + |c' - c| of its children widened by 8 eps, and its moments
+        translate its children's (M2M): a child's point c' + rho' u is
+        c + S (a u + beta) with a = rho' / S and beta = (c' - c) / S, so moment
+        k is sum_j C(k, j) a^j beta^(k-j) moment'_j.  As a + |beta| <= 1, the
+        map passes each child's rounding on at most once, and its own
         arithmetic (a^j, p shift steps, the rounding of a and beta, the
         children's sum) adds at most eps 16 (p + 1) of the mass.  A cell whose
-        points coincide has exact moments: u = 0, beta = 0, a = 0.
+        points coincide has rho = 0 and exact moments: u = 0, beta = 0, a = 0.
         """
         n_cells = self.start.size
         p1 = ORDER + 1
+        self.center = np.empty(n_cells, complex)
+        self.rho = np.zeros(n_cells)
         self.moments = np.empty((p1, n_cells), complex)
         self.bound = np.zeros(n_cells)
         leaves = self.leaves
-        own = np.repeat(leaves, self.count[leaves])
+        count = self.count[leaves]
+        self.center[leaves], self.rho[leaves] = _boxes(zs, count)
+        self.scale = np.where(self.rho > 0, self.rho, 1.0)
+        own = np.repeat(leaves, count)
         u = (zs - self.center[own]) / self.scale[own]
         offs = self.start[leaves]
         pw = ms.astype(complex)
@@ -297,9 +296,8 @@ class _Tree:
             self.moments[k, leaves] = np.add.reduceat(pw, offs)
             pw *= u
         mass = self.moments[0].real
-        spread = self.rho > 0
-        self.bound[leaves] = np.where(spread[leaves], _EPS * (8 * p1 + self.count[leaves])
-                                      * mass[leaves], 0.0)
+        self.bound[leaves] = np.where(self.rho[leaves] > 0,
+                                      _EPS * (8 * p1 + count) * mass[leaves], 0.0)
         inner = ~self.is_leaf
         for level in range(int(self.level.max()) - 1, -1, -1):
             cells = np.flatnonzero(inner & (self.level == level))
@@ -308,20 +306,21 @@ class _Tree:
             kids = self.nchild[cells]
             ch = _ranges(self.first[cells], kids)
             offs = np.cumsum(kids) - kids
-            off = self.center[ch] - np.repeat(self.center[cells], kids)
-            reach = np.where(spread[ch], self.scale[ch], 0.0) + np.abs(off)
-            s = np.maximum.reduceat(reach, offs) * (1 + 8 * _EPS)
-            s = np.where(s > 0, s, 1.0)
-            self.scale[cells] = s
+            c = self.center[ch]
+            self.center[cells] = _mid(c.real, offs) + 1j * _mid(c.imag, offs)
+            off = c - np.repeat(self.center[cells], kids)
+            rho = np.maximum.reduceat(self.rho[ch] + np.abs(off), offs) * (1 + 8 * _EPS)
+            self.rho[cells] = rho
+            self.scale[cells] = s = np.where(rho > 0, rho, 1.0)
             s = np.repeat(s, kids)
-            a = np.where(spread[ch], self.scale[ch] / s, 0.0)
+            a = self.rho[ch] / s
             beta = off / s
             t = np.take(self.moments, ch, axis=1) * a ** _K[:, None]
             for i in range(1, p1):
                 t[i:] += beta * t[i - 1:-1]
             self.moments[:, cells] = np.add.reduceat(t, offs, axis=1)
             self.bound[cells] = np.add.reduceat(self.bound[ch], offs) + np.where(
-                spread[cells], _EPS * 16 * p1 * self.moments[0, cells].real, 0.0)
+                rho > 0, _EPS * 16 * p1 * self.moments[0, cells].real, 0.0)
 
     @property
     def is_leaf(self):

@@ -356,6 +356,10 @@ LOG_SQUARE = '{"family":"log_square"}'
     (LOG_SQUARE, ["check", "--input", "far.csv"]),
     (WEIGHT, ["check", "--input", "wide.csv"]),
     (LOG_SQUARE, ["check", "--input", "wide.csv"]),
+    (WEIGHT, ["profile-balayage", "--input", "wide.csv", "--xmin=-1.7e308", "--xmax",
+              "1.7e308", "--samples", "5"]),
+    (LOG_SQUARE, ["profile-balayage", "--input", "wide.csv", "--xmin=-1.7e308", "--xmax",
+                  "1.7e308", "--samples", "5"]),
 ])
 def test_extreme_inputs_run_without_warnings(weight, command, tmp_path, capsys):
     # Each true value is finite, or the report does not print it.  A square
@@ -369,11 +373,18 @@ def test_extreme_inputs_run_without_warnings(weight, command, tmp_path, capsys):
     assert capsys.readouterr().err == ""
     if command[0] == "profile-balayage":
         rows = dict(line.split(",") for line in out.read_text().splitlines()[1:-1])
-        assert float(rows["0.0"]) == pytest.approx(1e170, rel=1e-15)
+        if command[2].endswith("low.csv"):
+            assert float(rows["0.0"]) == pytest.approx(1e170, rel=1e-15)
         return
     report = json.loads(out.read_text())
     if command[2].endswith("low.csv"):
         assert report["condition_b"]["constants"] == pytest.approx([1e170] * 8, rel=1e-15)
+    if command[2].endswith("wide.csv") and weight == LOG_SQUARE:
+        # Every Im^2 of the two exterior points overflows; the supremum is
+        # 1e-307 + 2e307 / 2.6e616, at the real part 8e307.
+        sweep = report["condition_b"]
+        assert sweep["constants"][-1] == pytest.approx(1.0076923076923076e-307, rel=1e-15)
+        assert sweep["witnesses"][-1] == 8e307
 
 
 # Run in a fresh interpreter: conftest.py imports scipy into this one.

@@ -198,6 +198,19 @@ def test_balayage_profile_rows(log_shift):
     assert empty.sup == 0.0 and all(v == 0.0 for v in empty.values)
 
 
+def test_balayage_profile_spacing_survives_an_overflowing_span():
+    # The grid spans +-1.7e308, so xmax - xmin overflows; the spacing is
+    # formed from the exactly scaled ends, as the grid is.  Without the point
+    # 1 + i every Im^2 overflows and the slope bound is 0.
+    scan = ap.ScanSpec(xmin=-1.7e308, xmax=1.7e308, samples=5)
+    wide = [(8e307 + 1e307j, 1), (-8e307 + 2e307j, 1)]
+    for points in (wide + [(1 + 1j, 1)], wide):
+        prof = ap.balayage_profile(ap.Variety(points), scan)
+        assert math.isfinite(prof.max_miss)
+        assert prof.max_miss == pytest.approx(prof.slope_bound * 0.85e308 / 2, rel=1e-15)
+    assert prof.slope_bound == 0.0 and prof.max_miss == 0.0
+
+
 def test_report_round_trip_dict(log_shift):
     v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 6}))
     report = ap.run_condition_report(v, log_shift)

@@ -231,6 +231,27 @@ def test_poisson_terms_keep_their_accuracy_where_heights_underflow():
     assert np.all(np.abs(value - poisson_sums(lam, mult, xs)) <= err)
 
 
+def test_poisson_terms_keep_their_accuracy_where_heights_overflow():
+    # Im^2 overflows for heights of 2^512 (1.34e154) or more, so every
+    # denominator of such a point is inf; those terms are computed from
+    # coordinates scaled by a power of 2.  No x - re below overflows.
+    lam = np.array([8e307 + 1e307j, -8e307 + 2e307j, 1 + 1j, 3e200 - 2e160j, 5 + 1e154j])
+    mult = np.array([1, 1, 2, 1, 3])
+    pts = [(Fraction(z.real), Fraction(z.imag), m) for z, m in zip(lam.tolist(), mult.tolist())]
+    xs = [8e307, -8e307, 0.0, 1.0, 3e200, 5.0, 5e307]
+    at = numutil.poisson_sum_at(lam, mult)
+    for value, x in zip(poisson_sums(lam, mult, xs), xs):
+        terms = [float(m * abs(y) / ((Fraction(x) - re) ** 2 + y * y)) for re, y, m in pts]
+        assert abs(value - math.fsum(terms)) <= pairwise_bound(terms)
+        assert value == at(x)
+    exact = Fraction(1e307) / Fraction(1e307) ** 2
+    assert poisson_sums(lam[:1], mult[:1], [8e307])[0] == pytest.approx(exact, rel=2 * EPS)
+    assert float(exact) == pytest.approx(1e-307, rel=EPS)
+    with forced_tree():
+        ((value, err),) = treecode.poisson_prefix_enclosures(lam, mult, xs, [lam.size])
+    assert np.all(np.abs(value - poisson_sums(lam, mult, xs)) <= err)
+
+
 def test_condition_b_sweep_equals_per_radius_balayage_sup(log_shift):
     # Exterior points in both half-planes with ties at |z| = 5, inside a
     # random strip.  The first radius holds no exterior point; the second ends
@@ -483,6 +504,11 @@ def test_upward_moments_match_the_power_sums(leaf):
         mass = ms[pts].sum()
         u = (zs[pts] - tree.center[c]) / tree.scale[c]
         assert np.all(np.abs(u) <= 1 + 4 * EPS)  # the scale holds every point
+        assert np.all(np.abs(zs[pts] - tree.center[c]) <= tree.rho[c] * (1 + 4 * EPS))
+        # An inner cell's radius is the reach of its children, a bound that
+        # can exceed its points' largest distance.
+        ch = slice(tree.first[c], tree.first[c] + tree.nchild[c])
+        assert np.all(tree.rho[c] >= tree.rho[ch] + np.abs(tree.center[ch] - tree.center[c]))
         assert tree.moments[0, c] == mass
         for k in range(1, treecode.ORDER + 1):
             terms = ms[pts] * u ** k
