@@ -215,7 +215,8 @@ def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
     out = np.empty(centers.size)
     for lo, a, b in _disk_blocks(np.abs(lam), centers, radii):
         c, r = centers[lo:lo + _ROWS], radii[lo:lo + _ROWS]
-        d = np.abs(lam[a:b] - c[:, None])
+        with np.errstate(over="ignore"):  # a distance above DBL_MAX is inf: in no disk
+            d = np.abs(lam[a:b] - c[:, None])
         inside = (d > 0) & (d <= r[:, None])
         counts = inside.sum(axis=1)
         log_r = np.log(np.where(r > 0, r, 1.0))

@@ -32,9 +32,10 @@ that target by ``_log_direct``, which sums such (target, leaf) pairs as one
 ragged run of the leaves' points.  A leaf that crosses the circle at
 ``dist > rho`` adds a value in ``[0, M log(r / (dist - rho))]``: the first
 pass adds its midpoint and puts its half-width in the bound, and ``refine``
-sums it directly for the targets the first pass leaves in contention (bound,
-then refine).  Points beyond every disk are dropped before the tree is
-built.
+makes the same decision again for the targets the first pass leaves in
+contention and sums it directly (bound, then refine); no list of crossing
+leaves is kept between the passes.  Points beyond every disk are dropped
+before the tree is built.
 
 Geometry and moments come from one upward pass: a leaf's bounding box and
 the power sums over its points, then each level's children translated to
@@ -106,6 +107,12 @@ _FAR_CHUNK = 1 << 11
 #: each carries about 100 bytes of temporaries.  On dyadic 1..12, 2^13 ran
 #: condition a as fast as 2^15, with a peak of 4.6 MB instead of 7.6 MB.
 _TARGET_PAIRS = 1 << 13
+
+#: Target groups per block of the traversal: bounds its frontier of (group,
+#: cell) pairs.  On dyadic 1..18, 2^10 cut the peak RSS of `check` from 340 MB
+#: (one block) to 253 MB at the same speed.  Dyadic 1..12 and the 6000-point
+#: strip run every sweep in one block.
+_GROUPS = 1 << 10
 
 _K = np.arange(ORDER + 1)
 _L = np.arange(1, ORDER + 1)
@@ -373,23 +380,25 @@ def _traverse(groups, tree, radii=None):
     targets; a cell wholly outside every disk of its group is skipped, and one
     crossing a circle is opened.  None means every source is summed.
     """
-    g = np.repeat(np.arange(groups.center.size), tree.roots.size)
-    c = np.tile(tree.roots, groups.center.size)
     far, near = [], []
-    while g.size:
-        dist = np.abs(tree.center[c] - groups.center[g])
-        rho = groups.rho[g] + tree.rho[c]
-        inside, outside = (True, False) if radii is None else _sides(
-            dist, rho, *(r[g] for r in radii))
-        is_far = inside & (SEP * rho <= dist) & (dist > 0)
-        rest = ~(is_far | outside)
-        far.append((g[is_far], c[is_far]))
-        leaf = rest & tree.is_leaf[c]
-        near.append((g[leaf], c[leaf]))
-        opened = rest & ~leaf
-        kids = tree.nchild[c[opened]]
-        g = np.repeat(g[opened], kids)
-        c = _ranges(tree.first[c[opened]], kids)
+    n = groups.center.size
+    for lo in range(0, n, _GROUPS):  # each group's pairs come out in the same order
+        g = np.repeat(np.arange(lo, min(lo + _GROUPS, n)), tree.roots.size)
+        c = np.tile(tree.roots, g.size // tree.roots.size)
+        while g.size:
+            dist = np.abs(tree.center[c] - groups.center[g])
+            rho = groups.rho[g] + tree.rho[c]
+            inside, outside = (True, False) if radii is None else _sides(
+                dist, rho, *(r[g] for r in radii))
+            is_far = inside & (SEP * rho <= dist) & (dist > 0)
+            rest = ~(is_far | outside)
+            far.append((g[is_far], c[is_far]))
+            leaf = rest & tree.is_leaf[c]
+            near.append((g[leaf], c[leaf]))
+            opened = rest & ~leaf
+            kids = tree.nchild[c[opened]]
+            g = np.repeat(g[opened], kids)
+            c = _ranges(tree.first[c[opened]], kids)
     far_g, far_c = (np.concatenate(a) for a in zip(*far))
     near_g, near_c = (np.concatenate(a) for a in zip(*near))
     return far_g, far_c, near_g, near_c
@@ -614,46 +623,47 @@ def _log_expanded(tree, coef, c, z, dist, low, log_r):
             mass * x ** (ORDER + 1) / ((ORDER + 1) * (1 - x)) + tree.bound[c] * x / (1 - x))
 
 
-def _log_near(tree, groups, near, z, r, log_r, include_center):
+def _log_near(tree, near, of, z, r, log_r, include_center, refine=False):
     """The truncated log's near field, decided leaf by leaf against each
     target's own circle (see the module docstring).
 
-    near is (start, count, leaves) of each group's near leaves.  Returns, per
-    slot, (value, scale, ops, trunc) of the leaves expanded or summed
-    directly and (mid, scale, ops, half) of the crossing leaves bounded, and
-    the (slot, leaf) pairs of those crossing leaves, in slot order.
+    near is (start, count, leaves) of each group's near leaves, and of[i] the
+    group of target i.  Returns, per target, (value, scale, ops, trunc) of the
+    leaves expanded or summed directly and (mid, scale, ops, half) of the
+    crossing leaves bounded.  refine makes the same decision again and sums
+    only the crossing leaves, directly, into (value, scale, ops).
     """
     near_start, near_count, near_c = near
     coef = tree.moments[1:] / _L[:, None]
     out = np.zeros((4, z.size))
     cross = np.zeros((4, z.size))
-    cross_t, cross_c = [], []
-    k = near_count[groups.of]
+    k = near_count[of]
     for blk in _blocks(k, _TARGET_PAIRS):
         kb = k[blk]
         t = np.repeat(np.arange(blk.start, blk.stop), kb)
-        c = near_c[_ranges(near_start[groups.of[blk]], kb)]
+        c = near_c[_ranges(near_start[of[blk]], kb)]
         rt = np.repeat(r[blk], kb)
         dist = np.take(tree.center, c)
         dist -= np.repeat(z[blk], kb)
         dist = np.abs(dist)
         rho = np.take(tree.rho, c)
         inside, outside = _sides(dist, rho, rt, rt)
-        low = dist - rho - DISK_SLACK * (dist + rho)  # below every point's distance
+        with np.errstate(invalid="ignore"):  # NaN where dist overflows: summed directly
+            low = dist - rho - DISK_SLACK * (dist + rho)  # below every point's distance
         expand = inside & (SEP * rho <= dist) & (dist > 0)
         bound = ~(inside | outside) & (low > 0)
-        i = np.flatnonzero(~(expand | bound | outside))
+        i = np.flatnonzero(bound if refine else ~(expand | bound | outside))
         _log_direct(tree, z, r, log_r, t[i], c[i], include_center, out[:3])
+        if refine:
+            continue
         i = np.flatnonzero(bound)
-        cross_t.append(t[i])
-        cross_c.append(c[i])
         half, mag = _log_bounded(tree, c[i], low[i], log_r[t[i]])
         _add_at(cross, t[i], half, mag, np.ones(i.size), half)
         i = np.flatnonzero(expand)
         value, mag, trunc = _log_expanded(tree, coef, c[i], z[t[i]], dist[i], low[i],
                                           log_r[t[i]])
         _add_at(out, t[i], value, mag, np.ones(i.size), trunc)
-    return out, cross, np.concatenate(cross_t), np.concatenate(cross_c)
+    return out, cross
 
 
 @np.errstate(over="ignore")  # once per sweep, for numutil's term functions
@@ -696,21 +706,18 @@ def _enclose(kind, targets, src, mult, band, n_bands, radii=None, include_center
     order = np.argsort(near_g, kind="stable")
     count = np.bincount(near_g, minlength=groups.count.size)
     near = (np.cumsum(count) - count, count, near_c[order])
-    near_sums, cross, cross_t, cross_c = _log_near(tree, groups, near, z, r, log_r,
-                                                   include_center)
+    near_sums, cross = _log_near(tree, near, groups.of, z, r, log_r, include_center)
     value, scale, ops, trunc = (a + b for a, b in zip((value, scale, ops, trunc), near_sums))
-    cross_count = np.bincount(cross_t, minlength=n_t)
-    cross_start = np.cumsum(cross_count) - cross_count
 
     def err(trunc, scale, ops):
         # Widened by 2^-20 for the rounding of the bound itself.
         return (trunc + _EPS * ops * scale) * (1 + 2.0 ** -20)
 
+    @np.errstate(over="ignore")  # as _enclose, which has returned when refine runs
     def refine(idx):
         s = slot_of[np.asarray(idx, dtype=np.int64)]
-        more = np.zeros((3, s.size))
-        _log_direct(tree, z[s], r[s], log_r[s], np.repeat(np.arange(s.size), cross_count[s]),
-                    cross_c[_ranges(cross_start[s], cross_count[s])], include_center, more)
+        more, _ = _log_near(tree, near, groups.of[s], z[s], r[s], log_r[s], include_center,
+                            refine=True)
         return value[s] + more[0], err(trunc[s], scale[s] + more[1], ops[s] + more[2])
 
     first = (value + cross[0], err(trunc + cross[3], scale + cross[1], ops + cross[2]))

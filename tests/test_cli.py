@@ -345,8 +345,14 @@ EXTREME_INPUTS = {
     "far.csv": "re,im,mult\n1e200,1e200,1\n2e200,5e199,1\n3,5,1\n4,1,1\n",
     # The window spans about +-1.6e308, so its width overflows.
     "wide.csv": "re,im,mult\n8e307,1e307,1\n-8e307,2e307,1\n1,1,1\n",
+    # Two clusters more than DBL_MAX apart: their distances overflow to inf.
+    "far_apart.json": json.dumps({"points": [
+        {"re": 6e307 + k * 1e300, "im": 6e307 + k * 1e300, "mult": 1} for k in range(40)] + [
+        {"re": -1.3e308 + k * 1e300, "im": 1e300, "mult": 1} for k in range(40)],
+        "window_radius": 1.79e308}),
 }
 LOG_SQUARE = '{"family":"log_square"}'
+POWER = '{"family":"power","gamma":0.5}'
 
 
 @pytest.mark.parametrize("weight, command", [
@@ -360,6 +366,9 @@ LOG_SQUARE = '{"family":"log_square"}'
               "1.7e308", "--samples", "5"]),
     (LOG_SQUARE, ["profile-balayage", "--input", "wide.csv", "--xmin=-1.7e308", "--xmax",
                   "1.7e308", "--samples", "5"]),
+    (WEIGHT, ["check", "--input", "far_apart.json"]),
+    (LOG_SQUARE, ["check", "--input", "far_apart.json"]),
+    (POWER, ["check", "--input", "far_apart.json"]),
 ])
 def test_extreme_inputs_run_without_warnings(weight, command, tmp_path, capsys):
     # Each true value is finite, or the report does not print it.  A square
@@ -367,7 +376,7 @@ def test_extreme_inputs_run_without_warnings(weight, command, tmp_path, capsys):
     # no RuntimeWarning (an error under the test configuration) is raised.
     for name, text in EXTREME_INPUTS.items():
         (tmp_path / name).write_text(text)
-    command = [str(tmp_path / a) if a.endswith(".csv") else a for a in command]
+    command = [str(tmp_path / a) if a in EXTREME_INPUTS else a for a in command]
     out = tmp_path / "out.txt"
     assert run([command[0], "--weight", weight, *command[1:], "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""

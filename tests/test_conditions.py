@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,27 @@ def test_condition_a_lattice_plateau(log_shift):
     assert sweep.constants[-1] == pytest.approx(expected, rel=1e-9)
     trend = ap.classify_trend(radii, sweep.constants)
     assert trend.verdict == "bounded-evidence"
+
+
+def test_condition_a_memory_is_linear(log_shift):
+    # Between its two passes the sweep keeps O(N) arrays only: the tree's
+    # points, weights and order (32 B per point) and its cells' moments and
+    # coefficients (about 15 points per cell, 45 B per point), and some 20
+    # words per target (its point, radius, log radius, slot and group, and the
+    # value, scale, ops, trunc and crossing sums of each pass): about 200 B
+    # per point.  Blocks of _TARGET_PAIRS (target, leaf) pairs and _CHUNK
+    # points add a fixed ~6 MB, ~90 B per point on these 65 534 points.  400 B
+    # per point leaves a third to spare; a list of the crossing (center, leaf)
+    # pairs, which grows as N^1.45, read 896 B per point here.
+    v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 15}))
+    radii = ap.default_radii(v.window_radius)
+    tracemalloc.start()
+    try:
+        ap.condition_a_constants(v, log_shift, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * len(v), peak / len(v)
 
 
 def test_condition_a_rejects_radii_beyond_window(log_shift):

@@ -328,8 +328,9 @@ def test_balayage_profile_equals_single_abscissa_values(log_shift):
 
 
 # The tree-code enclosures.  A leaf of 3 points gives deep trees with far
-# pairs even on small inputs.
-TREE = dict(LEAF=3)
+# pairs even on small inputs, and traversal blocks of one group make every
+# input walk several blocks.
+TREE = dict(LEAF=3, _GROUPS=1)
 
 
 def forced_tree(**overrides):
