@@ -137,8 +137,8 @@ def cmd_check(args) -> int:
 def cmd_profile_balayage(args) -> int:
     w = _parse_weight(args.weight)
     v = _load_input(args)
-    if args.samples < 2:
-        raise InputError("need at least 2 samples")
+    if not 2 <= args.samples <= generators.MAX_POINTS:
+        raise InputError(f"samples must lie between 2 and {generators.MAX_POINTS}")
     _require_finite("xmin and xmax", args.xmin, args.xmax)
     if not args.xmin < args.xmax:
         raise InputError("xmin must be below xmax")
@@ -160,6 +160,9 @@ def cmd_regularize(args) -> int:
         raise InputError("grid bounds must be increasing")
     if args.nx < 1 or args.ny < 1:
         raise InputError("grid sizes must be positive")
+    if args.nx * args.ny > generators.MAX_POINTS:
+        raise InputError(f"grid asks for {args.nx * args.ny} points, more than "
+                         f"{generators.MAX_POINTS}")
     span = max(abs(args.xmin), abs(args.xmax))
     guess = w.omega(min(span + 1.0, w.omega.t_max))
     extent = span + 12.0 * regularization.SMEAR_FACTOR * max(guess, 0.1)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, InvariantViolation
 from .numutil import (binary_scaled, golden_section_max, poisson_sum_at, poisson_sums,
                       truncated_log_sums)
-from .treecode import contenders, poisson_prefix_enclosures, truncated_log_enclosures
+from .treecode import first_maxima, poisson_prefix_enclosures, truncated_log_enclosures
 from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
 
@@ -98,41 +98,19 @@ def condition_a_constants(v: Variety, w: BeurlingWeight, radii,
     include_center=True for the literal formula.
     """
     radii = _validate_radii(radii, v.window_radius)
-    if not len(v):
-        return ConditionSweep(list(radii), [0.0] * radii.size,
-                              [None] * radii.size)
     centers = v.lam[np.abs(v.lam) <= radii[-1]]
-    if centers.size == 0:
-        return ConditionSweep(list(radii), [0.0] * radii.size,
-                              [None] * radii.size)
     p_c = w.p(centers)
     floor_hits = int(np.sum(p_c < P_MIN))
     den = np.maximum(p_c, P_MIN)
     value, err, refine = truncated_log_enclosures(v.lam, v.mult, centers, p_c, include_center)
     # canonical order is sorted by |lambda|: the centers within R are a prefix
     ends = np.searchsorted(np.abs(centers), radii, side="right")
-    # Direct ratios for the centers that can hold a radius' first maximum;
-    # every other center is strictly below one of them.  The first selection
-    # runs on the tree's first pass; the centers it keeps get narrower
-    # enclosures, and a second selection runs on those.
-    keep = np.unique(np.concatenate([contenders(value[:k], err[:k], den[:k])
-                                     for k in ends]))
-    value, err = refine(keep)
-    keep = keep[np.unique(np.concatenate([
-        contenders(value[:j], err[:j], den[keep[:j]])
-        for j in np.searchsorted(keep, ends)]))]
-    ratios = np.full(centers.size, -np.inf)
-    ratios[keep] = truncated_log_sums(v.lam, v.mult, centers[keep], p_c[keep],
-                                      include_center) / den[keep]
-    constants, witnesses = [], []
-    for k in ends:
-        if k == 0:
-            constants.append(0.0)
-            witnesses.append(None)
-            continue
-        j = int(np.argmax(ratios[:k]))
-        constants.append(float(ratios[j]))
-        witnesses.append(complex(centers[j]))
+    tops = first_maxima(
+        ends, ((np.arange(k), value, err) for k in ends),
+        lambda n, idx: truncated_log_sums(v.lam, v.mult, centers[idx], p_c[idx], include_center),
+        den, refine)
+    constants = [0.0 if top is None else top[1] for top in tops]
+    witnesses = [None if top is None else complex(centers[top[0]]) for top in tops]
     return ConditionSweep(list(radii), constants, witnesses, floor_hits)
 
 
@@ -194,33 +172,31 @@ def _refine(lam, mult, cands, vals, tol: float) -> tuple[float, float]:
 def _balayage_maxima(lam, mult, grid, ends, tol: float, grid_vals=None) -> list:
     """(x_star, sup) of balayage_sup for each prefix lam[:n], n in ends.
 
-    Entry k is None for n = ends[k] = 0.  The candidates of a prefix are its
-    real parts and the grid.  They get tree enclosures, and only those that
-    can hold the first maximum are summed directly; the others enter _refine
-    as -inf, strictly below the maximum, so its argmax and every reported
-    bit are unchanged (_refine reads only the first maximum, the positions of
-    its neighbours and direct values).  grid_vals, the direct grid values of
-    a single prefix, are used as they are: balayage_profile reports them.
+    Entry k is None for n = ends[k] = 0.  The candidates, in increasing
+    order, are the grid and the real parts; a prefix owns the grid and its
+    points' real parts.  Tree enclosures select the candidates that can hold
+    the first maximum (treecode.first_maxima), and grid_vals, the direct grid
+    values of a single prefix (balayage_profile reports them), are exact ones.
+    _refine reads only the first maximum, the positions of its neighbours and
+    direct values, so -inf at every other candidate gives the same bits.
     """
-    reals = np.unique(lam.real)
-    xs = reals[~np.isin(reals, grid)]
-    n_grid = 0 if grid_vals is not None else grid.size
-    if n_grid:
-        xs = np.concatenate([grid, xs])
-    floor = -np.inf if grid_vals is None else float(grid_vals.max())
-    out, best, done = [], None, 0
-    for n, (value, err) in zip(ends, poisson_prefix_enclosures(lam, mult, xs, ends)):
-        if n != done:  # a prefix equal to the previous one has the same maximum
-            own = np.flatnonzero(np.isin(xs, lam[:n].real) | (np.arange(xs.size) < n_grid))
-            kept = xs[own[contenders(value[own], err[own], floor=floor)]]
-            cands = np.unique(np.concatenate([lam[:n].real, grid]))
-            vals = np.full(cands.size, -np.inf)
-            if grid_vals is not None:
-                vals[np.searchsorted(cands, grid)] = grid_vals
-            vals[np.searchsorted(cands, kept)] = poisson_sums(lam[:n], mult[:n], kept)
-            best, done = _refine(lam[:n], mult[:n], cands, vals, tol), n
-        out.append(best)
-    return out
+    reals, first = np.unique(lam.real, return_index=True)
+    cands, pick = np.unique(np.concatenate([grid, reals]), return_index=True)
+    # the first point with each real part, or -1 on the grid: prefix n owns tag < n
+    tag = np.concatenate([np.full(grid.size, -1), first])[pick]
+    exact = np.zeros(cands.size, bool) if grid_vals is None else tag < 0
+    encl = np.zeros((len(ends), 2, cands.size))
+    encl[:, :, ~exact] = poisson_prefix_enclosures(lam, mult, cands[~exact], ends)
+    if grid_vals is not None:
+        encl[:, 0, np.searchsorted(cands, grid)] = grid_vals
+    own = {n: np.flatnonzero(tag < n) for n in ends}
+    tops = first_maxima(ends, ((own[n], *e) for n, e in zip(ends, encl)),
+                        lambda n, idx: poisson_sums(lam[:n], mult[:n], cands[idx]),
+                        np.ones(cands.size))
+    best = {n: top and _refine(lam[:n], mult[:n], cands[own[n]],
+                               np.where(own[n] == top[0], top[1], -np.inf), tol)
+            for n, top in dict(zip(ends, tops)).items()}  # equal prefixes share one refine
+    return [best[n] for n in ends]
 
 
 def balayage_sup(v_exterior: Variety, scan: ScanSpec | None = None) -> tuple[float, float]:

@@ -19,7 +19,7 @@ import numpy as np
 from .conditions import DEFAULT_THRESHOLDS, TrendResult, classify_trend, _validate_radii
 from .errors import DomainError
 from .numutil import log_rho_sums
-from .treecode import contenders, log_rho_prefix_enclosures
+from .treecode import first_maxima, log_rho_prefix_enclosures
 from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
 
@@ -167,22 +167,14 @@ def blaschke_sum_report(hv: HalfPlaneVariety, w: BeurlingWeight, radii,
     radius, mirroring the other finite-sample sweeps.
     """
     radii = _validate_radii(radii, hv.window_radius)
-    constants, witnesses = [], []
     # canonical order is sorted by |lambda|: the points within R are a prefix
     ends = np.searchsorted(np.abs(hv.lam), radii, side="right")
     p = np.maximum(w.p(hv.lam[:ends[-1]]), P_MIN)
-    for n, (value, err) in zip(ends, log_rho_prefix_enclosures(hv.lam, hv.mult, ends)):
-        if n == 0:
-            constants.append(0.0)
-            witnesses.append(None)
-            continue
-        # Direct sums for the points that can hold the first maximum; every
-        # other point is strictly below one of them.
-        keep = contenders(value, err, p[:n])
-        ratios = log_rho_sums(hv.lam[:n], hv.mult[:n], hv.lam[keep]) / p[keep]
-        j = int(np.argmax(ratios))
-        constants.append(float(max(ratios[j], 0.0)))
-        witnesses.append(complex(hv.lam[keep[j]]) if ratios[j] > 0 else None)
+    enc = log_rho_prefix_enclosures(hv.lam, hv.mult, ends)
+    tops = first_maxima(ends, ((np.arange(n), *e) for n, e in zip(ends, enc)),
+                        lambda n, idx: log_rho_sums(hv.lam[:n], hv.mult[:n], hv.lam[idx]), p)
+    constants = [0.0 if top is None else max(top[1], 0.0) for top in tops]
+    witnesses = [complex(hv.lam[top[0]]) if top and top[1] > 0 else None for top in tops]
     return SweepReport(list(map(float, radii)), constants, witnesses,
                        classify_trend(radii, constants, thresholds))
 

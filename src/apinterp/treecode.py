@@ -3,9 +3,10 @@
 Every number a sweep reports over these sums is a maximum or the witness of
 one.  So the tree only selects: for each target it returns an approximate
 value of the sum and a bound on how far the value the direct kernel computes
-can lie from it.  The sweep keeps every target whose upper bound reaches the
-best lower bound and evaluates those with the direct kernels, so each
-reported bit is still a direct kernel's bit (see ``contenders``).
+can lie from it.  Every sweep selects through ``first_maxima``: per radius it
+keeps the targets whose upper bound reaches the best lower bound
+(``contenders``) and evaluates those with the direct kernels, so each
+reported bit is still a direct kernel's bit.
 
 The sources sit in an adaptive quadtree, one root per band of the canonical
 order (the points between two radius ends), so that every radius column is a
@@ -737,19 +738,50 @@ def _bands(n, ends):
     return np.searchsorted(np.asarray(ends), np.arange(n), side="right")
 
 
-def contenders(value, err, scale=1.0, floor=-np.inf) -> np.ndarray:
+def contenders(value, err, scale=1.0) -> np.ndarray:
     """Indices whose enclosure of value / scale reaches the best lower bound.
 
     With value - err <= v <= value + err for every direct value v, each index
     left out has v / scale strictly below the direct value of the index with
-    the best lower bound (and below floor, a direct value known already), so
-    the first maximum over all indices is the first maximum over those kept.
-    A NaN bound keeps its index.
+    the best lower bound, so the first maximum over all indices is the first
+    maximum over those kept.  A NaN bound keeps its index.
     """
     lo = (value - err) / scale
     hi = (value + err) / scale
-    best = max(float(np.max(lo, initial=-np.inf)), floor)
-    return np.flatnonzero(~(hi < best))
+    return np.flatnonzero(~(hi < np.max(lo, initial=-np.inf)))
+
+
+def first_maxima(ends, sets, direct, scale, refine=None) -> list:
+    """Per prefix n in ends, (i, v): the first candidate i with the largest
+    direct / scale, and that ratio v; None for n = 0.
+
+    sets gives each prefix's (own, value, err): its candidates, increasing
+    and at least one where n > 0, and enclosures value[i] - err[i] <= d_i <=
+    value[i] + err[i], i in own, of their direct values d_i, which
+    direct(n, idx) returns at the candidates idx; scale > 0.  Each prefix
+    keeps its contenders, and direct runs once per distinct prefix, on those.
+    refine(idx) gives enclosures for every prefix, so the direct values do
+    not depend on it: refine and then direct run once each, on the union of
+    the candidates kept before them.  Equal prefixes share one answer.
+    """
+    kept = {}
+    for n, (own, value, err) in zip(ends, sets):
+        if n and n not in kept:
+            kept[n] = own[contenders(value[own], err[own], scale[own])]
+    if refine is not None and kept:
+        union = np.unique(np.concatenate(list(kept.values())))
+        value, err = refine(union)
+        for n, idx in kept.items():
+            at = np.searchsorted(union, idx)
+            kept[n] = idx[contenders(value[at], err[at], scale[idx])]
+        union = np.unique(np.concatenate(list(kept.values())))
+        sums = direct(max(kept), union)
+        direct = lambda n, idx: sums[np.searchsorted(union, idx)]
+    for n, idx in kept.items():  # contenders keeps an index of every set
+        ratios = direct(n, idx) / scale[idx]
+        j = int(np.argmax(ratios))
+        kept[n] = int(idx[j]), float(ratios[j])
+    return [kept.get(n) for n in ends]
 
 
 def log_rho_prefix_enclosures(lam, mult, ends):

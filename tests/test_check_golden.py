@@ -71,6 +71,24 @@ That report was written before the per-center near field (commit d453360) with
         --out tests/data/check_dyadic_angle_14_log_shift.json
 
 and is pinned byte for byte.
+
+A horizontal line is the input on which the selection keeps the most
+candidates: its points and their mirror images tie to the bit.  Its files
+were written before the sweeps shared one selection routine (commit 18a4f38)
+with
+
+    apinterp check --weight W \\
+        --family '{"family":"horizontal_line","height":1.0,"spacing":0.5,"extent":1500}' \\
+        --out tests/data/check_horizontal_line_<weight>.json
+    apinterp profile-balayage --weight '{"family":"log_shift","a":0.01}' \\
+        --family '{"family":"horizontal_line","height":1.0,"spacing":0.5,"extent":1500}' \\
+        --xmin=-1500 --xmax 1500 --samples 1201 \\
+        --out tests/data/profile_balayage_horizontal_line_log_shift_0.01.csv
+
+with W each of the WEIGHTS below and log_shift with a = 0.01, whose strip is
+so thin that all 6 001 points lie outside it.  The profile's grid points are
+all real parts of the line, so every grid value ties with its mirror.  Each
+file is pinned byte for byte.
 """
 
 import json
@@ -102,6 +120,10 @@ INPUTS = {
 DYADIC = INPUTS["dyadic_angle"]
 
 LOOSE = {("separation", "worst_constant"): 1e-15}
+
+LINE = ["--family", '{"family":"horizontal_line","height":1.0,"spacing":0.5,"extent":1500}']
+
+THIN = '{"family":"log_shift","a":0.01}'
 
 
 STRIP_6000 = '{"family":"strip_random","count":6000,"seed":3}'
@@ -197,3 +219,19 @@ def test_check_matches_golden_bytes_on_dyadic_1_to_14(tmp_path):
     assert cli.main(["check", "--weight", WEIGHTS["log_shift"], "--family",
                      '{"family":"dyadic_angle","n_min":1,"n_max":14}', "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "check_dyadic_angle_14_log_shift.json").read_bytes()
+
+
+@pytest.mark.parametrize("weight", sorted(WEIGHTS) + ["log_shift_0.01"])
+def test_check_matches_golden_bytes_on_horizontal_line(weight, tmp_path):
+    out = tmp_path / "report.json"
+    spec = WEIGHTS.get(weight, THIN)
+    assert cli.main(["check", "--weight", spec, *LINE, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"check_horizontal_line_{weight}.json").read_bytes()
+
+
+def test_profile_balayage_matches_golden_csv_on_horizontal_line(tmp_path):
+    out = tmp_path / "profile.csv"
+    assert cli.main(["profile-balayage", "--weight", THIN, *LINE, "--xmin=-1500",
+                     "--xmax", "1500", "--samples", "1201", "--out", str(out)]) == 0
+    want = GOLDEN / "profile_balayage_horizontal_line_log_shift_0.01.csv"
+    assert out.read_bytes() == want.read_bytes()

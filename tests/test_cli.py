@@ -267,6 +267,11 @@ FAMILY = '{"family":"integer_lattice","window":16}'
      "strip_height"),
     (["check", "--weight", WEIGHT, "--family", '{"family":"strip_random","half_width":1e308}'],
      "half_width"),
+    (["profile-balayage", "--weight", WEIGHT, "--family",
+      '{"family":"dyadic_angle","n_min":1,"n_max":3}', "--xmin=-10", "--xmax", "10",
+      "--samples", "1000000000000"], "samples"),
+    (["regularize", "--weight", WEIGHT, "--xmin=1", "--xmax", "2", "--ymin=-1", "--ymax", "1",
+      "--nx", "10000000", "--ny", "10000000"], "points"),
 ])
 def test_malformed_specs_exit_1_with_one_line(args, key, capsys):
     assert run(args) == 1

@@ -617,6 +617,65 @@ def test_tree_enclosures_of_empty_inputs(case):
         assert np.all(np.abs(value - direct) <= err)
 
 
+RATIOS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.booleans())
+def test_first_maxima_is_the_first_argmax_over_each_prefix(data, refined):
+    # Direct values from a small set, so that direct / scale ties exactly;
+    # enclosures that are exact, offset or very wide; and candidate sets that
+    # are not prefixes: candidate i belongs to prefix n when tag[i] < n, as a
+    # balayage grid point (-1) and real part (its first point) do.  Without
+    # refine the direct values change with the prefix, as the Blaschke and
+    # balayage sums do, and direct runs once per distinct prefix.  A refine
+    # holds for every prefix, so with it they do not, as condition a's do,
+    # and direct runs once, on the union of the kept candidates.
+    n_pts, n_cands = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 10))
+
+    def row(elements):
+        return np.array(data.draw(st.lists(elements, min_size=n_cands, max_size=n_cands)))
+
+    tag = row(st.integers(-1, n_pts - 1))
+    tag[0] = min(tag[0], 0)  # every prefix n > 0 owns a candidate
+    ends = sorted(data.draw(st.lists(st.integers(0, n_pts), min_size=1, max_size=6)))
+    direct = np.array([row(RATIOS) for _ in range(1 if refined else n_pts + 1)])
+    if refined:
+        direct = np.repeat(direct, n_pts + 1, axis=0)
+    scale = row(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    offset = row(st.sampled_from([0.0, 0.25, -0.5]))
+    err = np.abs(offset) + row(st.sampled_from([0.0, 0.5, 1e9]))
+    sets = [(np.flatnonzero(tag < n), direct[n] + offset, err) for n in ends]
+    calls, refines = [], []
+
+    def summed(n, idx):
+        calls.append((n, idx))
+        return direct[n, idx]
+
+    def refine(idx):
+        refines.append(idx)
+        return direct[0, idx], np.zeros(idx.size)
+
+    got = treecode.first_maxima(np.array(ends), iter(sets), summed, scale,
+                                refine if refined else None)
+    owned = [n for n in dict.fromkeys(ends) if n]
+    for n, answer in zip(ends, got):
+        own = np.flatnonzero(tag < n)
+        if not n:
+            assert answer is None
+            continue
+        ratios = direct[n, own] / scale[own]
+        j = int(np.argmax(ratios))
+        assert answer == (int(own[j]), float(ratios[j]))
+    if refined:
+        assert len(refines) == len(calls) == (1 if owned else 0)
+        assert all(np.isin(idx, np.flatnonzero(tag < owned[-1])).all() for _, idx in calls)
+    else:
+        assert not refines and [n for n, _ in calls] == owned
+        assert all(np.isin(idx, np.flatnonzero(tag < n)).all() for n, idx in calls)
+    assert all(np.array_equal(idx, np.unique(idx)) for idx in [i for _, i in calls] + refines)
+
+
 def direct_first_max(ratios, ends):
     """(constant, index) of the first maximum of each prefix, as np.argmax."""
     out = []
@@ -730,6 +789,14 @@ def test_balayage_tree_sweeps_keep_a_tie_between_grid_point_and_real_part():
         want = conditions._refine(sub.lam, sub.mult, cands, vals, scan.refine_tol)
         assert (x, c) == want and sup == want
     assert sweep.witnesses[-1] < 0  # the first of the tied maxima
+    # The profile's grid values enter the selection as exact enclosures; the
+    # tie with the off-grid real part 3 goes to the grid point -3.
+    with forced_tree():
+        prof = ap.balayage_profile(ext, scan)
+    cands = np.unique(np.concatenate([ext.lam.real, grid]))
+    vals = poisson_sums(ext.lam, ext.mult, cands)
+    want = conditions._refine(ext.lam, ext.mult, cands, vals, scan.refine_tol)
+    assert (prof.x_star, prof.sup) == want and prof.x_star < 0
 
 
 def _weight_layer():
