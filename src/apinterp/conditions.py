@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, NumericError
 from .numutil import (binary_scaled, golden_section_max, poisson_sum_at, poisson_sums,
                       truncated_log_sums)
 from .treecode import first_maxima, poisson_prefix_enclosures, truncated_log_enclosures
@@ -53,7 +53,14 @@ def split_regions(v: Variety, w: BeurlingWeight) -> RegionSplit:
     if not len(v):
         empty = Variety.from_arrays([], [], v.window_radius)
         return RegionSplit(empty, empty, empty)
-    omega_abs = w.omega(np.abs(v.lam))
+    abs_lam = np.abs(v.lam)
+    with np.errstate(over="ignore"):
+        omega_abs = w.omega(abs_lam)
+    bad = np.isfinite(abs_lam) & ~np.isfinite(omega_abs)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericError(f"omega({float(abs_lam[k])!r}) is not finite at the point "
+                           f"{complex(v.lam[k])!r}")
     im = v.lam.imag
     in_strip = np.abs(im) <= omega_abs
     up = im > omega_abs

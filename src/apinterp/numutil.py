@@ -1,8 +1,10 @@
 """Small numeric helpers: 1-D search, the quadrature wrapper, the close-pair
 search (a sort-and-sweep over rows, returning arrays), the dense pairwise
 kernels, whose terms (poisson_terms, log_rho_terms), disk slack and exact
-rescaling (DISK_SLACK, binary_scaled) the tree code shares, and point
-blocks.  Only numpy is imported; scipy loads in adaptive_quad."""
+rescaling (DISK_SLACK, binary_scaled) the tree code shares, and row_blocks,
+the one rule that cuts every dense (rows x points) evaluation into blocks of
+at most _BLOCK_TERMS terms.  Only numpy is imported; scipy loads in
+adaptive_quad."""
 
 import math
 
@@ -139,24 +141,17 @@ def close_pair_arrays(lam: np.ndarray, cutoff: float):
 # computed alone or in a batch, and its error is at most about
 # eps * log2(n) * sum |terms|.
 
-#: Centers per block of truncated_log_sums: bounds the (block x points)
-#: temporaries; no value depends on it.
-_ROWS = 64
-
-#: Terms per block of a dense sweep (_dense_row_sums), written into
-#: one reused 1 MB scratch buffer that stays in a 2 MB L2 cache: 16 rows at
-#: 8190 points.  No value depends on it.  On a 2-core x86-64 VM the
-#: 4096 x 8190 balayage grid of dyadic 1..12 took 57 to 61 ms at 2^16 and
-#: 2^17 terms, 68 ms at 2^18 and 78 ms at 2^19 (min and median of 12); fresh
-#: 64-row blocks took about 100 ms.  2^16 left glibc's heap trim threshold so
-#: low that condition a, run next in the same process, page-faulted about
-#: 5 300 times a call (2 000 at 2^17, 150 with 4 MB blocks), and whole
-#: check-dyadic jobs ran fastest at 2^17.
-_PREFIX_TERMS = 1 << 17
-
-#: Terms per block of a point evaluation (row_blocks): bounds its
-#: (points x terms) temporaries; no value depends on it.
-_BLOCK_TERMS = 1 << 14
+#: Terms per block of every dense kernel (row_blocks): bounds each block's
+#: (rows x points) temporaries; a row's value depends only on its own terms,
+#: so no value depends on it.  _dense_row_sums writes its blocks into one
+#: reused 1 MB scratch buffer that stays in a 2 MB L2 cache: 16 rows at 8190
+#: points.  On a 2-core x86-64 VM the 4096 x 8190 balayage grid of dyadic
+#: 1..12 took 57 to 61 ms at 2^16 and 2^17 terms, 68 ms at 2^18 and 78 ms at
+#: 2^19 (min and median of 12); fresh 64-row blocks took about 100 ms.  2^16
+#: left glibc's heap trim threshold so low that condition a, run next in the
+#: same process, page-faulted about 5 300 times a call (2 000 at 2^17, 150 with
+#: 4 MB blocks), and whole check-dyadic jobs ran fastest at 2^17.
+_BLOCK_TERMS = 1 << 17
 
 #: Relative slack of every disk-membership decision made before the exact
 #: test d <= r: the modulus window of truncated_log_sums, and the tree code's
@@ -170,7 +165,7 @@ def row_blocks(n_rows: int, width: int) -> list:
     """Slices cutting range(n_rows) into blocks of rows, each row holding width
     terms, with at most _BLOCK_TERMS terms a block (and at least one row)."""
     step = max(1, _BLOCK_TERMS // max(width, 1))
-    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 def scalar_or_array(values: np.ndarray, shape: tuple):
@@ -188,15 +183,14 @@ def row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _disk_blocks(abs_lam, centers, radii):
-    """(lo, a, b) per block of _ROWS centers: the points lam[a:b] are the only
-    ones whose modulus the block's disks can reach."""
-    for lo in range(0, centers.size, _ROWS):
-        abs_c, r = np.abs(centers[lo:lo + _ROWS]), radii[lo:lo + _ROWS]
-        slack = DISK_SLACK * np.max(abs_c + r)
-        a = int(np.searchsorted(abs_lam, np.min(abs_c - r) - slack, side="left"))
-        b = int(np.searchsorted(abs_lam, np.max(abs_c + r) + slack, side="right"))
-        yield lo, a, b
+def _annulus(abs_lam, abs_c, r):
+    """(a, b): the points lam[a:b] are the only ones whose modulus the disks of
+    moduli abs_c and radii r can reach."""
+    outer = np.max(abs_c + r, initial=0.0)
+    slack = DISK_SLACK * outer
+    a = int(np.searchsorted(abs_lam, np.min(abs_c - r, initial=np.inf) - slack, side="left"))
+    b = int(np.searchsorted(abs_lam, outer + slack, side="right"))
+    return a, b
 
 
 def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
@@ -208,13 +202,17 @@ def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
     include_center is set; a center with a non-positive radius gets 0.
     lam must be sorted by modulus (the canonical Variety order), so a block
     of centers scans only the annulus of moduli its disks can reach, and
-    logs are taken of in-disk distances only.
+    logs are taken of in-disk distances only.  The rows of a block are set by
+    the annulus of all the centers, which holds every block's own.
     """
     centers = np.asarray(centers, dtype=complex)
     radii = np.maximum(np.asarray(radii, dtype=float), 0.0)
+    abs_lam, abs_c = np.abs(lam), np.abs(centers)
+    a, b = _annulus(abs_lam, abs_c, radii)
     out = np.empty(centers.size)
-    for lo, a, b in _disk_blocks(np.abs(lam), centers, radii):
-        c, r = centers[lo:lo + _ROWS], radii[lo:lo + _ROWS]
+    for rows in row_blocks(centers.size, b - a):
+        c, r = centers[rows], radii[rows]
+        a, b = _annulus(abs_lam, abs_c[rows], r)
         with np.errstate(over="ignore"):  # a distance above DBL_MAX is inf: in no disk
             d = np.abs(lam[a:b] - c[:, None])
         inside = (d > 0) & (d <= r[:, None])
@@ -222,29 +220,27 @@ def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
         log_r = np.log(np.where(r > 0, r, 1.0))
         terms = np.broadcast_to(mult[a:b], d.shape)[inside] * (
             np.repeat(log_r, counts) - np.log(d[inside]))
-        vals = row_sums(terms, counts)
+        out[rows] = row_sums(terms, counts)
         if include_center:
-            vals += np.where(d == 0, mult[a:b], 0).sum(axis=1) * log_r
-        out[lo:lo + _ROWS] = vals
+            out[rows] += np.where(d == 0, mult[a:b], 0).sum(axis=1) * log_r
     return out
 
 
 def _dense_row_sums(terms, n_rows: int, width: int) -> np.ndarray:
-    """Row sums of an (n_rows x width) term matrix, one block of rows at a time.
+    """Row sums of an (n_rows x width) term matrix, one row_blocks block at a
+    time.
 
     terms(lo, out) fills out, a (rows x width) view of one reused scratch
-    buffer, with the terms of rows lo:lo + rows, and returns it.  A block
-    holds about _PREFIX_TERMS terms; a row sum depends only on its own terms,
-    so it is the same bits in any block.
+    buffer, with the terms of rows lo:lo + rows, and returns it.  A row sum
+    depends only on its own terms, so it is the same bits in any block.
     """
     out = np.zeros(n_rows)
-    step = max(1, _PREFIX_TERMS // max(width, 1))
-    scratch = np.empty(min(step, n_rows) * width)
+    blocks = row_blocks(n_rows, width)
+    scratch = np.empty(blocks[0].stop * width if blocks else 0)
     with np.errstate(over="ignore"):  # see the term functions; a sum that overflows is inf
-        for lo in range(0, n_rows, step):
-            hi = min(lo + step, n_rows)
-            terms(lo, scratch[:(hi - lo) * width].reshape(hi - lo, width)).sum(
-                axis=1, out=out[lo:hi])
+        for rows in blocks:
+            k = rows.stop - rows.start
+            terms(rows.start, scratch[:k * width].reshape(k, width)).sum(axis=1, out=out[rows])
     return out
 
 

@@ -19,6 +19,11 @@ from .weights import BeurlingWeight
 
 P_MIN = 1.0  # floor used when dividing by p(lambda) near the origin
 
+#: Largest multiplicity, and largest total multiplicity, of a variety: the
+#: tree code keeps masses as floats, and a sum of integer multiplicities is
+#: exact in any order only while every total is at most 2^53.
+MAX_MULT = 2 ** 53
+
 
 @dataclass(frozen=True)
 class WeightedPoint:
@@ -43,19 +48,18 @@ class Variety:
     def __init__(self, points, window_radius: float | None = None):
         pairs = [(p.lam, p.mult) if isinstance(p, WeightedPoint) else p for p in points]
         self._build(np.array([complex(p[0]) for p in pairs], dtype=complex),
-                    np.array([int(p[1]) for p in pairs], dtype=np.int64), window_radius)
+                    np.array([int(p[1]) for p in pairs]), window_radius)
 
     @classmethod
     def from_arrays(cls, lam, mult, window_radius: float | None = None) -> "Variety":
         """cls(zip(lam, mult), window_radius) without the per-point loop."""
         v = cls.__new__(cls)
-        v._build(np.asarray(lam, dtype=complex).ravel(),
-                 np.asarray(mult, dtype=np.int64).ravel(), window_radius)
+        v._build(np.asarray(lam, dtype=complex).ravel(), np.asarray(mult).ravel(),
+                 window_radius)
         return v
 
     def _build(self, lam, mult, window_radius) -> None:
-        if np.any(mult < 1):
-            raise DomainError("multiplicity must be a positive integer")
+        mult = _multiplicities(mult)
         finite = np.isfinite(lam.real) & np.isfinite(lam.imag)
         if not finite.all():
             z = complex(lam[np.argmin(finite)])
@@ -108,7 +112,9 @@ class Variety:
         return type(self).from_arrays(self.lam[keep], self.mult[keep], self.window_radius)
 
     def scale_mult(self, k: int) -> "Variety":
-        return Variety.from_arrays(self.lam, self.mult * int(k), self.window_radius)
+        # exact Python-int products, so that none wraps before the check
+        return Variety.from_arrays(self.lam, self.mult.astype(object) * int(k),
+                                   self.window_radius)
 
     def to_dict(self) -> dict:
         return {
@@ -123,9 +129,27 @@ class Variety:
             pts = [(complex(rec["re"], rec["im"]), int(rec.get("mult", 1)))
                    for rec in data["points"]]
             window = data.get("window_radius")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed variety record: {exc}") from exc
         return cls(pts, window)
+
+
+def _multiplicities(mult: np.ndarray) -> np.ndarray:
+    """mult as int64, once each multiplicity is checked to be at least 1 and at
+    most MAX_MULT in its own type (before any conversion, so nothing wraps),
+    and their total, which bounds every merged one, to be at most MAX_MULT."""
+    if np.any(mult < 1):
+        raise DomainError("multiplicity must be a positive integer")
+    over = mult > MAX_MULT
+    if np.any(over):
+        raise DomainError(f"multiplicity {mult[over][0]} is above 2^53")
+    mult = mult.astype(np.int64, copy=False)
+    total = mult.sum(dtype=float)
+    if total <= MAX_MULT:  # then the int64 sum cannot wrap
+        total = mult.sum()
+    if total > MAX_MULT:
+        raise DomainError(f"total multiplicity {int(total)} is above 2^53")
+    return mult
 
 
 def load_variety(path) -> Variety:
@@ -243,7 +267,10 @@ def separation_profile(v: Variety, w: BeurlingWeight) -> SeparationProfile:
     i, j, d = close_pair_arrays(v.lam, 1.0)
     if np.any(d == 0.0):
         raise InvariantViolation("coincident points survived ingestion")
-    log_inv = np.log(1.0 / d)
+    with np.errstate(over="ignore"):
+        log_inv = np.log(1.0 / d)
+    tiny = np.isinf(log_inv)  # d < 1 / DBL_MAX: -log d is at most 744.5
+    log_inv[tiny] = -np.log(d[tiny])
     cand_ij = v.mult[j] * log_inv / p_vals[i]
     cand_ji = v.mult[i] * log_inv / p_vals[j]
     cand = np.maximum(cand_ij, cand_ji)

@@ -272,6 +272,11 @@ FAMILY = '{"family":"integer_lattice","window":16}'
       "--samples", "1000000000000"], "samples"),
     (["regularize", "--weight", WEIGHT, "--xmin=1", "--xmax", "2", "--ymin=-1", "--ymax", "1",
       "--nx", "10000000", "--ny", "10000000"], "points"),
+    (["check", "--weight", WEIGHT, "--family",
+      '{"family":"horizontal_line","mult":100000000000000000000}'],
+     "multiplicity 100000000000000000000"),
+    (["generate", "--family", '{"family":"horizontal_line","mult":100000000000000000000}'],
+     "multiplicity 100000000000000000000"),
 ])
 def test_malformed_specs_exit_1_with_one_line(args, key, capsys):
     assert run(args) == 1
@@ -311,6 +316,65 @@ def test_non_finite_point_exits_1_with_one_line(name, command, tmp_path, capsys)
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "non-finite" in lines[0]
+
+
+# Multiplicities, and totals of merged rows, above 2^53 (the tree code keeps
+# masses as floats, exact only up to 2^53), and one no integer holds.
+HUGE_MULT_INPUTS = {
+    "csv": ("points.csv", "re,im,mult\n1.0,2.0,100000000000000000000000\n3.0,4.0,1\n",
+            "multiplicity 100000000000000000000000 is above 2^53"),
+    "json": ("points.json", '{"points": [{"re": 1.0, "im": 2.0, "mult": 1e30}, '
+             '{"re": 3.0, "im": 4.0}]}',
+             "multiplicity 1000000000000000019884624838656 is above 2^53"),
+    "json-inf": ("points.json", '{"points": [{"re": 1.0, "im": 2.0, "mult": Infinity}]}',
+                 "malformed variety record"),
+    "csv-merge": ("points.csv", "re,im,mult\n1.0,2.0,4611686018427387904\n"
+                  "1.0,2.0,4611686018427387904\n3.0,4.0,1\n",
+                  "multiplicity 4611686018427387904 is above 2^53"),
+    "csv-merge-total": ("points.csv", "re,im,mult\n1.0,2.0,4503599627370496\n"
+                        "1.0,2.0,4503599627370496\n3.0,4.0,1\n",
+                        "total multiplicity 9007199254740993 is above 2^53"),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["check"],
+    ["profile-balayage", "--xmin", "-10", "--xmax", "10", "--samples", "33"],
+])
+@pytest.mark.parametrize("name", sorted(HUGE_MULT_INPUTS))
+def test_huge_multiplicity_exits_1_with_one_line(name, command, tmp_path, capsys):
+    filename, text, message = HUGE_MULT_INPUTS[name]
+    src = tmp_path / filename
+    src.write_text(text)
+    out = tmp_path / "out.txt"
+    assert run([command[0], "--weight", WEIGHT, "--input", str(src), *command[1:],
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["check"],
+    ["profile-balayage", "--xmin", "-10", "--xmax", "10", "--samples", "33"],
+])
+def test_overflowing_omega_exits_2_with_one_line(command, tmp_path, capsys):
+    # a log1p(|lambda|) overflows at |1 + 8i| for a = 1e308; with a = 1e306
+    # every omega on this variety is finite.
+    family = '{"family":"dyadic_angle","n_min":1,"n_max":4}'
+    out = tmp_path / "out.txt"
+    assert run([command[0], "--weight", '{"family":"log_shift","a":1e308}', "--family", family,
+                *command[1:], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: omega(")
+    assert "is not finite at the point (1+8j)" in lines[0]
+    assert run([command[0], "--weight", '{"family":"log_shift","a":1e306}', "--family", family,
+                *command[1:], "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", [
@@ -358,6 +422,8 @@ EXTREME_INPUTS = {
 }
 LOG_SQUARE = '{"family":"log_square"}'
 POWER = '{"family":"power","gamma":0.5}'
+# Points k 2^-k below 1e-305: some close pairs lie nearer than 1 / DBL_MAX.
+RAY = '{"family":"geometric_ray","count":2000}'
 
 
 @pytest.mark.parametrize("weight, command", [
@@ -374,6 +440,7 @@ POWER = '{"family":"power","gamma":0.5}'
     (WEIGHT, ["check", "--input", "far_apart.json"]),
     (LOG_SQUARE, ["check", "--input", "far_apart.json"]),
     (POWER, ["check", "--input", "far_apart.json"]),
+    (WEIGHT, ["check", "--family", RAY]),
 ])
 def test_extreme_inputs_run_without_warnings(weight, command, tmp_path, capsys):
     # Each true value is finite, or the report does not print it.  A square
@@ -399,6 +466,19 @@ def test_extreme_inputs_run_without_warnings(weight, command, tmp_path, capsys):
         sweep = report["condition_b"]
         assert sweep["constants"][-1] == pytest.approx(1.0076923076923076e-307, rel=1e-15)
         assert sweep["witnesses"][-1] == 8e307
+    if command[2] == RAY:
+        # 1 / d overflows at the witness pair; the constant is
+        # mult(b) log(1 / d) / max(p(a), 1) there all the same.
+        sep = report["separation"]
+        v = ap.generate(ap.FamilySpec.from_dict(json.loads(RAY)))
+        a, b = (complex(*xy) for xy in sep["worst_pair"])
+        d = abs(a - b)
+        assert 1.0 / d == math.inf
+        p_a = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1.0)).p(a)
+        mult_b = int(v.mult[v.lam == b][0])
+        assert math.isfinite(sep["worst_constant"])
+        assert sep["worst_constant"] == pytest.approx(
+            mult_b * -math.log(d) / max(p_a, 1.0), rel=1e-15)
 
 
 # Run in a fresh interpreter: conftest.py imports scipy into this one.

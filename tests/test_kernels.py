@@ -11,6 +11,7 @@ the tree must report the direct kernels' first maximum, bit for bit.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -833,3 +834,59 @@ def test_weight_layer_batch_equals_single_points(name):
     assert batch.ravel().tolist() == alone
     assert f(complex(z[1])) == f(np.array(z[1])) == alone[1]
     assert f(z[::-1]).tolist() == alone[::-1]
+
+
+# Dense-kernel block budgets: the default, and one term a block, which puts
+# every row in a block of its own.
+BUDGETS = (numutil._BLOCK_TERMS, 1)
+
+
+def _dense_kernel_values():
+    w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1.0))
+    dyadic = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 8}))
+    lam = dyadic.lam
+    mult = 1 + np.arange(lam.size) % 3
+    rng = np.random.default_rng(23)
+    off = rng.uniform(-300, 300, 40) + 1j * rng.uniform(0, 300, 40)
+    # centers on and off the points, with their p radii, random radii and 0
+    centers = np.concatenate([lam, off, [0j]])
+    radii = np.concatenate([w.p(lam), rng.uniform(0, 100, 40), [0.0]])
+    z = np.concatenate([rng.integers(-120, 121, 40) / 4 + 1j * rng.integers(-8, 9, 40) / 4,
+                        rng.uniform(-200, 200, 60) + 1j * rng.uniform(-30, 30, 60)])
+    return {
+        "truncated_log_sums": truncated_log_sums(lam, mult, centers, radii),
+        "truncated_log_sums with centers": truncated_log_sums(lam, mult, centers, radii, True),
+        "log_rho_sums": log_rho_sums(lam, mult, np.concatenate([lam, off])),
+        "poisson_sums": poisson_sums(lam, mult, np.linspace(-300, 300, 601)),
+        **{name: WEIGHT_LAYER[name](z)
+           for name in ("count_in_disk", "singular_weight", "potential_correction")},
+    }
+
+
+def test_dense_kernels_keep_their_bits_in_any_block():
+    values = []
+    for budget in BUDGETS:
+        with mock.patch.object(numutil, "_BLOCK_TERMS", budget):
+            values.append(_dense_kernel_values())
+    for name, default in values[0].items():
+        assert values[1][name].tobytes() == default.tobytes(), name
+
+
+def test_truncated_log_blocks_are_bounded_by_the_budget(log_shift):
+    # The rows of a block come from the annulus of all the centers: the 10
+    # outermost centers of these 65 534 points reach 49 152 of them, so a
+    # block holds 2 rows, at most _BLOCK_TERMS terms.  A term keeps at most
+    # about 50 B of temporaries at once (its complex difference, distance and
+    # in-disk masks; in a disk, its multiplicity, log radius, log distance and
+    # value; and the previous block's distances and terms until they are
+    # rebound), and the moduli take 8 B a point: 8.9 MB in all.
+    v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 15}))
+    centers = v.lam[-10:]
+    radii = log_shift.p(centers)
+    tracemalloc.start()
+    try:
+        truncated_log_sums(v.lam, v.mult, centers, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * numutil._BLOCK_TERMS + 8 * len(v), peak / 1e6

@@ -169,6 +169,34 @@ def test_non_finite_coordinate_is_rejected(bad):
         ap.Variety([(1 + 1j, 1)], window_radius=math.inf)
 
 
+@pytest.mark.parametrize("mult", [2 ** 53 + 1, 2 ** 62, 10 ** 23, 1e30])
+def test_multiplicity_above_2_53_is_rejected(mult):
+    # Checked before any int64 conversion: 10^23 does not fit, and 1e30
+    # would be cast to a wrong integer.
+    for build in (lambda: ap.Variety([(1 + 1j, 1), (2j, mult)]),
+                  lambda: ap.Variety.from_arrays([1 + 1j, 2j], [1, mult])):
+        with pytest.raises(DomainError, match=r"^multiplicity \S+ is above 2\^53$"):
+            build()
+
+
+def test_total_multiplicity_above_2_53_is_rejected():
+    # Each 2^62 is rejected alone, before their merge could wrap in int64.
+    # Totals reach 2^53 exactly and no further, merged or not.
+    with pytest.raises(DomainError, match="multiplicity 4611686018427387904 is above"):
+        ap.Variety([(1 + 1j, 2 ** 62), (1 + 1j, 2 ** 62)])
+    half = 2 ** 52
+    assert ap.Variety([(1 + 1j, half), (1 + 1j, half)]).mult.tolist() == [2 ** 53]
+    assert ap.Variety([(1 + 1j, half), (2j, half)]).total_mult == 2 ** 53
+    for points in ([(1 + 1j, half), (1 + 1j, half), (2j, 1)],
+                   [(1 + 1j, half), (2j, half), (3j, 1)]):
+        with pytest.raises(DomainError, match="total multiplicity 9007199254740993 is above"):
+            ap.Variety(points)
+    # 4 (2^62 + 1) is 4 modulo 2^64
+    with pytest.raises(DomainError, match="multiplicity 18446744073709551620 is above"):
+        ap.Variety([(1 + 1j, 4)]).scale_mult(2 ** 62 + 1)
+    assert ap.Variety([(1 + 1j, 2)]).scale_mult(half).mult.tolist() == [2 ** 53]
+
+
 def test_separation_profile_far_pair(log_shift):
     v = ap.Variety([(0j, 1), (2 + 0j, 1)])
     prof = ap.separation_profile(v, log_shift)
