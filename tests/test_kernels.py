@@ -836,11 +836,6 @@ def test_weight_layer_batch_equals_single_points(name):
     assert f(z[::-1]).tolist() == alone[::-1]
 
 
-# Dense-kernel block budgets: the default, and one term a block, which puts
-# every row in a block of its own.
-BUDGETS = (numutil._BLOCK_TERMS, 1)
-
-
 def _dense_kernel_values():
     w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1.0))
     dyadic = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 8}))
@@ -864,12 +859,11 @@ def _dense_kernel_values():
 
 
 def test_dense_kernels_keep_their_bits_in_any_block():
-    values = []
-    for budget in BUDGETS:
-        with mock.patch.object(numutil, "_BLOCK_TERMS", budget):
-            values.append(_dense_kernel_values())
-    for name, default in values[0].items():
-        assert values[1][name].tobytes() == default.tobytes(), name
+    # A budget of one term puts every row in a block of its own.
+    with mock.patch.object(numutil, "_BLOCK_TERMS", 1):
+        alone = _dense_kernel_values()
+    for name, default in _dense_kernel_values().items():
+        assert alone[name].tobytes() == default.tobytes(), name
 
 
 def test_truncated_log_blocks_are_bounded_by_the_budget(log_shift):
