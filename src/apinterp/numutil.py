@@ -1,10 +1,8 @@
 """Small numeric helpers: 1-D search, the quadrature wrapper, the close-pair
 search (a sort-and-sweep over rows, returning arrays), the dense pairwise
 kernels, whose terms (poisson_terms, log_rho_terms), disk slack and exact
-rescaling (DISK_SLACK, binary_scaled) the tree code shares, and row_blocks,
-the one rule that cuts every dense (rows x points) evaluation into blocks of
-at most _BLOCK_TERMS terms.  Only numpy is imported; scipy loads in
-adaptive_quad."""
+rescaling (DISK_SLACK, binary_scaled) the tree code shares, and their block
+rule (_BLOCK_WORDS).  Only numpy is imported; scipy loads in adaptive_quad."""
 
 import math
 
@@ -141,17 +139,21 @@ def close_pair_arrays(lam: np.ndarray, cutoff: float):
 # computed alone or in a batch, and its error is at most about
 # eps * log2(n) * sum |terms|.
 
-#: Terms per block of every dense kernel (row_blocks): bounds each block's
-#: (rows x points) temporaries; a row's value depends only on its own terms,
-#: so no value depends on it.  _dense_row_sums writes its blocks into one
-#: reused 1 MB scratch buffer that stays in a 2 MB L2 cache: 16 rows at 8190
-#: points.  On a 2-core x86-64 VM the 4096 x 8190 balayage grid of dyadic
-#: 1..12 took 57 to 61 ms at 2^16 and 2^17 terms, 68 ms at 2^18 and 78 ms at
-#: 2^19 (min and median of 12); fresh 64-row blocks took about 100 ms.  2^16
-#: left glibc's heap trim threshold so low that condition a, run next in the
-#: same process, page-faulted about 5 300 times a call (2 000 at 2^17, 150 with
-#: 4 MB blocks), and whole check-dyadic jobs ran fastest at 2^17.
-_BLOCK_TERMS = 1 << 17
+#: 8-byte words of temporaries per block of every dense kernel (row_blocks,
+#: _annulus_blocks).  A term of _dense_row_sums is one word, written into
+#: one reused 1 MB scratch buffer that stays in a 2 MB L2 cache: 16 rows at
+#: 8190 points.  No value depends on it.  On a 2-core x86-64 VM the
+#: 4096 x 8190 balayage grid of dyadic 1..12 took 57 to 61 ms at 2^16 and
+#: 2^17 terms, 68 ms at 2^18 and 78 ms at 2^19 (min and median of 12); fresh
+#: 64-row blocks took about 100 ms.  2^16 left glibc's heap trim threshold so
+#: low that condition a, run next in the same process, page-faulted about
+#: 5 300 times a call (2 000 at 2^17, 150 with 4 MB blocks), and whole
+#: check-dyadic jobs ran fastest at 2^17.
+_BLOCK_WORDS = 1 << 17
+
+#: Words a term of a point evaluation keeps at once: its complex difference,
+#: distance and masks.  Its blocks of 2^15 terms ran fastest (2^14 to 2^17).
+_TERM_WORDS = 4
 
 #: Relative slack of every disk-membership decision made before the exact
 #: test d <= r: the modulus window of truncated_log_sums, and the tree code's
@@ -161,10 +163,10 @@ _BLOCK_TERMS = 1 << 17
 DISK_SLACK = 16 * np.finfo(float).eps
 
 
-def row_blocks(n_rows: int, width: int) -> list:
-    """Slices cutting range(n_rows) into blocks of rows, each row holding width
-    terms, with at most _BLOCK_TERMS terms a block (and at least one row)."""
-    step = max(1, _BLOCK_TERMS // max(width, 1))
+def row_blocks(n_rows: int, width: int, words: int = _TERM_WORDS) -> list:
+    """Slices cutting range(n_rows) into blocks of rows of width terms, each of
+    words words, with at most _BLOCK_WORDS words a block (and one row or more)."""
+    step = max(1, _BLOCK_WORDS // max(words * width, 1))
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
@@ -183,14 +185,20 @@ def row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _annulus(abs_lam, abs_c, r):
-    """(a, b): the points lam[a:b] are the only ones whose modulus the disks of
-    moduli abs_c and radii r can reach."""
-    outer = np.max(abs_c + r, initial=0.0)
-    slack = DISK_SLACK * outer
-    a = int(np.searchsorted(abs_lam, np.min(abs_c - r, initial=np.inf) - slack, side="left"))
-    b = int(np.searchsorted(abs_lam, outer + slack, side="right"))
-    return a, b
+def _annulus_blocks(abs_lam, abs_c, r):
+    """(rows, a, b) per block of consecutive centers whose disks reach only the
+    moduli of lam[a:b], at most _BLOCK_WORDS words or one center a block."""
+    slack = DISK_SLACK * (abs_c + r)
+    a = np.searchsorted(abs_lam, abs_c - r - slack, side="left")
+    b = np.searchsorted(abs_lam, abs_c + r + slack, side="right")
+    lo, k = 0, 1
+    while lo < a.size:
+        hi = min(a.size, lo + 2 * k)
+        words = _TERM_WORDS * (np.maximum.accumulate(b[lo:hi]) - np.minimum.accumulate(a[lo:hi]))
+        k = max(1, int(np.count_nonzero(words * np.arange(1, hi - lo + 1) <= _BLOCK_WORDS)))
+        if k < hi - lo or hi == a.size:
+            yield slice(lo, lo + k), a[lo:lo + k].min(), b[lo:lo + k].max()
+            lo += k
 
 
 def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
@@ -201,18 +209,14 @@ def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
     mult * log(r_i / |lambda - c_i|), plus mult(c_i) * log r_i when
     include_center is set; a center with a non-positive radius gets 0.
     lam must be sorted by modulus (the canonical Variety order), so a block
-    of centers scans only the annulus of moduli its disks can reach, and
-    logs are taken of in-disk distances only.  The rows of a block are set by
-    the annulus of all the centers, which holds every block's own.
+    of centers (_annulus_blocks) scans only the annulus of moduli its disks
+    can reach, and logs are taken of in-disk distances only.
     """
     centers = np.asarray(centers, dtype=complex)
     radii = np.maximum(np.asarray(radii, dtype=float), 0.0)
-    abs_lam, abs_c = np.abs(lam), np.abs(centers)
-    a, b = _annulus(abs_lam, abs_c, radii)
     out = np.empty(centers.size)
-    for rows in row_blocks(centers.size, b - a):
+    for rows, a, b in _annulus_blocks(np.abs(lam), np.abs(centers), radii):
         c, r = centers[rows], radii[rows]
-        a, b = _annulus(abs_lam, abs_c[rows], r)
         with np.errstate(over="ignore"):  # a distance above DBL_MAX is inf: in no disk
             d = np.abs(lam[a:b] - c[:, None])
         inside = (d > 0) & (d <= r[:, None])
@@ -227,15 +231,14 @@ def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
 
 
 def _dense_row_sums(terms, n_rows: int, width: int) -> np.ndarray:
-    """Row sums of an (n_rows x width) term matrix, one row_blocks block at a
-    time.
+    """Row sums of an (n_rows x width) term matrix, block by block (row_blocks).
 
     terms(lo, out) fills out, a (rows x width) view of one reused scratch
     buffer, with the terms of rows lo:lo + rows, and returns it.  A row sum
     depends only on its own terms, so it is the same bits in any block.
     """
     out = np.zeros(n_rows)
-    blocks = row_blocks(n_rows, width)
+    blocks = row_blocks(n_rows, width, 1)
     scratch = np.empty(blocks[0].stop * width if blocks else 0)
     with np.errstate(over="ignore"):  # see the term functions; a sum that overflows is inf
         for rows in blocks:

@@ -135,20 +135,22 @@ class Variety:
 
 
 def _multiplicities(mult: np.ndarray) -> np.ndarray:
-    """mult as int64, once each multiplicity is checked to be at least 1 and at
-    most MAX_MULT in its own type (before any conversion, so nothing wraps),
-    and their total, which bounds every merged one, to be at most MAX_MULT."""
-    if np.any(mult < 1):
+    """mult as int64, once each multiplicity is checked to be a number, at least
+    1 and at most MAX_MULT in its own type (before any conversion, so nothing
+    wraps; NaN fails both), and their total, which bounds every merged one, to
+    be at most MAX_MULT."""
+    if mult.dtype.kind not in "biufO":
+        raise DomainError(f"multiplicity {mult.ravel()[:1].tolist()} is not a number")
+    if not np.all(mult >= 1):
         raise DomainError("multiplicity must be a positive integer")
-    over = mult > MAX_MULT
+    over = ~(mult <= MAX_MULT)
     if np.any(over):
         raise DomainError(f"multiplicity {mult[over][0]} is above 2^53")
     mult = mult.astype(np.int64, copy=False)
-    total = mult.sum(dtype=float)
-    if total <= MAX_MULT:  # then the int64 sum cannot wrap
-        total = mult.sum()
-    if total > MAX_MULT:
-        raise DomainError(f"total multiplicity {int(total)} is above 2^53")
+    # the float total is within rounding of the exact one: at most 2^53, the
+    # int64 sum cannot wrap
+    if mult.sum(dtype=float) > MAX_MULT or mult.sum() > MAX_MULT:
+        raise DomainError(f"total multiplicity {mult.sum(dtype=object)} is above 2^53")
     return mult
 
 

@@ -277,6 +277,8 @@ FAMILY = '{"family":"integer_lattice","window":16}'
      "multiplicity 100000000000000000000"),
     (["generate", "--family", '{"family":"horizontal_line","mult":100000000000000000000}'],
      "multiplicity 100000000000000000000"),
+    (["check", "--weight", WEIGHT, "--family", '{"family":"integer_lattice","mult":NaN}'],
+     "mult"),
 ])
 def test_malformed_specs_exit_1_with_one_line(args, key, capsys):
     assert run(args) == 1

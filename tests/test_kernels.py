@@ -858,22 +858,51 @@ def _dense_kernel_values():
     }
 
 
-def test_dense_kernels_keep_their_bits_in_any_block():
-    # A budget of one term puts every row in a block of its own.
-    with mock.patch.object(numutil, "_BLOCK_TERMS", 1):
-        alone = _dense_kernel_values()
+@pytest.mark.parametrize("budget", [1, 1 << 12])
+def test_dense_kernels_keep_their_bits_in_any_block(budget):
+    # A budget of one word puts every row in a block of its own; 2^12 words
+    # gives blocks of many rows and of many sizes.
+    with mock.patch.object(numutil, "_BLOCK_WORDS", budget):
+        small = _dense_kernel_values()
     for name, default in _dense_kernel_values().items():
-        assert alone[name].tobytes() == default.tobytes(), name
+        assert small[name].tobytes() == default.tobytes(), name
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 12, 1 << 17])
+def test_annulus_blocks_grow_while_they_fit_the_budget(budget, log_shift):
+    # Consecutive blocks cover the centers in order, each scanning the span of
+    # its own centers' annuli; a block keeps at most the budget's words, or
+    # holds one center, and the next center would not fit.
+    v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 10}))
+    rng = np.random.default_rng(5)
+    centers = np.concatenate([v.lam, rng.permutation(v.lam), [0j, 1e3 + 0j]])
+    radii = np.concatenate([log_shift.p(v.lam), rng.uniform(0, 300, v.lam.size), [0.0, 5.0]])
+    abs_lam, abs_c = np.abs(v.lam), np.abs(centers)
+    a, b = np.array([next(numutil._annulus_blocks(abs_lam, abs_c[i:i + 1], radii[i:i + 1]))[1:]
+                     for i in range(centers.size)]).T
+
+    def words(lo, hi):
+        return numutil._TERM_WORDS * (b[lo:hi].max() - a[lo:hi].min()) * (hi - lo)
+
+    with mock.patch.object(numutil, "_BLOCK_WORDS", budget):
+        blocks = list(numutil._annulus_blocks(abs_lam, abs_c, radii))
+    assert [rows.start for rows, _, _ in blocks] == [0] + [rows.stop for rows, _, _ in blocks][:-1]
+    assert blocks[-1][0].stop == centers.size
+    for rows, lo, hi in blocks:
+        assert (lo, hi) == (a[rows].min(), b[rows].max())
+        assert words(rows.start, rows.stop) <= budget or rows.stop - rows.start == 1
+        assert rows.stop == centers.size or words(rows.start, rows.stop + 1) > budget
+    assert list(numutil._annulus_blocks(abs_lam, abs_c[:0], radii[:0])) == []
 
 
 def test_truncated_log_blocks_are_bounded_by_the_budget(log_shift):
-    # The rows of a block come from the annulus of all the centers: the 10
-    # outermost centers of these 65 534 points reach 49 152 of them, so a
-    # block holds 2 rows, at most _BLOCK_TERMS terms.  A term keeps at most
-    # about 50 B of temporaries at once (its complex difference, distance and
-    # in-disk masks; in a disk, its multiplicity, log radius, log distance and
-    # value; and the previous block's distances and terms until they are
-    # rebound), and the moduli take 8 B a point: 8.9 MB in all.
+    # A block grows while its words (_TERM_WORDS a term) fit the budget: the 10
+    # outermost centers of these 65 534 points each reach 49 152 of them, more
+    # than _BLOCK_WORDS / _TERM_WORDS = 32 768, so a block holds one center.  A
+    # term keeps at most about 50 B of temporaries at once (its complex
+    # difference, distance and in-disk masks; in a disk, its multiplicity, log
+    # radius, log distance and value; and the previous block's distances and
+    # terms until they are rebound), and the moduli take 8 B a point: 3.7 MB.
     v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 15}))
     centers = v.lam[-10:]
     radii = log_shift.p(centers)
@@ -883,4 +912,5 @@ def test_truncated_log_blocks_are_bounded_by_the_budget(log_shift):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * numutil._BLOCK_TERMS + 8 * len(v), peak / 1e6
+    terms = max(numutil._BLOCK_WORDS // numutil._TERM_WORDS, 49_152)
+    assert peak < 64 * terms + 8 * len(v), peak / 1e6

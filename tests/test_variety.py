@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,9 @@ def test_total_multiplicity_above_2_53_is_rejected():
                    [(1 + 1j, half), (2j, half), (3j, 1)]):
         with pytest.raises(DomainError, match="total multiplicity 9007199254740993 is above"):
             ap.Variety(points)
+    # the exact total, not its float sum 2^53 + 4
+    with pytest.raises(DomainError, match="total multiplicity 9007199254740995 is above"):
+        ap.Variety([(1 + 1j, 2 ** 53), (2j, 3)])
     # 4 (2^62 + 1) is 4 modulo 2^64
     with pytest.raises(DomainError, match="multiplicity 18446744073709551620 is above"):
         ap.Variety([(1 + 1j, 4)]).scale_mult(2 ** 62 + 1)
@@ -432,3 +436,15 @@ def test_csv_malformed_names_line(tmp_path):
     path.write_text("re,im,mult\n1.0,oops,1\n")
     with pytest.raises(InputError, match="2"):
         ap.load_variety(path)
+
+
+@pytest.mark.parametrize("mult, message", [
+    ([1.0, math.nan], "must be a positive integer"),  # fails both bounds, never cast
+    ([1.0, math.inf], "multiplicity inf is above 2^53"),
+    (np.array(["3", "1"]), "multiplicity ['3'] is not a number"),
+])
+def test_multiplicity_that_is_not_a_number_is_rejected(mult, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ap.Variety.from_arrays([1 + 1j, 2j], mult)
