@@ -24,18 +24,16 @@ def main() -> None:
 
     w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1.0))
     v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": args.n_max}))
-    radii = ap.default_radii(v.window_radius)
-    sweep_a = ap.condition_a_constants(v, w, radii)
-    sweep_b = ap.condition_b_constants(v, w, radii)
-    trend_a = ap.classify_trend(radii, sweep_a.constants)
-    trend_b = ap.classify_trend(radii, sweep_b.constants)
+    report = ap.run_condition_report(v, w)
+    sweep_a, sweep_b = report.condition_a, report.condition_b
+    radii = sweep_a.radii
 
     print(f"dyadic angle, generations 1..{args.n_max}: {len(v)} points")
     print(f"{'radius':>12} {'counting':>10} {'balayage':>10}")
     for r, ca, cb in zip(radii, sweep_a.constants, sweep_b.constants):
         print(f"{r:12.1f} {ca:10.4f} {cb:10.4f}")
-    print(f"counting trend: {trend_a.verdict} (slope {trend_a.exponent:.4f})")
-    print(f"balayage trend: {trend_b.verdict} (slope {trend_b.exponent:.4f})")
+    print(f"counting trend: {sweep_a.trend.verdict} (slope {sweep_a.trend.exponent:.4f})")
+    print(f"balayage trend: {sweep_b.trend.verdict} (slope {sweep_b.trend.exponent:.4f})")
 
     print("\nbalayage increment at x = 0 per generation (limit pi/4 = %.6f):"
           % (math.pi / 4))

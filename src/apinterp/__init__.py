@@ -5,6 +5,7 @@ from .conditions import (
     ConditionReport,
     RegionSplit,
     ScanSpec,
+    Sweep,
     TrendResult,
     balayage_profile,
     balayage_sup,

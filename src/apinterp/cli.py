@@ -126,7 +126,8 @@ def cmd_check(args) -> int:
     }
     if args.format == "csv":
         lines = ["radius,condition_a,condition_b"]
-        for r, ca, cb in zip(report.radii, report.constants_a, report.constants_b):
+        a, b = report.condition_a, report.condition_b
+        for r, ca, cb in zip(a.radii, a.constants, b.constants):
             lines.append(f"{r!r},{ca!r},{cb!r}")
         _emit("\n".join(lines) + "\n", args.out)
     else:

@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import DEFAULT_THRESHOLDS, TrendResult, classify_trend, _validate_radii
+from .conditions import DEFAULT_THRESHOLDS, Sweep, _validate_radii
 from .errors import DomainError, InputError, InvariantViolation
 from .numutil import (close_pair_arrays, row_blocks, row_sums, scalar_or_array,
                       truncated_log_sums)
 # integrated_count is not called here; it stays importable as
 # extension.integrated_count, the name perfbench's tracer wraps.
-from .variety import P_MIN, Variety, integrated_count, separation_profile
+from .variety import P_MIN, Variety, integrated_count, p_at, separation_profile
 from .weights import BeurlingWeight, estimate_disk_constant
 
 #: Sentinel for the singular weight at a configuration point.
@@ -184,7 +184,7 @@ class SeparationRadii:
             raise DomainError("delta must be a positive finite number")
         if not 0 <= growth < math.inf:
             raise DomainError("growth must be a non-negative finite number")
-        p_vals = w.p(v.lam)
+        p_vals = p_at(v.lam, w)
         radii = delta * np.exp(-growth * p_vals / v.mult)
         return cls(v.lam.copy(), radii, float(delta), float(growth))
 
@@ -195,7 +195,7 @@ class SeparationRadii:
         if len(v) >= 2:
             prof = separation_profile(v, w)
             growth = max(growth, _SAFETY * prof.worst_constant)
-        p_vals = np.maximum(w.p(v.lam), 0.0)
+        p_vals = np.maximum(p_at(v.lam, w), 0.0)
         shrink = np.exp(-growth * p_vals / v.mult)
         i, j, d = close_pair_arrays(v.lam, 1.0)
         feasible = d / (2 * (shrink[i] + shrink[j])) / _SAFETY
@@ -366,25 +366,18 @@ def subharmonic_audit(v: Variety, w: BeurlingWeight, eps: float, samples,
     return SubharmonicAudit(beta0, worst, z.size)
 
 
-@dataclass
-class AnnulusCountingReport:
-    radii: list[float]
-    constants: list[float]
-    trend: TrendResult
+@dataclass(kw_only=True)
+class AnnulusCountingReport(Sweep):
+    """The annulus sweep (each witness is the point whose ring attains the
+    constant), the constants C(eps) and C', and the observed domination."""
+
     c_eps: float
     c_prime: float
     domination: float
 
     def to_dict(self) -> dict:
-        return {
-            "radii": self.radii,
-            "constants": self.constants,
-            "verdict": self.trend.verdict,
-            "exponent": self.trend.exponent,
-            "c_eps": self.c_eps,
-            "c_prime": self.c_prime,
-            "domination": self.domination,
-        }
+        return {**super().to_dict(), "c_eps": self.c_eps, "c_prime": self.c_prime,
+                "domination": self.domination}
 
 
 def annulus_counting_report(v: Variety, w: BeurlingWeight, radii, eps: float = 0.1,
@@ -396,36 +389,32 @@ def annulus_counting_report(v: Variety, w: BeurlingWeight, radii, eps: float = 0
     C(eps) is the empirical disk-comparability constant of the weight.  The
     report also evaluates the domination of the sampled value by
     p(lambda) + N(lambda, C'(eps) p(lambda)) with C' = C^2 + 1, recording
-    the observed constant.
+    the observed constant.  A constant of 0 has no witness.
     """
     radii = _validate_radii(radii, v.window_radius)
     sep = sep or SeparationRadii.from_profile(v, w)
     c_eps = max(1.0, estimate_disk_constant(w, eps))
     c_prime = c_eps * c_eps + 1.0
-    abs_lam = np.abs(v.lam)
-    p_lam = w.p(v.lam)
+    # canonical order is sorted by |lambda|: the points within R are a prefix
+    ends = np.searchsorted(np.abs(v.lam), radii, side="right")
+    inner = v.lam[:ends[-1]]
+    p_lam = p_at(inner, w)
+    excl = truncated_log_sums(v.lam, v.mult, inner, c_prime * p_lam)
     thetas = np.linspace(0.0, 2 * math.pi, _ANNULUS_ANGLES, endpoint=False)
-    ratios = np.full(len(v), 0.0)
-    inner = np.nonzero(abs_lam <= radii[-1])[0]
-    excl = truncated_log_sums(v.lam, v.mult, v.lam[inner], c_prime * p_lam[inner])
     unit = np.array([complex(math.cos(t), math.sin(t)) for t in thetas])
-    z = v.lam[inner, None] + (math.sqrt(1.5) * sep.radii[inner])[:, None] * unit
+    z = inner[:, None] + (math.sqrt(1.5) * sep.radii[:ends[-1]])[:, None] * unit
     pz = w.p(z)
     disk = c_eps * pz
     if not np.all(disk > 0):
         raise DomainError("radius must be positive")
     counts = truncated_log_sums(v.lam, v.mult, z.ravel(), disk.ravel(), include_center=True)
     worst = np.max(counts.reshape(z.shape) / np.maximum(pz, P_MIN), axis=1, initial=0.0)
-    ratios[inner] = worst
-    rhs = p_lam[inner] + excl
+    rhs = p_lam + excl
     ok = rhs > 0
-    domination = float(np.max(worst[ok] * np.maximum(p_lam[inner][ok], P_MIN) / rhs[ok],
+    domination = float(np.max(worst[ok] * np.maximum(p_lam[ok], P_MIN) / rhs[ok],
                               initial=0.0))
-    constants = []
-    for r in radii:
-        keep = abs_lam <= r
-        constants.append(float(np.max(ratios[keep])) if keep.any() else 0.0)
-    return AnnulusCountingReport(list(map(float, radii)), constants,
-                                 classify_trend(radii, constants, thresholds),
-                                 c_eps, c_prime, domination)
-
+    tops = [int(np.argmax(worst[:n])) if n else None for n in ends]
+    return AnnulusCountingReport(
+        radii.tolist(), [0.0 if k is None else float(worst[k]) for k in tops],
+        [complex(inner[k]) if k is not None and worst[k] > 0 else None for k in tops],
+        c_eps=c_eps, c_prime=c_prime, domination=domination).classify(thresholds)

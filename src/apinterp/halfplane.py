@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import DEFAULT_THRESHOLDS, TrendResult, classify_trend, _validate_radii
+from .conditions import DEFAULT_THRESHOLDS, Sweep, _validate_radii
 from .errors import DomainError
 from .numutil import log_rho_sums
 from .treecode import first_maxima, log_rho_prefix_enclosures
-from .variety import P_MIN, Variety
+from .variety import P_MIN, Variety, p_at
 from .weights import BeurlingWeight
 
 #: Sentinel returned by log_blaschke_abs at a configuration point.  It is
@@ -141,42 +141,24 @@ def hyperbolic_jensen(hv: HalfPlaneVariety, z: complex) -> float:
     return -val
 
 
-@dataclass
-class SweepReport:
-    radii: list[float]
-    constants: list[float]
-    witnesses: list
-    trend: TrendResult
-
-    def to_dict(self) -> dict:
-        return {
-            "radii": self.radii,
-            "constants": self.constants,
-            "witnesses": [None if z is None else [z.real, z.imag]
-                          for z in self.witnesses],
-            "verdict": self.trend.verdict,
-            "exponent": self.trend.exponent,
-        }
-
-
 def blaschke_sum_report(hv: HalfPlaneVariety, w: BeurlingWeight, radii,
-                        thresholds: tuple[float, float] = DEFAULT_THRESHOLDS) -> SweepReport:
+                        thresholds: tuple[float, float] = DEFAULT_THRESHOLDS) -> Sweep:
     """Per-radius worst S(lambda)/p(lambda) over |lambda| <= R, trend-classified.
 
     Both the scanned point and the exclusion sum are truncated to the same
-    radius, mirroring the other finite-sample sweeps.
+    radius, mirroring the other finite-sample sweeps.  A constant is never
+    below 0, and a constant of 0 has no witness.
     """
     radii = _validate_radii(radii, hv.window_radius)
     # canonical order is sorted by |lambda|: the points within R are a prefix
     ends = np.searchsorted(np.abs(hv.lam), radii, side="right")
-    p = np.maximum(w.p(hv.lam[:ends[-1]]), P_MIN)
+    p = np.maximum(p_at(hv.lam[:ends[-1]], w), P_MIN)
     enc = log_rho_prefix_enclosures(hv.lam, hv.mult, ends)
     tops = first_maxima(ends, ((np.arange(n), *e) for n, e in zip(ends, enc)),
                         lambda n, idx: log_rho_sums(hv.lam[:n], hv.mult[:n], hv.lam[idx]), p)
     constants = [0.0 if top is None else max(top[1], 0.0) for top in tops]
     witnesses = [complex(hv.lam[top[0]]) if top and top[1] > 0 else None for top in tops]
-    return SweepReport(list(map(float, radii)), constants, witnesses,
-                       classify_trend(radii, constants, thresholds))
+    return Sweep(radii.tolist(), constants, witnesses).classify(thresholds)
 
 
 @dataclass

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import NumericError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITER = 200  # golden_section_max's iteration cap
 
 #: Widening of the row height h in close_pair_arrays, relative to the largest
 #: coordinate.  Rounding can only matter to a pair with d near the cutoff,
@@ -19,7 +20,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ROW_SLACK = 2.0 ** -40
 
 
-def golden_section_max(f, a: float, b: float, tol: float = 1e-6, max_iter: int = 200):
+def golden_section_max(f, a: float, b: float, tol: float = 1e-6):
     """Maximize a scalar function on [a, b]; returns the best point seen.
 
     Only locally reliable (unimodal bracket assumed); the caller keeps the
@@ -33,7 +34,7 @@ def golden_section_max(f, a: float, b: float, tol: float = 1e-6, max_iter: int =
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_ITER):
         if f1 > best_f:
             best_x, best_f = x1, f1
         if f2 > best_f:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, InvariantViolation
+from .errors import ApInterpError, DomainError, InputError, InvariantViolation, NumericError
 from .numutil import close_pair_arrays, row_blocks, scalar_or_array, truncated_log_sums
 from .weights import BeurlingWeight
 
@@ -31,7 +31,7 @@ class WeightedPoint:
     mult: int
 
     def __post_init__(self):
-        if int(self.mult) < 1:
+        if _integer(self.mult) < 1:
             raise DomainError("multiplicity must be a positive integer")
 
 
@@ -48,7 +48,7 @@ class Variety:
     def __init__(self, points, window_radius: float | None = None):
         pairs = [(p.lam, p.mult) if isinstance(p, WeightedPoint) else p for p in points]
         self._build(np.array([complex(p[0]) for p in pairs], dtype=complex),
-                    np.array([int(p[1]) for p in pairs]), window_radius)
+                    np.array([p[1] for p in pairs], dtype=object), window_radius)
 
     @classmethod
     def from_arrays(cls, lam, mult, window_radius: float | None = None) -> "Variety":
@@ -126,26 +126,45 @@ class Variety:
     @classmethod
     def from_dict(cls, data: dict) -> "Variety":
         try:
-            pts = [(complex(rec["re"], rec["im"]), int(rec.get("mult", 1)))
-                   for rec in data["points"]]
-            window = data.get("window_radius")
+            return cls([(complex(rec["re"], rec["im"]), rec.get("mult", 1))
+                        for rec in data["points"]], data.get("window_radius"))
+        except ApInterpError:
+            raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed variety record: {exc}") from exc
-        return cls(pts, window)
+
+
+def _integer(m) -> int:
+    """One multiplicity as an exact int: 2.0 is 2, while a bool, a string
+    (which int() would read) and a fraction raise DomainError; None, an
+    infinity and NaN raise int()'s own TypeError, OverflowError and
+    ValueError."""
+    if isinstance(m, (bool, np.bool_, str, bytes)):
+        raise DomainError(f"multiplicity {[m]} is not a number")
+    k = int(m)
+    if k != m:
+        raise DomainError(f"multiplicity {m} is not an integer")
+    return k
 
 
 def _multiplicities(mult: np.ndarray) -> np.ndarray:
-    """mult as int64, once each multiplicity is checked to be a number, at least
-    1 and at most MAX_MULT in its own type (before any conversion, so nothing
-    wraps; NaN fails both), and their total, which bounds every merged one, to
-    be at most MAX_MULT."""
-    if mult.dtype.kind not in "biufO":
+    """mult as int64, once each multiplicity is checked to be an integral
+    number (Python values one by one, by _integer; an array must hold
+    integers or floats), at least 1 and at most MAX_MULT in its own type
+    (before any conversion, so nothing wraps; NaN fails both), and their
+    total, which bounds every merged one, to be at most MAX_MULT."""
+    if mult.dtype == object:  # int64 unless an int needs more bits
+        mult = np.array([m if type(m) is int else _integer(m) for m in mult])
+    elif mult.dtype.kind not in "iuf":
         raise DomainError(f"multiplicity {mult.ravel()[:1].tolist()} is not a number")
     if not np.all(mult >= 1):
         raise DomainError("multiplicity must be a positive integer")
     over = ~(mult <= MAX_MULT)
     if np.any(over):
         raise DomainError(f"multiplicity {mult[over][0]} is above 2^53")
+    frac = mult % 1 != 0
+    if np.any(frac):
+        raise DomainError(f"multiplicity {mult[frac][0]} is not an integer")
     mult = mult.astype(np.int64, copy=False)
     # the float total is within rounding of the exact one: at most 2^53, the
     # int64 sum cannot wrap
@@ -233,6 +252,25 @@ def integrated_count(v: Variety, z: complex, r: float) -> float:
     return float(truncated_log_sums(v.lam, v.mult, [z], [r], include_center=True)[0])
 
 
+def omega_at(lam: np.ndarray, w: BeurlingWeight) -> np.ndarray:
+    """omega(|lambda|) at the points lam.  An omega that is not finite at a
+    finite modulus raises NumericError naming the first such point."""
+    abs_lam = np.abs(lam)
+    with np.errstate(over="ignore"):
+        omega = w.omega(abs_lam)
+    bad = np.isfinite(abs_lam) & ~np.isfinite(omega)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericError(f"omega({float(abs_lam[k])!r}) is not finite at the point "
+                           f"{complex(lam[k])!r}")
+    return omega
+
+
+def p_at(lam: np.ndarray, w: BeurlingWeight) -> np.ndarray:
+    """w.p at the points lam, its omega checked by omega_at."""
+    return np.abs(lam.imag) + omega_at(lam, w)
+
+
 @dataclass
 class SeparationProfile:
     worst_pair: tuple[complex, complex] | None
@@ -263,7 +301,7 @@ def separation_profile(v: Variety, w: BeurlingWeight) -> SeparationProfile:
     """
     if len(v) < 2:
         raise DomainError("separation profile needs at least two points")
-    p_vals = w.p(v.lam)
+    p_vals = p_at(v.lam, w)
     floor_hits = int(np.sum(p_vals < P_MIN))
     p_vals = np.maximum(p_vals, P_MIN)
     i, j, d = close_pair_arrays(v.lam, 1.0)

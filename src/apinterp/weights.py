@@ -393,14 +393,14 @@ def _disk_constant(w: BeurlingWeight, radius_factor: float, eps_mode: bool,
     return float(np.max(best / pz, initial=1.0))
 
 
-def estimate_disk_constant(w: BeurlingWeight, eps: float, n: int = 64,
-                           seed: int = 7) -> float:
+def estimate_disk_constant(w: BeurlingWeight, eps: float) -> float:
     """C(eps) with p(zeta) <= C(eps) p(z) whenever |z - zeta| <= eps p(zeta).
 
-    Empirical sampling estimate; tends to 1 as eps tends to 0.
+    Empirical estimate from _SPOT_SAMPLES samples (seed 7); tends to 1 as
+    eps tends to 0.
     """
     cap = w.omega.t_max
-    return _disk_constant(w, radius_factor=eps, eps_mode=True, n=n, seed=seed,
+    return _disk_constant(w, radius_factor=eps, eps_mode=True, n=_SPOT_SAMPLES, seed=7,
                           t_cap=cap if math.isfinite(cap) else math.inf)
 
 

@@ -321,7 +321,8 @@ def test_non_finite_point_exits_1_with_one_line(name, command, tmp_path, capsys)
 
 
 # Multiplicities, and totals of merged rows, above 2^53 (the tree code keeps
-# masses as floats, exact only up to 2^53), and one no integer holds.
+# masses as floats, exact only up to 2^53), one no integer holds, and JSON
+# values that are not integers.
 HUGE_MULT_INPUTS = {
     "csv": ("points.csv", "re,im,mult\n1.0,2.0,100000000000000000000000\n3.0,4.0,1\n",
             "multiplicity 100000000000000000000000 is above 2^53"),
@@ -336,6 +337,14 @@ HUGE_MULT_INPUTS = {
     "csv-merge-total": ("points.csv", "re,im,mult\n1.0,2.0,4503599627370496\n"
                         "1.0,2.0,4503599627370496\n3.0,4.0,1\n",
                         "total multiplicity 9007199254740993 is above 2^53"),
+    "json-fraction": ("points.json", '{"points": [{"re": 1.0, "im": 2.0, "mult": 2.5}]}',
+                      "multiplicity 2.5 is not an integer"),
+    "json-bool": ("points.json", '{"points": [{"re": 1.0, "im": 2.0, "mult": true}]}',
+                  "multiplicity [True] is not a number"),
+    "json-string": ("points.json", '{"points": [{"re": 1.0, "im": 2.0, "mult": "3"}]}',
+                    "multiplicity ['3'] is not a number"),
+    "json-null": ("points.json", '{"points": [{"re": 1.0, "im": 2.0, "mult": null}]}',
+                  "malformed variety record"),
 }
 
 
@@ -356,6 +365,16 @@ def test_huge_multiplicity_exits_1_with_one_line(name, command, tmp_path, capsys
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert message in lines[0]
+
+
+def test_window_radius_that_is_not_a_number_exits_1(tmp_path, capsys):
+    src = tmp_path / "points.json"
+    src.write_text('{"points": [{"re": 1.0, "im": 2.0}], "window_radius": "8"}')
+    assert run(["check", "--weight", WEIGHT, "--input", str(src)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error: malformed variety record")
 
 
 @pytest.mark.parametrize("command", [

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apinterp as ap
-from apinterp.errors import DomainError, InvariantViolation
+from apinterp.errors import DomainError, InvariantViolation, NumericError
 
 from conftest import point_lists
 
@@ -84,7 +85,7 @@ def test_balayage_reflection_invariance(pts, x):
 @given(point_lists(min_size=1, max_size=12, min_im=0.2, max_im=5.0),
        st.integers(2, 5))
 # The best candidate's neighbours lie within 1e-16 of it: the refine bracket
-# must reach the nearest candidates at least refine_tol away.
+# must reach the nearest candidates at least REFINE_TOL away.
 @example([(0.5j, 2), (0.359375j, 1), (0.021484375 + 0.34375j, 1), (1.29e-126 + 5j, 1),
           (-2.22e-16 + 1j, 1)], 3)
 # A subnormal real part: the tree's box center must be the point itself.
@@ -241,3 +242,38 @@ def test_report_round_trip_dict(log_shift):
     assert len(payload["condition_a"]["constants"]) == len(payload["radii"])
     assert payload["condition_b"]["verdict"] in (
         "bounded-evidence", "divergence-evidence", "inconclusive")
+
+
+def test_sweeps_raise_on_an_omega_that_overflows_at_a_point():
+    # check stops at split_regions; each sweep called alone stops too, at
+    # the same checked omega, instead of reading inf as a weight.
+    w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1e308))
+    v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 4}))
+    radii = ap.default_radii(v.window_radius)
+    hv = ap.HalfPlaneVariety.from_variety(v)
+    for call in (lambda: ap.split_regions(v, w),
+                 lambda: ap.condition_a_constants(v, w, radii),
+                 lambda: ap.condition_b_constants(v, w, radii),
+                 lambda: ap.blaschke_sum_report(hv, w, radii),
+                 lambda: ap.separation_profile(v, w),
+                 # one point: no separation scan before the separation radii
+                 lambda: ap.annulus_counting_report(ap.Variety([(10 + 0j, 1)], window_radius=400),
+                                                    w, [45, 60, 90, 180])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^omega\(\S+\) is not finite at the point"):
+                call()
+
+
+def test_sweep_writes_each_witness_form():
+    sweep = ap.Sweep([1.0, 2.0, 4.0, 8.0], [0.0, 1.0, 1.0, 1.0],
+                     [None, 1 + 2j, 0.5, -3.0], floor_hits=2).classify()
+    assert sweep.to_dict() == {
+        "radii": [1.0, 2.0, 4.0, 8.0], "constants": [0.0, 1.0, 1.0, 1.0],
+        "witnesses": [None, [1.0, 2.0], 0.5, -3.0],
+        "verdict": "bounded-evidence", "exponent": 0.0}
+    section = sweep.to_dict()
+    del section["radii"]
+    assert ap.ConditionReport(sweep, sweep).to_dict() == {
+        "radii": sweep.radii, "condition_a": {**section, "floor_hits": 2},
+        "condition_b": section, "thresholds": [0.05, 0.2]}

@@ -414,6 +414,9 @@ def test_annulus_counting_equals_per_sample_integrated_count(log_shift):
     abs_lam = np.abs(v.lam)
     assert rep.constants == [max(x for x, a in zip(ratios, abs_lam) if a <= r)
                              for r in radii]
+    # each witness is the first point whose ring attains the constant
+    assert rep.witnesses == [complex(v.lam[ratios.index(c)]) for c in rep.constants]
+    assert rep.to_dict()["witnesses"] == [[z.real, z.imag] for z in rep.witnesses]
     assert rep.domination == domination
 
 

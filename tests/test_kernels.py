@@ -752,7 +752,7 @@ def test_balayage_tree_sweeps_keep_the_direct_first_maximum(v):
         grid = conditions._scan_grid(scan, v.window_radius)
         cands = np.unique(np.concatenate([sub.lam.real, grid]))
         vals = poisson_sums(sub.lam, sub.mult, cands)
-        assert (x, c) == conditions._refine(sub.lam, sub.mult, cands, vals, scan.refine_tol)
+        assert (x, c) == conditions._refine(sub.lam, sub.mult, cands, vals, conditions.REFINE_TOL)
     xs = np.linspace(-50.0, 50.0, 201)
     cands = np.unique(np.concatenate([ext.lam.real, xs]))
     vals = poisson_sums(ext.lam, ext.mult, cands)
@@ -787,7 +787,7 @@ def test_balayage_tree_sweeps_keep_a_tie_between_grid_point_and_real_part():
         sub = ext.restrict(r)
         cands = np.unique(np.concatenate([sub.lam.real, grid]))
         vals = poisson_sums(sub.lam, sub.mult, cands)
-        want = conditions._refine(sub.lam, sub.mult, cands, vals, scan.refine_tol)
+        want = conditions._refine(sub.lam, sub.mult, cands, vals, conditions.REFINE_TOL)
         assert (x, c) == want and sup == want
     assert sweep.witnesses[-1] < 0  # the first of the tied maxima
     # The profile's grid values enter the selection as exact enclosures; the
@@ -796,7 +796,7 @@ def test_balayage_tree_sweeps_keep_a_tie_between_grid_point_and_real_part():
         prof = ap.balayage_profile(ext, scan)
     cands = np.unique(np.concatenate([ext.lam.real, grid]))
     vals = poisson_sums(ext.lam, ext.mult, cands)
-    want = conditions._refine(ext.lam, ext.mult, cands, vals, scan.refine_tol)
+    want = conditions._refine(ext.lam, ext.mult, cands, vals, conditions.REFINE_TOL)
     assert (prof.x_star, prof.sup) == want and prof.x_star < 0
 
 

@@ -1,0 +1,80 @@
+"""Relations between whole reports, at sizes where every sweep runs through
+the tree code's far field and near-field bounds: dyadic_angle 1..14 (32 766
+points) and a 6000-point strip_random sample (seed 1), under log_shift(1).
+
+* Doubling every multiplicity doubles every condition a, condition b and
+  Blaschke constant bit for bit, with the same witnesses and verdicts: a
+  factor 2 on every mass is exact in every sum, moment and error bound, so
+  the selection makes the same decisions.
+* `check` reads the points, not the rows: a permuted CSV gives the same
+  bytes, and so does a point of multiplicity 2 written as two rows of 1
+  (plus the merge warning).
+"""
+
+import numpy as np
+import pytest
+
+import apinterp as ap
+import apinterp.cli as cli
+
+WEIGHT = '{"family":"log_shift","a":1.0}'
+INPUTS = {
+    "dyadic_angle_14": ("dyadic_angle", {"n_min": 1, "n_max": 14}),
+    "strip_random_6000": ("strip_random", {"count": 6000, "seed": 1}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(INPUTS))
+def variety(request):
+    return ap.generate(ap.FamilySpec(*INPUTS[request.param]))
+
+
+def _sweeps(v, w, radii):
+    sweeps = {"a": ap.condition_a_constants(v, w, radii).classify(),
+              "b": ap.condition_b_constants(v, w, radii).classify()}
+    for half, conj in (("upper", False), ("lower", True)):
+        hv = ap.HalfPlaneVariety.from_variety(v, conjugate_lower=conj)
+        if len(hv):
+            sweeps[half] = ap.blaschke_sum_report(hv, w, radii)
+    return sweeps
+
+
+def test_doubled_multiplicities_double_every_constant(variety, log_shift):
+    radii = ap.default_radii(variety.window_radius)
+    once = _sweeps(variety, log_shift, radii)
+    twice = _sweeps(variety.scale_mult(2), log_shift, radii)
+    assert set(once) == set(twice) and len(once) >= 3
+    for name, sweep in once.items():
+        assert max(sweep.constants) > 0, name
+        assert twice[name].constants == [2 * c for c in sweep.constants], name
+        assert twice[name].witnesses == sweep.witnesses, name
+        assert twice[name].trend.verdict == sweep.trend.verdict, name
+
+
+def _check(path, out):
+    assert cli.main(["check", "--weight", WEIGHT, "--input", str(path),
+                     "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_check_reads_points_not_rows(variety, tmp_path):
+    base = tmp_path / "base.csv"
+    ap.save_variety(variety, base)
+    header, *rows = base.read_text().splitlines()
+    # the middle point with multiplicity 2, as one row and as two rows of 1
+    k = len(rows) // 2
+    re_im = rows[k].rsplit(",", 1)[0]
+    rows[k] = f"{re_im},2"
+    one = tmp_path / "one.csv"
+    one.write_text("\n".join([header, *rows]) + "\n")
+    shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    permuted = tmp_path / "permuted.csv"
+    permuted.write_text("\n".join([header, *shuffled]) + "\n")
+    rows[k] = f"{re_im},1"
+    split = tmp_path / "split.csv"
+    split.write_text("\n".join([header, *rows, f"{re_im},1"]) + "\n")
+
+    want = _check(one, tmp_path / "one.json")
+    assert _check(permuted, tmp_path / "permuted.json") == want
+    with pytest.warns(UserWarning, match="merged 1 duplicate coordinate"):
+        assert _check(split, tmp_path / "split.json") == want

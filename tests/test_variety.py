@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -448,3 +449,31 @@ def test_multiplicity_that_is_not_a_number_is_rejected(mult, message):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=re.escape(message)):
             ap.Variety.from_arrays([1 + 1j, 2j], mult)
+
+
+@pytest.mark.parametrize("mult, message", [
+    (2.5, "multiplicity 2.5 is not an integer"),
+    (True, "multiplicity [True] is not a number"),
+    ("3", "multiplicity ['3'] is not a number"),
+])
+def test_multiplicity_must_be_an_integral_number(mult, message, tmp_path):
+    # One rule for a JSON record, a point list and an array: nothing is
+    # truncated or read as a number first.
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"points": [{"re": 1.0, "im": 1.0, "mult": mult}]}))
+    for build in (lambda: ap.load_variety(path),
+                  lambda: ap.Variety([(1 + 1j, mult)]),
+                  lambda: ap.Variety.from_arrays([1 + 1j], [mult])):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            build()
+
+
+def test_integral_multiplicity_is_accepted(tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text('{"points": [{"re": 1.0, "im": 1.0, "mult": 2.0}]}')
+    for v in (ap.load_variety(path), ap.Variety([(1 + 1j, 2.0)]),
+              ap.Variety.from_arrays([1 + 1j], [2.0])):
+        assert v.mult.dtype == np.int64 and v.mult.tolist() == [2]
+    path.write_text('{"points": [{"re": 1.0, "im": 1.0, "mult": null}]}')
+    with pytest.raises(InputError, match="malformed variety record"):
+        ap.load_variety(path)
