@@ -307,7 +307,7 @@ def singular_weight(v: Variety, w: BeurlingWeight, eps: float, z):
         raise DomainError("eps must lie in (0, 1/2]")
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).ravel()
-    cap = eps * w.p(v.lam)
+    cap = eps * p_at(v.lam, w)
     out = np.empty(z.size)
     for block in row_blocks(z.size, len(v)):
         d = np.abs(z[block, None] - v.lam)

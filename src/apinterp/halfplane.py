@@ -61,11 +61,12 @@ def pseudo_distance(z: complex, w: complex) -> float:
 
 @dataclass(frozen=True)
 class HypDisk:
-    """Pseudohyperbolic disk of center z and radius t, with its Euclidean form.
+    """Closed pseudohyperbolic disk rho(., z) <= t, with its Euclidean form.
 
-    The set rho(., z) < t is the Euclidean disk of center
+    The disk is the closed Euclidean disk of center
     Re z + i (1+t^2)/(1-t^2) Im z and radius 2t/(1-t^2) Im z, always inside
-    the upper half-plane.
+    the upper half-plane.  contains tests rho itself, as count_in_hyp_disk
+    does, so the two agree on a point at rho = t exactly.
     """
 
     center: complex
@@ -89,7 +90,7 @@ class HypDisk:
         return 2 * t / (1 - t * t) * self.center.imag
 
     def contains(self, w: complex) -> bool:
-        return abs(complex(w) - self.euclidean_center) <= self.euclidean_radius
+        return complex(w).imag > 0 and pseudo_distance(w, self.center) <= self.radius
 
 
 def log_blaschke_abs(hv: HalfPlaneVariety, z: complex):

@@ -1,8 +1,9 @@
 """Small numeric helpers: 1-D search, the quadrature wrapper, the close-pair
 search (a sort-and-sweep over rows, returning arrays), the dense pairwise
-kernels, whose terms (poisson_terms, log_rho_terms), disk slack and exact
-rescaling (DISK_SLACK, binary_scaled) the tree code shares, and their block
-rule (_BLOCK_WORDS).  Only numpy is imported; scipy loads in adaptive_quad."""
+kernels, and what the tree code shares with them: their terms (poisson_terms,
+log_rho_terms), disk slack and exact rescaling (DISK_SLACK, binary_scaled),
+and the one block rule (_BLOCK_WORDS, row_blocks, blocks).  Only numpy is
+imported; scipy loads in adaptive_quad."""
 
 import math
 
@@ -140,16 +141,24 @@ def close_pair_arrays(lam: np.ndarray, cutoff: float):
 # computed alone or in a batch, and its error is at most about
 # eps * log2(n) * sum |terms|.
 
-#: 8-byte words of temporaries per block of every dense kernel (row_blocks,
-#: _annulus_blocks).  A term of _dense_row_sums is one word, written into
-#: one reused 1 MB scratch buffer that stays in a 2 MB L2 cache: 16 rows at
-#: 8190 points.  No value depends on it.  On a 2-core x86-64 VM the
-#: 4096 x 8190 balayage grid of dyadic 1..12 took 57 to 61 ms at 2^16 and
-#: 2^17 terms, 68 ms at 2^18 and 78 ms at 2^19 (min and median of 12); fresh
-#: 64-row blocks took about 100 ms.  2^16 left glibc's heap trim threshold so
-#: low that condition a, run next in the same process, page-faulted about
-#: 5 300 times a call (2 000 at 2^17, 150 with 4 MB blocks), and whole
-#: check-dyadic jobs ran fastest at 2^17.
+#: 8-byte words of temporaries per block of every chunked loop, here
+#: (row_blocks, blocks, _annulus_blocks) and in the tree code, read when the
+#: loop runs; no reported value depends on it.  On a 2-core x86-64 VM:
+#: * a _dense_row_sums term is one word of one reused 1 MB scratch buffer,
+#:   which stays in a 2 MB L2 cache (16 rows at 8190 points).  The 4096 x 8190
+#:   balayage grid of dyadic 1..12 took 57 to 61 ms at 2^16 and 2^17 words,
+#:   68 ms at 2^18 and 78 ms at 2^19 (min and median of 12), fresh 64-row
+#:   blocks about 100 ms.  2^16 left glibc's heap trim threshold so low that
+#:   condition a, run next, page-faulted about 5 300 times a call (2 000 at
+#:   2^17, 150 with 4 MB blocks); whole check-dyadic jobs ran fastest at 2^17;
+#: * the tree's near field (2^15 terms a block) ran 1.5x faster than at 2^17;
+#: * condition a's per-target decisions (16 words, about 100 bytes each):
+#:   2^13 a block ran dyadic 1..12 as fast as 2^15, peak 4.6 MB against 7.6;
+#: * the traversal's blocks of 2^10 groups of LEAF targets cut the peak RSS of
+#:   `check` on dyadic 1..18 from 340 MB (one block) to 253 MB at the same
+#:   speed; dyadic 1..12 and the 6000-point strip take one block a sweep;
+#: * far pairs (ORDER + 1 terms, 1 560 a block): 256 to 2 048 a block ran
+#:   within noise on both benchmark jobs.
 _BLOCK_WORDS = 1 << 17
 
 #: Words a term of a point evaluation keeps at once: its complex difference,
@@ -169,6 +178,19 @@ def row_blocks(n_rows: int, width: int, words: int = _TERM_WORDS) -> list:
     words words, with at most _BLOCK_WORDS words a block (and one row or more)."""
     step = max(1, _BLOCK_WORDS // max(words * width, 1))
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def blocks(words: np.ndarray):
+    """Slices cutting range(words.size) into consecutive runs of items of
+    words[k] words each, with at most _BLOCK_WORDS words a run (or one item):
+    row_blocks for ragged items."""
+    ends = np.cumsum(words)
+    lo = 0
+    while lo < words.size:
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_WORDS, side="right")))
+        yield slice(lo, hi)
+        lo = hi
 
 
 def scalar_or_array(values: np.ndarray, shape: tuple):

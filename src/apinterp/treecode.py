@@ -70,7 +70,9 @@ from math import comb, log2
 
 import numpy as np
 
-from .numutil import DISK_SLACK, binary_scaled, log_rho_terms, poisson_points, poisson_terms
+from . import numutil
+from .numutil import (_TERM_WORDS, DISK_SLACK, binary_scaled, blocks, log_rho_terms,
+                      poisson_points, poisson_terms, row_blocks)
 
 _EPS = np.finfo(float).eps
 
@@ -97,24 +99,6 @@ LEAF = 32
 #: value -/+ err and dividing it in contenders.
 TREE_OPS = 8 * (ORDER + 2)
 
-#: Element pairs per near-field chunk: bounds the temporaries, and keeps them
-#: in cache (2^15 ran the near field about 1.5x faster than 2^17).
-_CHUNK = 1 << 15
-
-#: Far pairs per chunk: each carries a few (p + 1)-term complex rows.
-_FAR_CHUNK = 1 << 11
-
-#: (target, leaf) pairs per block of the truncated log's per-target decisions:
-#: each carries about 100 bytes of temporaries.  On dyadic 1..12, 2^13 ran
-#: condition a as fast as 2^15, with a peak of 4.6 MB instead of 7.6 MB.
-_TARGET_PAIRS = 1 << 13
-
-#: Target groups per block of the traversal: bounds its frontier of (group,
-#: cell) pairs.  On dyadic 1..18, 2^10 cut the peak RSS of `check` from 340 MB
-#: (one block) to 253 MB at the same speed.  Dyadic 1..12 and the 6000-point
-#: strip run every sweep in one block.
-_GROUPS = 1 << 10
-
 _K = np.arange(ORDER + 1)
 _L = np.arange(1, ORDER + 1)
 # Multipole-to-local matrices, rows k (moment) and columns l (local power).
@@ -132,18 +116,6 @@ def _ranges(starts, counts):
     """Concatenation of arange(s, s + c) over the starts s and counts c."""
     offs = np.cumsum(counts) - counts
     return np.arange(int(np.sum(counts))) - np.repeat(offs - starts, counts)
-
-
-def _blocks(weights, size):
-    """Slices cutting range(weights.size) into runs of total weight at most
-    size, or of one item."""
-    ends = np.cumsum(weights)
-    lo = 0
-    while lo < weights.size:
-        base = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + size, side="right")))
-        yield slice(lo, hi)
-        lo = hi
 
 
 def _add_at(out, key, *weights):
@@ -382,9 +354,10 @@ def _traverse(groups, tree, radii=None):
     crossing a circle is opened.  None means every source is summed.
     """
     far, near = [], []
-    n = groups.center.size
-    for lo in range(0, n, _GROUPS):  # each group's pairs come out in the same order
-        g = np.repeat(np.arange(lo, min(lo + _GROUPS, n)), tree.roots.size)
+    # Blocks of LEAF targets a group bound the frontier of (group, cell)
+    # pairs; each group's pairs come out in the same order in any block.
+    for blk in row_blocks(groups.center.size, LEAF):
+        g = np.repeat(np.arange(blk.start, blk.stop), tree.roots.size)
         c = np.tile(tree.roots, g.size // tree.roots.size)
         while g.size:
             dist = np.abs(tree.center[c] - groups.center[g])
@@ -490,8 +463,7 @@ def _far_field(kind, groups, tree, far_g, far_c, z, n_bands):
     key, far_g, far_c = key[order], far_g[order], far_c[order]
     local = np.zeros((ORDER + 1, size), complex)
     sums = np.zeros((2, size))  # truncation bound, scale
-    for lo in range(0, key.size, _FAR_CHUNK):
-        blk = slice(lo, lo + _FAR_CHUNK)
+    for blk in row_blocks(key.size, ORDER + 1):  # a few (p + 1)-term rows a pair
         beta, trunc, scale = _far_pairs(groups, tree, far_g[blk], far_c[blk], kind)
         k = key[blk]
         heads = np.concatenate([[0], np.flatnonzero(np.diff(k)) + 1])
@@ -529,9 +501,9 @@ def _direct(kind, tree, z, start, count, c, out, n_bands):
     copies of the coordinates.
 
     The pairs go in (run length, leaf size) order, in (pairs, rows, columns)
-    blocks of about _CHUNK elements padded to the block's longest run and
-    largest leaf; padding sources have multiplicity 0 and padding targets are
-    dropped.
+    blocks of about numutil's budget of terms, _TERM_WORDS words each, padded
+    to the block's longest run and largest leaf; padding sources have
+    multiplicity 0 and padding targets are dropped.
     """
     if kind == "cauchy":
         rows, cols = (z.real.copy(),), poisson_points(tree.points, tree.weights)
@@ -540,10 +512,11 @@ def _direct(kind, tree, z, start, count, c, out, n_bands):
         cols = tree.points.real.copy(), tree.points.imag.copy(), tree.weights
     sizes = tree.count[c]
     order = np.lexsort((sizes, count))
+    terms = numutil._BLOCK_WORDS // _TERM_WORDS
     lo = 0
     while lo < order.size:
-        p = order[lo:lo + 1 + _CHUNK // (count[order[lo]] * sizes[order[lo]])]
-        p = p[:max(1, _CHUNK // int(count[p].max() * sizes[p].max()))]
+        p = order[lo:lo + 1 + terms // (count[order[lo]] * sizes[order[lo]])]
+        p = p[:max(1, terms // int(count[p].max() * sizes[p].max()))]
         lo += p.size
         ti, real = _padded(start[p], count[p], int(count[p].max()), 0)
         sj, _ = _padded(tree.start[c[p]], sizes[p], int(sizes[p].max()), tree.perm.size)
@@ -565,11 +538,12 @@ def _log_direct(tree, z, r, log_r, t, c, include_center, out):
     pair k sums the points of leaf c[k] in the disk about z[t[k]] of radius
     r[t[k]] (log_r its log), and the rows (value, term magnitude, ops) of out
     get, at t[k], that sum, the sum of its term magnitudes and the leaf's
-    size.  The pairs' points form one ragged run, cut into blocks of about
-    _CHUNK points, and each pair's terms are summed by np.add.reduceat.
+    size.  The pairs' points form one ragged run, cut into blocks (numutil's
+    budget, _TERM_WORDS words a point), and each pair's terms are summed by
+    np.add.reduceat.
     """
     sizes = tree.count[c]
-    for blk in _blocks(sizes, _CHUNK):
+    for blk in blocks(_TERM_WORDS * sizes):
         t_b, size = t[blk], sizes[blk]
         pos = _ranges(tree.start[c[blk]], size)
         d = np.take(tree.points, pos)
@@ -639,7 +613,7 @@ def _log_near(tree, near, of, z, r, log_r, include_center, refine=False):
     out = np.zeros((4, z.size))
     cross = np.zeros((4, z.size))
     k = near_count[of]
-    for blk in _blocks(k, _TARGET_PAIRS):
+    for blk in blocks(4 * _TERM_WORDS * k):  # about 100 bytes a decision
         kb = k[blk]
         t = np.repeat(np.arange(blk.start, blk.stop), kb)
         c = near_c[_ranges(near_start[of[blk]], kb)]

@@ -330,7 +330,7 @@ def local_density_constant(v: Variety, w: BeurlingWeight, eps: float,
     if not len(v):
         return 0.0
     z = np.fromiter(samples, dtype=complex)
-    pz = w.p(z)
+    pz = p_at(z, w)
     z, pz = z[~(pz <= 0)], pz[~(pz <= 0)]  # a nan p fails in count_in_disk
     n = count_in_disk(v, z, eps * pz)
     return float(np.max(n / np.maximum(pz, P_MIN), initial=0.0))

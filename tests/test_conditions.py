@@ -134,10 +134,11 @@ def test_condition_a_memory_is_linear(log_shift):
     # coefficients (about 15 points per cell, 45 B per point), and some 20
     # words per target (its point, radius, log radius, slot and group, and the
     # value, scale, ops, trunc and crossing sums of each pass): about 200 B
-    # per point.  Blocks of _TARGET_PAIRS (target, leaf) pairs and _CHUNK
-    # points add a fixed ~6 MB, ~90 B per point on these 65 534 points.  400 B
-    # per point leaves a third to spare; a list of the crossing (center, leaf)
-    # pairs, which grows as N^1.45, read 896 B per point here.
+    # per point.  Blocks under numutil._BLOCK_WORDS (2^13 (target, leaf)
+    # decisions, or 2^15 points) add a fixed ~6 MB, ~90 B per point on these
+    # 65 534 points.  400 B per point leaves a third to spare; a list of the
+    # crossing (center, leaf) pairs, which grows as N^1.45, read 896 B per
+    # point here.
     v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 15}))
     radii = ap.default_radii(v.window_radius)
     tracemalloc.start()
@@ -263,6 +264,22 @@ def test_sweeps_raise_on_an_omega_that_overflows_at_a_point():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"^omega\(\S+\) is not finite at the point"):
                 call()
+
+
+def test_point_evaluations_raise_on_an_omega_that_overflows():
+    # The disk radii eps p of singular_weight (at the points) and of
+    # local_density_constant (at the samples) go through the same checked
+    # omega.  Read as inf, they put the samples 3+3i and 100+50i, which are no
+    # points, on the configuration (-inf), and the density read 1.8e-307.
+    w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1e308))
+    v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 4}))
+    samples = [3 + 3j, 100 + 50j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^omega\(\S+\) is not finite at the point"):
+            ap.singular_weight(v, w, 0.5, samples)
+        with pytest.raises(NumericError, match=r"is not finite at the point \(100\+50j\)$"):
+            ap.local_density_constant(v, w, 0.5, samples)
 
 
 def test_sweep_writes_each_witness_form():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apinterp as ap
@@ -81,6 +81,7 @@ def test_hyperbolic_counting_closed_boundary():
 @settings(max_examples=40, deadline=None)
 @given(upper_points(max_size=15), finite_complex(max_abs=8.0, min_im=0.2, max_im=6.0),
        st.floats(0.05, 0.95))
+@example([(0.1j, 1)], 0.2j, 1 / 3)  # rho = 1/3 exactly: on the closed boundary
 def test_hyperbolic_counting_dual_formula(pts, z, t):
     hv = ap.HalfPlaneVariety(pts)
     disk = ap.HypDisk(z, t)

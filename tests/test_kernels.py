@@ -10,6 +10,7 @@ fsum direct sum and the direct kernel, and each sweep that selects through
 the tree must report the direct kernels' first maximum, bit for bit.
 """
 
+import contextlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -329,18 +330,22 @@ def test_balayage_profile_equals_single_abscissa_values(log_shift):
 
 
 # The tree-code enclosures.  A leaf of 3 points gives deep trees with far
-# pairs even on small inputs, and traversal blocks of one group make every
-# input walk several blocks.
-TREE = dict(LEAF=3, _GROUPS=1)
+# pairs even on small inputs, and a block budget of one word makes every
+# block of the tree code one item (one target group, far pair, (target run,
+# leaf) pair or per-target decision), so every input walks several blocks and
+# block edges fall inside groups.
+TREE = dict(LEAF=3)
 
 
-def forced_tree(**overrides):
-    return mock.patch.multiple(treecode, **{**TREE, **overrides})
+@contextlib.contextmanager
+def forced_tree(budget=1, **overrides):
+    with mock.patch.multiple(treecode, **{**TREE, **overrides}), \
+            mock.patch.object(numutil, "_BLOCK_WORDS", budget):
+        yield
 
 
-# Direct near-field block sizes: the default, and blocks of one (target run,
-# leaf) pair, whose edges fall inside groups.
-CHUNKS = (treecode._CHUNK, 1)
+# Block budgets: one word, and the default.
+BUDGETS = (1, numutil._BLOCK_WORDS)
 
 
 FINE = st.integers(-6, 6).map(lambda k: k / 64)
@@ -426,8 +431,8 @@ def log_tree_passes(lam, mult, centers, radii, include_center, leaf):
     exact = [fsum_truncated_log(lam, mult, c, r, include_center)
              for c, r in zip(centers.tolist(), radii.tolist())]
     sub = np.arange(centers.size)[::3][::-1]
-    for chunk in CHUNKS[::-1]:  # the default last: its bounds are returned
-        with forced_tree(LEAF=leaf, _CHUNK=chunk):
+    for budget in BUDGETS:  # the default last: its bounds are returned
+        with forced_tree(budget, LEAF=leaf):
             value, err, refine = treecode.truncated_log_enclosures(lam, mult, centers, radii,
                                                                    include_center)
             rvalue, rerr = refine(np.arange(centers.size))
@@ -529,8 +534,8 @@ def test_upward_moments_match_the_power_sums(leaf):
 def test_log_rho_tree_encloses_direct_sum(v, data):
     hv = ap.HalfPlaneVariety.from_variety(v)
     ends = prefix_ends(data, hv)
-    for chunk in CHUNKS:
-        with forced_tree(_CHUNK=chunk):
+    for budget in BUDGETS:
+        with forced_tree(budget):
             got = treecode.log_rho_prefix_enclosures(hv.lam, hv.mult, ends)
         for e, (value, err) in zip(ends, got):
             direct = log_rho_sums(hv.lam[:e], hv.mult[:e], hv.lam[:e])
@@ -548,8 +553,8 @@ def test_poisson_tree_encloses_direct_sum(v, data):
         return
     ends = prefix_ends(data, v)
     xs = np.unique(np.concatenate([v.lam.real, data.draw(st.lists(QUARTER, max_size=6))]))
-    for chunk in CHUNKS:
-        with forced_tree(_CHUNK=chunk):
+    for budget in BUDGETS:
+        with forced_tree(budget):
             got = treecode.poisson_prefix_enclosures(v.lam, v.mult, xs, ends)
         for e, (value, err) in zip(ends, got):
             direct = poisson_sums(v.lam[:e], v.mult[:e], xs)
@@ -866,6 +871,51 @@ def test_dense_kernels_keep_their_bits_in_any_block(budget):
         small = _dense_kernel_values()
     for name, default in _dense_kernel_values().items():
         assert small[name].tobytes() == default.tobytes(), name
+
+
+def _sweep_values(v, w):
+    """Constants and witnesses of every sweep of check, and the profile's rows."""
+    radii = ap.default_radii(v.window_radius)
+    sweeps = [ap.condition_a_constants(v, w, radii), ap.condition_b_constants(v, w, radii)]
+    for conj in (False, True):
+        hv = ap.HalfPlaneVariety.from_variety(v, conjugate_lower=conj)
+        if len(hv):
+            sweeps.append(ap.blaschke_sum_report(hv, w, radii))
+    prof = ap.balayage_profile(ap.split_regions(v, w).exterior(), ap.ScanSpec(samples=1024))
+    return [(s.constants, s.witnesses) for s in sweeps] + [list(prof.rows())]
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 12])
+@pytest.mark.parametrize("spec", [("dyadic_angle", {"n_min": 1, "n_max": 10}),
+                                  ("strip_random", {"count": 1500, "seed": 1})],
+                         ids=["dyadic_angle_10", "strip_random_1500"])
+def test_sweeps_keep_their_bits_at_any_budget(budget, spec, log_shift):
+    # The tree code reads the budget when it runs: at one word every block of
+    # its traversal, far field, near field and per-target decisions is one
+    # item, and at 2^12 words blocks end inside the default ones.  Enclosures
+    # may move in their last bits, but every reported bit is a direct sum's.
+    v = ap.generate(ap.FamilySpec(*spec))
+    with mock.patch.object(numutil, "_BLOCK_WORDS", budget):
+        small = _sweep_values(v, log_shift)
+    assert small == _sweep_values(v, log_shift)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 12, 1 << 17])
+def test_ragged_blocks_grow_while_they_fit_the_budget(budget):
+    # Consecutive blocks cover the items in order; a block keeps at most the
+    # budget's words, or holds one item, and the next item would not fit.
+    # Items of no words, and items above the budget, included.
+    rng = np.random.default_rng(3)
+    words = np.concatenate([rng.integers(0, 64, 3000), [0, 0, 1 << 18, 0, 5, 1 << 16],
+                            rng.integers(0, 1 << 13, 300), [0, 0]])
+    with mock.patch.object(numutil, "_BLOCK_WORDS", budget):
+        blocks = list(numutil.blocks(words))
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks][:-1]
+    assert blocks[-1].stop == words.size
+    for b in blocks:
+        assert words[b].sum() <= budget or b.stop - b.start == 1
+        assert b.stop == words.size or words[b.start:b.stop + 1].sum() > budget
+    assert list(numutil.blocks(words[:0])) == []
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 12, 1 << 17])

@@ -6,6 +6,15 @@ points) and a 6000-point strip_random sample (seed 1), under log_shift(1).
   Blaschke constant bit for bit, with the same witnesses and verdicts: a
   factor 2 on every mass is exact in every sum, moment and error bound, so
   the selection makes the same decisions.
+* Condition a and both Blaschke halves are nondecreasing in R: condition a
+  takes a running maximum over the centers within R, and a Blaschke sum over
+  the points within R only gains nonnegative terms.  Condition b is left out:
+  its golden-section refinement can miss a joint peak between real parts and
+  then fall as R grows (ROADMAP direction 1).
+* Restriction: the Blaschke halves and condition b of the variety cut to
+  |lambda| <= radii[k] give the full sweep's k-th constant and witness at
+  every radius from k on, bit for bit, since each value is a direct sum over
+  the same points in the same order.
 * `check` reads the points, not the rows: a permuted CSV gives the same
   bytes, and so does a point of multiplicity 2 written as two rows of 1
   (plus the merge warning).
@@ -29,26 +38,54 @@ def variety(request):
     return ap.generate(ap.FamilySpec(*INPUTS[request.param]))
 
 
-def _sweeps(v, w, radii):
-    sweeps = {"a": ap.condition_a_constants(v, w, radii).classify(),
-              "b": ap.condition_b_constants(v, w, radii).classify()}
+@pytest.fixture(scope="module")
+def sweeps(variety, log_shift):
+    return _sweeps(variety, log_shift, ap.default_radii(variety.window_radius))
+
+
+def _blaschke_halves(v, w, radii):
+    halves = {}
     for half, conj in (("upper", False), ("lower", True)):
         hv = ap.HalfPlaneVariety.from_variety(v, conjugate_lower=conj)
         if len(hv):
-            sweeps[half] = ap.blaschke_sum_report(hv, w, radii)
-    return sweeps
+            halves[half] = ap.blaschke_sum_report(hv, w, radii)
+    return halves
 
 
-def test_doubled_multiplicities_double_every_constant(variety, log_shift):
-    radii = ap.default_radii(variety.window_radius)
-    once = _sweeps(variety, log_shift, radii)
-    twice = _sweeps(variety.scale_mult(2), log_shift, radii)
-    assert set(once) == set(twice) and len(once) >= 3
-    for name, sweep in once.items():
+def _sweeps(v, w, radii):
+    return {"a": ap.condition_a_constants(v, w, radii).classify(),
+            "b": ap.condition_b_constants(v, w, radii).classify(),
+            **_blaschke_halves(v, w, radii)}
+
+
+def test_doubled_multiplicities_double_every_constant(variety, sweeps, log_shift):
+    twice = _sweeps(variety.scale_mult(2), log_shift, ap.default_radii(variety.window_radius))
+    assert set(sweeps) == set(twice) and len(sweeps) >= 3
+    for name, sweep in sweeps.items():
         assert max(sweep.constants) > 0, name
         assert twice[name].constants == [2 * c for c in sweep.constants], name
         assert twice[name].witnesses == sweep.witnesses, name
         assert twice[name].trend.verdict == sweep.trend.verdict, name
+
+
+def test_sweeps_are_nondecreasing_in_the_radius(sweeps):
+    names = [name for name in ("a", "upper", "lower") if name in sweeps]
+    assert len(names) >= 2
+    for name in names:
+        constants = sweeps[name].constants
+        assert constants == sorted(constants), name
+
+
+def test_restricted_variety_gives_the_sweeps_prefix_values(variety, sweeps, log_shift):
+    radii = ap.default_radii(variety.window_radius)
+    for k, r in enumerate(radii):
+        sub = variety.restrict(r)
+        cut = {"b": ap.condition_b_constants(sub, log_shift, radii),
+               **_blaschke_halves(sub, log_shift, radii)}
+        for name, sweep in cut.items():
+            full = sweeps[name]
+            assert sweep.constants[k:] == [full.constants[k]] * (len(radii) - k), (name, k)
+            assert sweep.witnesses[k:] == [full.witnesses[k]] * (len(radii) - k), (name, k)
 
 
 def _check(path, out):
