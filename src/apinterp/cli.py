@@ -165,7 +165,7 @@ def cmd_regularize(args) -> int:
         raise InputError(f"grid asks for {args.nx * args.ny} points, more than "
                          f"{generators.MAX_POINTS}")
     span = max(abs(args.xmin), abs(args.xmax))
-    guess = w.omega(min(span + 1.0, w.omega.t_max))
+    guess = w.omega_at(min(span + 1.0, w.omega.t_max))
     extent = span + 12.0 * regularization.SMEAR_FACTOR * max(guess, 0.1)
     rw = regularization.regularize(w, extent)
     xs = np.linspace(args.xmin, args.xmax, args.nx)

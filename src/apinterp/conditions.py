@@ -21,7 +21,7 @@ from .errors import DomainError, InvariantViolation
 from .numutil import (binary_scaled, golden_section_max, poisson_sum_at, poisson_sums,
                       truncated_log_sums)
 from .treecode import first_maxima, poisson_prefix_enclosures, truncated_log_enclosures
-from .variety import P_MIN, Variety, omega_at, p_at
+from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
 
 BOUNDED = "bounded-evidence"
@@ -50,7 +50,7 @@ class RegionSplit:
 
 
 def split_regions(v: Variety, w: BeurlingWeight) -> RegionSplit:
-    omega_abs = omega_at(v.lam, w)
+    omega_abs = w.omega_at(v.lam)
     im = v.lam.imag
     in_strip = np.abs(im) <= omega_abs
     up = im > omega_abs
@@ -159,7 +159,7 @@ def condition_a_constants(v: Variety, w: BeurlingWeight, radii,
     """
     radii = _validate_radii(radii, v.window_radius)
     centers = v.lam[np.abs(v.lam) <= radii[-1]]
-    p_c = p_at(centers, w)
+    p_c = w.p(centers)
     floor_hits = int(np.sum(p_c < P_MIN))
     den = np.maximum(p_c, P_MIN)
     value, err, refine = truncated_log_enclosures(v.lam, v.mult, centers, p_c, include_center)
@@ -328,7 +328,7 @@ def condition_b_constants(v: Variety, w: BeurlingWeight, radii,
     """
     radii = _validate_radii(radii, v.window_radius)
     scan = scan or ScanSpec()
-    ext = np.abs(v.lam.imag) > omega_at(v.lam, w)
+    ext = np.abs(v.lam.imag) > w.omega_at(v.lam)
     # canonical order is sorted by |lambda|: the points within R are a prefix
     ends = np.searchsorted(np.abs(v.lam[ext]), radii, side="right")
     lam, mult = v.lam[ext][:ends[-1]], v.mult[ext][:ends[-1]]

@@ -22,11 +22,11 @@ import numpy as np
 
 from .conditions import DEFAULT_THRESHOLDS, Sweep, _validate_radii
 from .errors import DomainError, InputError, InvariantViolation
-from .numutil import (close_pair_arrays, row_blocks, row_sums, scalar_or_array,
+from .numutil import (close_pair_arrays, disk_windows, row_sums, scalar_or_array,
                       truncated_log_sums)
 # integrated_count is not called here; it stays importable as
 # extension.integrated_count, the name perfbench's tracer wraps.
-from .variety import P_MIN, Variety, integrated_count, p_at, separation_profile
+from .variety import P_MIN, Variety, integrated_count, separation_profile
 from .weights import BeurlingWeight, estimate_disk_constant
 
 #: Sentinel for the singular weight at a configuration point.
@@ -184,7 +184,7 @@ class SeparationRadii:
             raise DomainError("delta must be a positive finite number")
         if not 0 <= growth < math.inf:
             raise DomainError("growth must be a non-negative finite number")
-        p_vals = p_at(v.lam, w)
+        p_vals = w.p(v.lam)
         radii = delta * np.exp(-growth * p_vals / v.mult)
         return cls(v.lam.copy(), radii, float(delta), float(growth))
 
@@ -195,8 +195,7 @@ class SeparationRadii:
         if len(v) >= 2:
             prof = separation_profile(v, w)
             growth = max(growth, _SAFETY * prof.worst_constant)
-        p_vals = np.maximum(p_at(v.lam, w), 0.0)
-        shrink = np.exp(-growth * p_vals / v.mult)
+        shrink = np.exp(-growth * w.p(v.lam) / v.mult)
         i, j, d = close_pair_arrays(v.lam, 1.0)
         feasible = d / (2 * (shrink[i] + shrink[j])) / _SAFETY
         return cls.from_params(v, w, np.min(feasible, initial=0.25), growth)
@@ -307,17 +306,18 @@ def singular_weight(v: Variety, w: BeurlingWeight, eps: float, z):
         raise DomainError("eps must lie in (0, 1/2]")
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).ravel()
-    cap = eps * p_at(v.lam, w)
+    cap = eps * w.p(v.lam)
     out = np.empty(z.size)
-    for block in row_blocks(z.size, len(v)):
-        d = np.abs(z[block, None] - v.lam)
-        inside = (d <= cap) & (cap > 0)
-        u = (d[inside] / np.broadcast_to(cap, d.shape)[inside]) ** 2
-        # log 0 = -inf = V_SINGULAR, at a configuration point (or a distance
-        # whose square underflows)
+    for rows, a, b, d in disk_windows(v.lam, z, cap.max(initial=0.0)):
+        inside = (d <= cap[a:b]) & (cap[a:b] > 0)
+        d, c = d[inside], np.broadcast_to(cap[a:b], inside.shape)[inside]
+        u = (d / c) ** 2
+        # V_SINGULAR = log 0 at a point only: an underflowed u gives 2 (log d - log cap)
         log_u = np.log(u, out=np.full(u.size, V_SINGULAR), where=u > 0)
-        terms = np.broadcast_to(v.mult, d.shape)[inside] * (log_u + 1.0 - u)
-        out[block] = row_sums(terms, inside.sum(axis=1))
+        tiny = (u < np.finfo(float).tiny) & (d > 0)
+        log_u[tiny] = 2.0 * (np.log(d[tiny]) - np.log(c[tiny]))
+        terms = np.broadcast_to(v.mult[a:b], inside.shape)[inside] * (log_u + 1.0 - u)
+        out[rows] = row_sums(terms, inside.sum(axis=1))
     return scalar_or_array(out, shape)
 
 
@@ -398,7 +398,7 @@ def annulus_counting_report(v: Variety, w: BeurlingWeight, radii, eps: float = 0
     # canonical order is sorted by |lambda|: the points within R are a prefix
     ends = np.searchsorted(np.abs(v.lam), radii, side="right")
     inner = v.lam[:ends[-1]]
-    p_lam = p_at(inner, w)
+    p_lam = w.p(inner)
     excl = truncated_log_sums(v.lam, v.mult, inner, c_prime * p_lam)
     thetas = np.linspace(0.0, 2 * math.pi, _ANNULUS_ANGLES, endpoint=False)
     unit = np.array([complex(math.cos(t), math.sin(t)) for t in thetas])

@@ -20,7 +20,7 @@ from .conditions import DEFAULT_THRESHOLDS, Sweep, _validate_radii
 from .errors import DomainError
 from .numutil import log_rho_sums
 from .treecode import first_maxima, log_rho_prefix_enclosures
-from .variety import P_MIN, Variety, p_at
+from .variety import P_MIN, Variety
 from .weights import BeurlingWeight
 
 #: Sentinel returned by log_blaschke_abs at a configuration point.  It is
@@ -153,7 +153,7 @@ def blaschke_sum_report(hv: HalfPlaneVariety, w: BeurlingWeight, radii,
     radii = _validate_radii(radii, hv.window_radius)
     # canonical order is sorted by |lambda|: the points within R are a prefix
     ends = np.searchsorted(np.abs(hv.lam), radii, side="right")
-    p = np.maximum(p_at(hv.lam[:ends[-1]], w), P_MIN)
+    p = np.maximum(w.p(hv.lam[:ends[-1]]), P_MIN)
     enc = log_rho_prefix_enclosures(hv.lam, hv.mult, ends)
     tops = first_maxima(ends, ((np.arange(n), *e) for n, e in zip(ends, enc)),
                         lambda n, idx: log_rho_sums(hv.lam[:n], hv.mult[:n], hv.lam[idx]), p)

@@ -1,5 +1,5 @@
 """Small numeric helpers: 1-D search, the quadrature wrapper, the close-pair
-search (a sort-and-sweep over rows, returning arrays), the dense pairwise
+search and the disk windows (sort-based, returning arrays), the dense pairwise
 kernels, and what the tree code shares with them: their terms (poisson_terms,
 log_rho_terms), disk slack and exact rescaling (DISK_SLACK, binary_scaled),
 and the one block rule (_BLOCK_WORDS, row_blocks, blocks).  Only numpy is
@@ -142,7 +142,7 @@ def close_pair_arrays(lam: np.ndarray, cutoff: float):
 # eps * log2(n) * sum |terms|.
 
 #: 8-byte words of temporaries per block of every chunked loop, here
-#: (row_blocks, blocks, _annulus_blocks) and in the tree code, read when the
+#: (row_blocks, blocks, disk_windows) and in the tree code, read when the
 #: loop runs; no reported value depends on it.  On a 2-core x86-64 VM:
 #: * a _dense_row_sums term is one word of one reused 1 MB scratch buffer,
 #:   which stays in a 2 MB L2 cache (16 rows at 8190 points).  The 4096 x 8190
@@ -166,7 +166,7 @@ _BLOCK_WORDS = 1 << 17
 _TERM_WORDS = 4
 
 #: Relative slack of every disk-membership decision made before the exact
-#: test d <= r: the modulus window of truncated_log_sums, and the tree code's
+#: test d <= r: the modulus window of disk_windows, and the tree code's
 #: cut of the points and its inside/outside tests of cells.  Rounding in the
 #: moduli, distances, cell centers and cell radii cannot move a point across a
 #: circle by more.
@@ -208,19 +208,29 @@ def row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _annulus_blocks(abs_lam, abs_c, r):
-    """(rows, a, b) per block of consecutive centers whose disks reach only the
-    moduli of lam[a:b], at most _BLOCK_WORDS words or one center a block."""
-    slack = DISK_SLACK * (abs_c + r)
-    a = np.searchsorted(abs_lam, abs_c - r - slack, side="left")
-    b = np.searchsorted(abs_lam, abs_c + r + slack, side="right")
+def disk_windows(lam: np.ndarray, targets: np.ndarray, reach):
+    """(rows, a, b, |lam[a:b] - targets[rows]|) per block of targets taken in
+    increasing modulus: lam[a:b] holds every point of lam (sorted by modulus)
+    within reach of the block, up to DISK_SLACK, and the block holds at most
+    _BLOCK_WORDS // _TERM_WORDS terms, or one target (Bentley et al., 1977)."""
+    abs_lam = np.abs(lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # a nan bound gives no window...
+        order = np.argsort(np.abs(targets), kind="stable")
+        abs_t, reach = np.abs(targets[order]), np.broadcast_to(reach, targets.shape)[order]
+        slack = DISK_SLACK * (abs_t + reach)
+        a = np.searchsorted(abs_lam, abs_t - reach - slack, side="left")
+        b = np.searchsorted(abs_lam, abs_t + reach + slack, side="right")
+    a[reach == np.inf] = 0  # ...but an infinite reach holds every point
     lo, k = 0, 1
     while lo < a.size:
         hi = min(a.size, lo + 2 * k)
         words = _TERM_WORDS * (np.maximum.accumulate(b[lo:hi]) - np.minimum.accumulate(a[lo:hi]))
         k = max(1, int(np.count_nonzero(words * np.arange(1, hi - lo + 1) <= _BLOCK_WORDS)))
         if k < hi - lo or hi == a.size:
-            yield slice(lo, lo + k), a[lo:lo + k].min(), b[lo:lo + k].max()
+            rows, start, stop = order[lo:lo + k], a[lo:lo + k].min(), b[lo:lo + k].max()
+            with np.errstate(over="ignore"):
+                d = np.abs(lam[start:stop] - targets[rows, None])
+            yield rows, start, stop, d
             lo += k
 
 
@@ -231,17 +241,15 @@ def truncated_log_sums(lam: np.ndarray, mult: np.ndarray, centers, radii,
     Value i is the sum over 0 < |lambda - c_i| <= r_i of
     mult * log(r_i / |lambda - c_i|), plus mult(c_i) * log r_i when
     include_center is set; a center with a non-positive radius gets 0.
-    lam must be sorted by modulus (the canonical Variety order), so a block
-    of centers (_annulus_blocks) scans only the annulus of moduli its disks
-    can reach, and logs are taken of in-disk distances only.
+    lam must be sorted by modulus (the canonical Variety order); each center
+    scans only its window (disk_windows), and logs are taken of in-disk
+    distances only.
     """
     centers = np.asarray(centers, dtype=complex)
     radii = np.maximum(np.asarray(radii, dtype=float), 0.0)
     out = np.empty(centers.size)
-    for rows, a, b in _annulus_blocks(np.abs(lam), np.abs(centers), radii):
-        c, r = centers[rows], radii[rows]
-        with np.errstate(over="ignore"):  # a distance above DBL_MAX is inf: in no disk
-            d = np.abs(lam[a:b] - c[:, None])
+    for rows, a, b, d in disk_windows(lam, centers, radii):
+        r = radii[rows]
         inside = (d > 0) & (d <= r[:, None])
         counts = inside.sum(axis=1)
         log_r = np.log(np.where(r > 0, r, 1.0))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, NumericError
 from .numutil import adaptive_quad, row_blocks, scalar_or_array
 from .weights import BeurlingWeight
 
@@ -110,6 +110,8 @@ def build_partition(w: BeurlingWeight, t_extent: float) -> IntervalPartition:
     """
     if not t_extent > 0:
         raise DomainError("t_extent must be positive")
+    if t_extent == math.inf:
+        raise NumericError("t_extent is not finite")
     omega = w.omega
     if omega(t_extent) < OMEGA_FLOOR:
         raise ConstructionError("profile stays below OMEGA_FLOOR on the range")

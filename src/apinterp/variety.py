@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApInterpError, DomainError, InputError, InvariantViolation, NumericError
-from .numutil import close_pair_arrays, row_blocks, scalar_or_array, truncated_log_sums
+from .errors import ApInterpError, DomainError, InputError, InvariantViolation
+from .numutil import close_pair_arrays, disk_windows, scalar_or_array, truncated_log_sums
 from .weights import BeurlingWeight
 
 P_MIN = 1.0  # floor used when dividing by p(lambda) near the origin
@@ -228,15 +228,15 @@ def _numeric(token: str) -> bool:
 def count_in_disk(v: Variety, z, r):
     """Total multiplicity in the closed disk of center z and radius r.  Takes
     one z (and returns an int) or an array of them, with one radius or one
-    per z."""
+    per z; each z scans only the points of its window (disk_windows)."""
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).ravel()
     r = np.broadcast_to(np.asarray(r, dtype=float), shape).ravel()
     if not np.all(r > 0):
         raise DomainError("radius must be positive")
     out = np.empty(z.size, dtype=np.int64)
-    for block in row_blocks(z.size, len(v)):
-        out[block] = (np.abs(v.lam - z[block, None]) <= r[block, None]) @ v.mult
+    for rows, a, b, d in disk_windows(v.lam, z, r):
+        out[rows] = (d <= r[rows, None]) @ v.mult[a:b]
     return scalar_or_array(out, shape)
 
 
@@ -250,25 +250,6 @@ def integrated_count(v: Variety, z: complex, r: float) -> float:
     if not r > 0:
         raise DomainError("radius must be positive")
     return float(truncated_log_sums(v.lam, v.mult, [z], [r], include_center=True)[0])
-
-
-def omega_at(lam: np.ndarray, w: BeurlingWeight) -> np.ndarray:
-    """omega(|lambda|) at the points lam.  An omega that is not finite at a
-    finite modulus raises NumericError naming the first such point."""
-    abs_lam = np.abs(lam)
-    with np.errstate(over="ignore"):
-        omega = w.omega(abs_lam)
-    bad = np.isfinite(abs_lam) & ~np.isfinite(omega)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NumericError(f"omega({float(abs_lam[k])!r}) is not finite at the point "
-                           f"{complex(lam[k])!r}")
-    return omega
-
-
-def p_at(lam: np.ndarray, w: BeurlingWeight) -> np.ndarray:
-    """w.p at the points lam, its omega checked by omega_at."""
-    return np.abs(lam.imag) + omega_at(lam, w)
 
 
 @dataclass
@@ -301,7 +282,7 @@ def separation_profile(v: Variety, w: BeurlingWeight) -> SeparationProfile:
     """
     if len(v) < 2:
         raise DomainError("separation profile needs at least two points")
-    p_vals = p_at(v.lam, w)
+    p_vals = w.p(v.lam)
     floor_hits = int(np.sum(p_vals < P_MIN))
     p_vals = np.maximum(p_vals, P_MIN)
     i, j, d = close_pair_arrays(v.lam, 1.0)
@@ -330,7 +311,7 @@ def local_density_constant(v: Variety, w: BeurlingWeight, eps: float,
     if not len(v):
         return 0.0
     z = np.fromiter(samples, dtype=complex)
-    pz = p_at(z, w)
+    pz = w.p(z)
     z, pz = z[~(pz <= 0)], pz[~(pz <= 0)]  # a nan p fails in count_in_disk
     n = count_in_disk(v, z, eps * pz)
     return float(np.max(n / np.maximum(pz, P_MIN), initial=0.0))

@@ -260,13 +260,26 @@ class AxiomReport:
 @dataclass
 class BeurlingWeight:
     """p(z) = |Im z| + omega(|z|); always >= 0, vanishing only where both
-    Im z = 0 and omega(|z|) = 0."""
+    Im z = 0 and omega(|z|) = 0.  Evaluated at points, an omega that is not
+    finite at a finite modulus raises NumericError naming the first one."""
 
     omega: OmegaProfile
 
+    def omega_at(self, z):
+        """omega(|z|) at the points z (one z gives a float), checked."""
+        z = np.asarray(z, dtype=complex)
+        abs_z = np.abs(z)
+        with np.errstate(over="ignore"):
+            omega = np.asarray(self.omega(abs_z))
+        bad = np.flatnonzero(np.isfinite(abs_z) & ~np.isfinite(omega))
+        if bad.size:
+            raise NumericError(f"omega({float(abs_z.flat[bad[0]])!r}) is not finite at the "
+                               f"point {complex(z.flat[bad[0]])!r}")
+        return scalar_or_array(omega, z.shape)
+
     def p(self, z):
         arr = np.asarray(z, dtype=complex)
-        return scalar_or_array(np.abs(arr.imag) + self.omega(np.abs(arr)), arr.shape)
+        return scalar_or_array(np.abs(arr.imag) + self.omega_at(arr), arr.shape)
 
     def to_dict(self) -> dict:
         return self.omega.to_dict()

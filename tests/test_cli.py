@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,27 @@ def test_overflowing_omega_exits_2_with_one_line(command, tmp_path, capsys):
     assert run([command[0], "--weight", '{"family":"log_shift","a":1e306}', "--family", family,
                 *command[1:], "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("a, exit_code, message", [
+    ("1e308", 2, "numeric failure: omega(31.0) is not finite at the point (31+0j)"),
+    ("1e306", 2, "numeric failure: t_extent is not finite"),
+    ("1e304", 1, "error: z lies outside the reliable region of the partition"),
+])
+def test_regularize_overflowing_omega_exits_with_one_line(a, exit_code, message, tmp_path,
+                                                          capsys):
+    # At 1e308 the extent's omega guess overflows; at 1e306 the extent
+    # span + 12 * SMEAR_FACTOR * omega does; at 1e304 the partition is built
+    # but its intervals are too long to reach the grid.
+    out = tmp_path / "grid.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["regularize", "--weight", f'{{"family":"log_shift","a":{a}}}',
+                    "--xmin", "5", "--xmax", "30", "--ymin", "-1", "--ymax", "45",
+                    "--nx", "6", "--ny", "3", "--out", str(out)]) == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [message]
 
 
 @pytest.mark.parametrize("command", [

@@ -280,6 +280,16 @@ def test_point_evaluations_raise_on_an_omega_that_overflows():
             ap.singular_weight(v, w, 0.5, samples)
         with pytest.raises(NumericError, match=r"is not finite at the point \(100\+50j\)$"):
             ap.local_density_constant(v, w, 0.5, samples)
+    # omega is finite at both points of this variety, so only p(100+50i) fails
+    two = ap.Variety([(1 + 1j, 1), (2 - 1j, 1)])
+    for call in (lambda: ap.penalized_weight(two, w, 0.5, 2.0, 100 + 50j),
+                 lambda: ap.blaschke_lower_bound_report(ap.HalfPlaneVariety.from_variety(two),
+                                                        w, [100 + 50j])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^omega\(111\.8\d*\) is not finite at "
+                                                   r"the point \(100\+50j\)$"):
+                call()
 
 
 def test_sweep_writes_each_witness_form():

@@ -230,6 +230,27 @@ def test_singular_weight_values(lattice, log_shift):
     assert ap.singular_weight(lattice, log_shift, eps, lam) == V_SINGULAR
 
 
+def test_singular_weight_stays_finite_where_the_square_underflows():
+    # With caps eps p(lambda) near 1e300, (d / cap)^2 underflows to 0 away from
+    # the points; log u is then 2 (log d - log cap), not the point sentinel.
+    w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1e300))
+    v = ap.Variety([(1 + 1j, 1), (2 - 1j, 1)])
+    eps, samples = 0.25, [3 + 3j, 100 + 50j]
+    for z in samples:
+        terms = []
+        for lam, m in zip(v.lam, v.mult):
+            cap, d = eps * w.p(lam), abs(z - lam)
+            if d <= cap:
+                log_u = 2.0 * (math.log(d) - math.log(cap))
+                terms.append(int(m) * (log_u + 1.0 - math.exp(log_u)))
+        want = math.fsum(terms)
+        bound = 8 * np.finfo(float).eps * math.fsum(map(abs, terms))
+        assert len(terms) == 2 and abs(ap.singular_weight(v, w, eps, z) - want) <= bound
+    assert ap.singular_weight(v, w, eps, 1 + 1j) == V_SINGULAR
+    audit = ap.subharmonic_audit(v, w, eps, samples)
+    assert math.isfinite(audit.beta0) and math.isfinite(audit.worst_residual)
+
+
 def test_singular_weight_nonpositive_everywhere(lattice, log_shift):
     rng = np.random.default_rng(12)
     for _ in range(500):

@@ -841,6 +841,84 @@ def test_weight_layer_batch_equals_single_points(name):
     assert f(z[::-1]).tolist() == alone[::-1]
 
 
+def _dense_disk_count(v, z, r):
+    """count_in_disk as one full row of distances per z."""
+    with np.errstate(over="ignore"):
+        return (np.abs(v.lam - z[:, None]) <= r) @ v.mult
+
+
+def _dense_singular_weight(v, w, eps, z):
+    """singular_weight as one full row of distances per z, with log u taken
+    from the logs of d and the cap where (d / cap)^2 underflows."""
+    cap = eps * w.p(v.lam)
+    out = []
+    for zk in z:
+        with np.errstate(over="ignore"):
+            d = np.abs(zk - v.lam)
+        inside = (d <= cap) & (cap > 0)
+        d, c = d[inside], cap[inside]
+        u = (d / c) ** 2
+        log_u = np.log(u, out=np.full(u.size, -np.inf), where=u > 0)
+        tiny = (u < np.finfo(float).tiny) & (d > 0)
+        log_u[tiny] = 2.0 * (np.log(d[tiny]) - np.log(c[tiny]))
+        out.append(numutil.row_sums(v.mult[inside] * (log_u + 1.0 - u), np.array([u.size]))[0])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["count_in_disk", "singular_weight"])
+def test_disk_windows_give_the_dense_rows_bits(name):
+    # Targets in random order: points of the variety (one of them, 0, has the
+    # cap 0 p(0) = 0), nan, inf, huge moduli and random points; the window
+    # holds every in-disk point and each row keeps its terms in canonical
+    # order, so every value is the full row's, alone or in any batch.
+    w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1.0))
+    v = ap.Variety([(complex(k / 2, (k % 5) / 4), 1 + k % 3) for k in range(-60, 61)])
+    rng = np.random.default_rng(29)
+    z = np.concatenate([v.lam[::7], [0j, complex("nan"), complex("nan+1j"), complex("inf"),
+                                     complex(-DBL_MAX, DBL_MAX), 1e300 + 1j, 1e-300j],
+                        rng.uniform(-40, 40, 80) + 1j * rng.uniform(-3, 3, 80)])
+    z = rng.permutation(z)
+    if name == "count_in_disk":
+        f, dense = (lambda z: ap.count_in_disk(v, z, 1.75)), _dense_disk_count(v, z, 1.75)
+    else:
+        f, dense = (lambda z: ap.singular_weight(v, w, 0.4, z)), _dense_singular_weight(v, w, 0.4, z)
+    batch = f(z)
+    assert batch.tobytes() == dense.tobytes()
+    assert batch.tolist() == [f(p) for p in z]
+    assert np.any(batch != 0) and np.any(batch[np.isnan(z)] == 0)
+    if name == "count_in_disk":  # an infinite radius holds every point, even around inf
+        z = np.array([complex("inf"), complex("nan"), 0j, 1e300 + 1j])
+        assert ap.count_in_disk(v, z, np.inf).tolist() == _dense_disk_count(v, z, np.inf).tolist()
+
+
+def test_disk_windows_scan_a_tenth_of_the_pairs(log_shift):
+    # 2000 targets within 0.5 of points, in random order.  count_in_disk of
+    # radius 1.75 on dyadic 1..12 and singular_weight (eps 0.1) on the strip
+    # scan at most a tenth of the (target, point) pairs.  On the dyadic angle
+    # the singular disks eps p(lambda) reach 0.1 Im lambda, up to 410 across
+    # the outer row, so there its windows hold about a fifth of the points.
+    from apinterp import extension, variety
+    for spec, module, call in [
+            (("dyadic_angle", {"n_min": 1, "n_max": 12}), variety,
+             lambda v, z: ap.count_in_disk(v, z, 1.75)),
+            (("strip_random", {"count": 6000, "seed": 1}), extension,
+             lambda v, z: ap.singular_weight(v, log_shift, 0.1, z))]:
+        v = ap.generate(ap.FamilySpec(*spec))
+        rng = np.random.default_rng(2)
+        z = v.lam[rng.integers(0, len(v), 2000)] + 0.5 * (
+            rng.uniform(-1, 1, 2000) + 1j * rng.uniform(-1, 1, 2000))
+        work = []
+
+        def counted(lam, targets, reach):
+            for rows, a, b, d in numutil.disk_windows(lam, targets, reach):
+                work.append(rows.size * (b - a))
+                yield rows, a, b, d
+
+        with mock.patch.object(module, "disk_windows", counted):
+            call(v, z)
+        assert 0 < sum(work) <= z.size * len(v) / 10, (spec, sum(work) / (z.size * len(v)))
+
+
 def _dense_kernel_values():
     w = ap.BeurlingWeight(ap.OmegaProfile.log_shift(1.0))
     dyadic = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 8}))
@@ -920,29 +998,34 @@ def test_ragged_blocks_grow_while_they_fit_the_budget(budget):
 
 @pytest.mark.parametrize("budget", [1, 1 << 12, 1 << 17])
 def test_annulus_blocks_grow_while_they_fit_the_budget(budget, log_shift):
-    # Consecutive blocks cover the centers in order, each scanning the span of
-    # its own centers' annuli; a block keeps at most the budget's words, or
-    # holds one center, and the next center would not fit.
+    # Consecutive blocks cover the centers in increasing modulus, each
+    # scanning the span of its own centers' annuli, with their distances; a
+    # block keeps at most the budget's words, or holds one center, and the
+    # next center would not fit.
     v = ap.generate(ap.FamilySpec("dyadic_angle", {"n_min": 1, "n_max": 10}))
     rng = np.random.default_rng(5)
     centers = np.concatenate([v.lam, rng.permutation(v.lam), [0j, 1e3 + 0j]])
     radii = np.concatenate([log_shift.p(v.lam), rng.uniform(0, 300, v.lam.size), [0.0, 5.0]])
-    abs_lam, abs_c = np.abs(v.lam), np.abs(centers)
-    a, b = np.array([next(numutil._annulus_blocks(abs_lam, abs_c[i:i + 1], radii[i:i + 1]))[1:]
-                     for i in range(centers.size)]).T
+    order = np.argsort(np.abs(centers), kind="stable")
+    a, b = np.array([next(numutil.disk_windows(v.lam, centers[i:i + 1], radii[i:i + 1]))[1:3]
+                     for i in order]).T
 
-    def words(lo, hi):
+    def words(lo, hi):  # of the centers order[lo:hi]
         return numutil._TERM_WORDS * (b[lo:hi].max() - a[lo:hi].min()) * (hi - lo)
 
+    blocks = []
     with mock.patch.object(numutil, "_BLOCK_WORDS", budget):
-        blocks = list(numutil._annulus_blocks(abs_lam, abs_c, radii))
-    assert [rows.start for rows, _, _ in blocks] == [0] + [rows.stop for rows, _, _ in blocks][:-1]
-    assert blocks[-1][0].stop == centers.size
+        for rows, lo, hi, d in numutil.disk_windows(v.lam, centers, radii):
+            assert d.tobytes() == np.abs(v.lam[lo:hi] - centers[rows, None]).tobytes()
+            blocks.append((rows, lo, hi))
+    assert np.concatenate([rows for rows, _, _ in blocks]).tolist() == order.tolist()
+    stop = 0
     for rows, lo, hi in blocks:
-        assert (lo, hi) == (a[rows].min(), b[rows].max())
-        assert words(rows.start, rows.stop) <= budget or rows.stop - rows.start == 1
-        assert rows.stop == centers.size or words(rows.start, rows.stop + 1) > budget
-    assert list(numutil._annulus_blocks(abs_lam, abs_c[:0], radii[:0])) == []
+        start, stop = stop, stop + rows.size
+        assert (lo, hi) == (a[start:stop].min(), b[start:stop].max())
+        assert words(start, stop) <= budget or stop - start == 1
+        assert stop == centers.size or words(start, stop + 1) > budget
+    assert list(numutil.disk_windows(v.lam, centers[:0], radii[:0])) == []
 
 
 def test_truncated_log_blocks_are_bounded_by_the_budget(log_shift):

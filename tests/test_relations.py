@@ -5,7 +5,13 @@ points) and a 6000-point strip_random sample (seed 1), under log_shift(1).
 * Doubling every multiplicity doubles every condition a, condition b and
   Blaschke constant bit for bit, with the same witnesses and verdicts: a
   factor 2 on every mass is exact in every sum, moment and error bound, so
-  the selection makes the same decisions.
+  the selection makes the same decisions.  So do the factors 2^3 and 2^30.
+* Conjugation swaps the Blaschke halves bit for bit: the upper half of the
+  conjugate is the conjugated lower half, the same points in the same order.
+  Conjugation and the reflection lambda -> -conj(lambda) keep every term of
+  conditions a and b, bit for bit, in another order, so the constants agree
+  within the summation bound eps (log2 N + 8) times their nonnegative terms'
+  sum.
 * Condition a and both Blaschke halves are nondecreasing in R: condition a
   takes a running maximum over the centers within R, and a Blaschke sum over
   the points within R only gains nonnegative terms.  Condition b is left out:
@@ -66,6 +72,40 @@ def test_doubled_multiplicities_double_every_constant(variety, sweeps, log_shift
         assert twice[name].constants == [2 * c for c in sweep.constants], name
         assert twice[name].witnesses == sweep.witnesses, name
         assert twice[name].trend.verdict == sweep.trend.verdict, name
+
+
+@pytest.mark.parametrize("k", [3, 30])
+def test_power_of_two_multiplicities_scale_every_constant(variety, sweeps, log_shift, k):
+    scaled = _sweeps(variety.scale_mult(2 ** k), log_shift,
+                     ap.default_radii(variety.window_radius))
+    assert set(sweeps) == set(scaled)
+    for name, sweep in sweeps.items():
+        assert scaled[name].constants == [2.0 ** k * c for c in sweep.constants], name
+        assert scaled[name].witnesses == sweep.witnesses, name
+        assert scaled[name].trend.verdict == sweep.trend.verdict, name
+
+
+def test_conjugation_swaps_the_blaschke_halves(variety, sweeps, log_shift):
+    halves = _blaschke_halves(variety.conjugate(), log_shift,
+                              ap.default_radii(variety.window_radius))
+    swap = {"upper": "lower", "lower": "upper"}
+    assert {swap[name] for name in halves} == {"upper", "lower"} & set(sweeps)
+    for name, sweep in halves.items():
+        assert sweep.constants == sweeps[swap[name]].constants, name
+        assert sweep.witnesses == sweeps[swap[name]].witnesses, name
+
+
+def test_conjugation_and_reflection_keep_conditions_a_and_b(variety, sweeps, log_shift):
+    radii = ap.default_radii(variety.window_radius)
+    bound = np.finfo(float).eps * (np.log2(len(variety)) + 8)
+    reflected = ap.Variety.from_arrays(-np.conj(variety.lam), variety.mult,
+                                       variety.window_radius)
+    for image in (variety.conjugate(), reflected):
+        for name, sweep in (("a", ap.condition_a_constants(image, log_shift, radii)),
+                            ("b", ap.condition_b_constants(image, log_shift, radii))):
+            want = np.array(sweeps[name].constants)
+            assert max(want) > 0
+            assert np.all(np.abs(np.array(sweep.constants) - want) <= bound * want), name
 
 
 def test_sweeps_are_nondecreasing_in_the_radius(sweeps):
